@@ -22,22 +22,27 @@ import time
 import numpy as np
 
 from . import __version__
-from .analytics import ScrapPulseParams, report_to_json, validity_check
+from .analytics import report_to_json, validity_check
 from .config import ConfigError, load_config, parse_frequency, resolve_preset, validate_config
 from .exceptions import IntegrationError, TweezersError
-from .experiments import (
+# The schedule builders and build_level_model are not called here; they stay
+# bound because perfbench/tracer.py wraps them in this module's namespace.
+from .experiments import (  # noqa: F401
+    PROTOCOLS,
     AxisSpec,
     SweepSpec,
+    evaluate_point,
     gated_ramp_schedule,
     optimize_pulse,
+    preset_model,
     resonant_gaussian_schedule,
     run_sweep,
 )
-from .levels import build_level_model
+from .levels import build_level_model  # noqa: F401
 from .params import derive_all
 from .presets import Preset
 from .propagator import propagate, trajectory_to_csv, transfer_probability
-from .pulses import build_pi_pulse, build_scrap_schedule, schedule_from_dict
+from .pulses import build_pi_pulse, build_scrap_schedule, schedule_from_dict  # noqa: F401
 
 EXIT_OK = 0
 EXIT_VALIDITY = 1
@@ -76,53 +81,17 @@ def _json_text(payload) -> str:
     return json.dumps(clean(payload), indent=2, sort_keys=True) + "\n"
 
 
-def _build_model(preset: Preset):
-    return build_level_model(derive_all(preset.system), n_max=2)
+# the propagate section's frequency strings and the protocol parameters
+# they set
+_FREQUENCY_PARAMS = {"omega_hat": "omega_hat_rad_s", "delta_hat": "delta_hat_rad_s"}
 
 
-def _protocol_schedule(preset: Preset, model, protocol: dict, convention: str):
-    kind = protocol["type"]
-    if kind == "schedule":
-        return schedule_from_dict(protocol["schedule"])
-    if kind == "ramp":
-        if "ramp_rate_rad_s2" not in protocol:
-            raise ConfigError("ramp protocol requires ramp_rate_rad_s2")
-        return gated_ramp_schedule(model, preset.omega_l,
-                                   protocol["ramp_rate_rad_s2"],
-                                   target=protocol.get("target", 1),
-                                   geometry=preset.ramp)
-    if kind == "pi_pulse":
-        t_omega = protocol.get("t_omega_s", preset.pi.t_omega)
-        if "omega_hat" in protocol:
-            omega_hat = parse_frequency(protocol["omega_hat"], convention)
-            return resonant_gaussian_schedule(
-                model, omega_hat, t_omega,
-                (0, 1) if protocol.get("transition", "0-1") == "0-1" else (1, 2))
-        return build_pi_pulse(model, protocol.get("transition", "0-1"), t_omega)
-    if kind == "scrap_1atom":
-        cfg = preset.scrap
-        t_omega = protocol.get("t_omega_s", cfg.t_omega)
-        omega_hat = (parse_frequency(protocol["omega_hat"], convention)
-                     if "omega_hat" in protocol else cfg.omega_hat)
-        delta_hat = (parse_frequency(protocol["delta_hat"], convention)
-                     if "delta_hat" in protocol else cfg.delta_hat)
-        return build_scrap_schedule(
-            omega_hat, t_omega, delta_hat, cfg.t_delta(t_omega),
-            cfg.tau(t_omega), protocol.get("delta_tau_s", 0.0),
-            model.derived.e1, hbar=model.hbar)
-    if kind == "scrap_2atom":
-        from .pulses import build_two_atom_scrap_schedule
-
-        cfg = preset.scrap2
-        t_omega = protocol.get("t_omega_s", cfg.t_omega)
-        omega_hat = (parse_frequency(protocol["omega_hat"], convention)
-                     if "omega_hat" in protocol else cfg.omega_hat)
-        return build_two_atom_scrap_schedule(
-            omega_hat, t_omega, cfg.delta_hat, cfg.t_delta(t_omega),
-            cfg.baseline_depth, model.derived.e1,
-            model.derived.e2 - model.derived.e1,
-            ramp_time=cfg.ramp_time_factor * t_omega, hbar=model.hbar)
-    raise ConfigError(f"protocol type {kind!r} is not a single-schedule protocol")
+def _protocol_point(config: dict) -> dict:
+    """The config's protocol section as parameters of its PROTOCOLS entry."""
+    convention = config.get("frequency_units", "angular_khz")
+    return {_FREQUENCY_PARAMS.get(k, k):
+            parse_frequency(v, convention) if k in _FREQUENCY_PARAMS else v
+            for k, v in config["protocol"].items() if k not in ("type", "target")}
 
 
 def cmd_params(config: dict, preset: Preset, out_dir: str) -> int:
@@ -141,19 +110,23 @@ def cmd_propagate(config: dict, preset: Preset, out_dir: str) -> int:
     protocol = config.get("protocol")
     if not protocol:
         raise ConfigError("propagate requires a 'protocol' section")
-    convention = config.get("frequency_units", "angular_khz")
-    model = _build_model(preset)
-    if protocol["type"] == "sequential_pi":
-        from .experiments import _evaluate_point
-
-        point = {"t_omega_s": protocol.get("t_omega_s", preset.pi.t_omega),
-                 "omit_second": protocol.get("omit_second", False)}
-        out = _evaluate_point(preset, "sequential_pi", point, 2)
-        finals = {"p2": out["p"], "p1_after_first": out["p1_after_first"]}
-        _atomic_write(os.path.join(out_dir, "final.json"), _json_text(finals))
-        print(f"sequential pulses: P_0->2 = {out['p']:.6f}")
-        return EXIT_OK
-    schedule = _protocol_schedule(preset, model, protocol, convention)
+    kind = protocol["type"]
+    model = preset_model(preset)
+    if kind == "schedule":
+        schedule = schedule_from_dict(protocol["schedule"])
+    else:
+        entry = PROTOCOLS[kind]
+        point = _protocol_point(config)
+        if entry.chain_level is not None:
+            out = evaluate_point(preset, kind, point, entry.chain_level)
+            finals = {f"p{entry.chain_level}" if k == "p" else k: v
+                      for k, v in out.items()}
+            _atomic_write(os.path.join(out_dir, "final.json"), _json_text(finals))
+            print(f"{kind}: P_0->{entry.chain_level} = {out['p']:.6f}")
+            return EXIT_OK
+        (schedule,) = entry.schedules(
+            model=model, preset=preset, params=entry.params(preset, point),
+            target=entry.target or protocol.get("target", 1))
     trajectory = propagate(model, schedule)
     csv_text = trajectory_to_csv(trajectory)
     _atomic_write(os.path.join(out_dir, "trajectory.csv"), csv_text)
@@ -200,21 +173,13 @@ def cmd_sweep(config: dict, preset: Preset, out_dir: str, threads: int) -> int:
 
 
 def cmd_check(config: dict, preset: Preset, out_dir: str) -> int:
-    model = _build_model(preset)
-    protocol = config.get("protocol", {})
+    model = preset_model(preset)
+    entry = PROTOCOLS.get(config.get("protocol", {}).get("type"))
     scrap = None
     # the chirp bounds are derived for the Gaussian pulse pair, so they are
-    # attached only for the single-atom protocol
-    if protocol.get("type") == "scrap_1atom":
-        cfg = preset.scrap
-        t_omega = protocol.get("t_omega_s", cfg.t_omega)
-        convention = config.get("frequency_units", "angular_khz")
-        omega_hat = (parse_frequency(protocol["omega_hat"], convention)
-                     if "omega_hat" in protocol else cfg.omega_hat)
-        scrap = ScrapPulseParams(omega_hat=omega_hat, t_omega=t_omega,
-                                 delta_hat=cfg.delta_hat,
-                                 t_delta=cfg.t_delta(t_omega),
-                                 tau=cfg.tau(t_omega))
+    # attached only for the protocols that drive one
+    if entry is not None and entry.chirp is not None:
+        scrap = entry.chirp(preset, entry.params(preset, _protocol_point(config)))
     report = validity_check(model, preset.omega_l, scrap=scrap)
     text = report_to_json(report)
     _atomic_write(os.path.join(out_dir, "check.json"), text + "\n")
@@ -285,6 +250,10 @@ def main(argv=None) -> int:
         threads = args.threads if args.threads is not None \
             else config.get("threads", 1)
         seed = args.seed if args.seed is not None else config.get("seed", 0)
+        # a process pool forks all its workers at once
+        if threads > (os.cpu_count() or 1):
+            raise ConfigError(f"threads = {threads} exceeds the "
+                              f"{os.cpu_count()} CPUs of this machine")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

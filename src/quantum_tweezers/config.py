@@ -16,6 +16,8 @@ import re
 
 import jsonschema
 
+from .exceptions import ConfigError
+from .experiments import PROTOCOLS
 from .params import PhysicalSystem
 from .presets import Preset, get_preset
 
@@ -27,10 +29,6 @@ __all__ = [
     "validate_config",
     "resolve_preset",
 ]
-
-
-class ConfigError(ValueError):
-    """Configuration file is malformed or inconsistent."""
 
 
 _FREQ = {"type": ["number", "string"]}
@@ -82,8 +80,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["type"],
             "properties": {
-                "type": {"enum": ["ramp", "scrap_1atom", "scrap_2atom",
-                                  "pi_pulse", "sequential_pi", "schedule"]},
+                "type": {"enum": [*PROTOCOLS, "schedule"]},
                 "ramp_rate_rad_s2": {"type": "number"},
                 "target": {"type": "integer", "minimum": 1, "maximum": 2},
                 "omega_hat": _FREQ,
@@ -100,8 +97,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["protocol", "axes"],
             "properties": {
-                "protocol": {"enum": ["ramp", "scrap_1atom", "scrap_2atom",
-                                      "pi_pulse", "delay_scan", "sequential_pi"]},
+                "protocol": {"enum": list(PROTOCOLS)},
                 "target": {"type": "integer", "minimum": 1, "maximum": 2},
                 "axes": {"type": "array", "items": _AXIS_SCHEMA, "minItems": 1,
                          "maxItems": 2},
@@ -113,8 +109,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["protocol", "bounds", "budget"],
             "properties": {
-                "protocol": {"enum": ["ramp", "scrap_1atom", "scrap_2atom",
-                                      "pi_pulse"]},
+                "protocol": {"enum": list(PROTOCOLS)},
                 "target": {"type": "integer", "minimum": 1, "maximum": 2},
                 "bounds": {
                     "type": "object",

@@ -11,3 +11,7 @@ class InfeasibleScheduleError(TweezersError, ValueError):
 
 class IntegrationError(TweezersError, RuntimeError):
     """Time propagation failed (non-finite state or norm drift)."""
+
+
+class ConfigError(ValueError):
+    """Configuration file is malformed or inconsistent."""

@@ -12,10 +12,13 @@ never in the CSV.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 import numpy as np
+from scipy.optimize import minimize
 
 from .analytics import (
     ScrapPulseParams,
@@ -24,14 +27,12 @@ from .analytics import (
     sequential_lz,
     validity_check,
 )
-from .exceptions import InfeasibleScheduleError, TweezersError
+from .exceptions import ConfigError, InfeasibleScheduleError, TweezersError
 from .levels import LevelModel, build_level_model, rabi_coupling, resonance_detunings
 from .params import derive_all
 from .presets import Preset, RampGeometry
 from .propagator import StepControl, propagate, transfer_probability
 from .pulses import (
-    Constant,
-    Gaussian,
     LinearRamp,
     PulseSchedule,
     TanhPlateau,
@@ -45,6 +46,9 @@ __all__ = [
     "SweepSpec",
     "SweepResult",
     "OptimizeResult",
+    "PROTOCOLS",
+    "preset_model",
+    "evaluate_point",
     "gated_ramp_schedule",
     "resonant_gaussian_schedule",
     "ramp_rate_sweep",
@@ -58,9 +62,6 @@ __all__ = [
     "region_area_fraction",
     "threshold_contours",
 ]
-
-PROTOCOLS = ("ramp", "scrap_1atom", "scrap_2atom", "pi_pulse", "delay_scan",
-             "sequential_pi")
 
 # trajectory storage is decimated hard during sweeps; only the final state
 # matters for the transfer probability.
@@ -79,13 +80,13 @@ class AxisSpec:
 
     def __post_init__(self):
         if self.points < 2:
-            raise ValueError("an axis needs at least 2 points")
+            raise ConfigError("an axis needs at least 2 points")
         if not self.maximum > self.minimum:
-            raise ValueError("axis maximum must exceed minimum")
+            raise ConfigError(f"axis {self.name!r}: maximum must exceed minimum")
         if self.scale not in ("linear", "log"):
-            raise ValueError(f"unknown axis scale {self.scale!r}")
+            raise ConfigError(f"unknown axis scale {self.scale!r}")
         if self.scale == "log" and self.minimum <= 0:
-            raise ValueError("log axes need a positive minimum")
+            raise ConfigError("log axes need a positive minimum")
 
     def values(self) -> np.ndarray:
         if self.scale == "log":
@@ -105,7 +106,7 @@ class SweepSpec:
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {self.protocol!r}")
+            raise ConfigError(f"unknown protocol {self.protocol!r}")
         if not self.axes:
             raise ValueError("a sweep needs at least one axis")
 
@@ -234,20 +235,12 @@ def gated_ramp_schedule(model: LevelModel, omega_l: float, rate: float,
 
 def resonant_gaussian_schedule(model: LevelModel, omega_hat: float,
                                t_omega: float,
-                               transition: tuple[int, int] = (0, 1)
+                               transition: tuple[int, int] | str = (0, 1)
                                ) -> PulseSchedule:
-    """Gaussian drive of given peak at a transition's resonant detuning."""
-    lower, upper = transition
-    if upper != lower + 1 or not 0 <= lower < model.n_max:
-        raise ValueError(f"unsupported transition {transition}")
-    res = resonance_detunings(model)
-    detuning = res.d01 if lower == 0 else res.d12
-    return PulseSchedule(
-        detuning=Constant(detuning),
-        rabi=Gaussian(peak=omega_hat, center=0.0, width=t_omega),
-        t_start=-5.0 * t_omega,
-        t_end=5.0 * t_omega,
-    )
+    """Gaussian drive of given peak at a transition's resonant detuning:
+    the pi pulse of the same width and transition with its peak replaced."""
+    pi = build_pi_pulse(model, transition, t_omega)
+    return replace(pi, rabi=replace(pi.rabi, peak=omega_hat))
 
 
 def _scrap_slope(delta_hat: float, t_delta: float, tau: float) -> float:
@@ -255,117 +248,317 @@ def _scrap_slope(delta_hat: float, t_delta: float, tau: float) -> float:
     return 2.0 * abs(delta_hat) * tau / t_delta**2 * math.exp(-(tau / t_delta) ** 2)
 
 
+# --- the protocol table ----------------------------------------------------------
+# Builders and companions take keyword arguments and look up what they call
+# at call time.
+
+def _ramp_schedules(model, preset, params, target):
+    return (gated_ramp_schedule(model, params["omega_l_rad_s"],
+                                params["ramp_rate_rad_s2"], target=target,
+                                geometry=preset.ramp),)
+
+
+def _ramp_companions(model, params, target, **_):
+    hbar = model.hbar
+    rate = params["ramp_rate_rad_s2"]
+    omega_l = params["omega_l_rad_s"]
+    omega01 = rabi_coupling(model, 0, omega_l)
+    return {
+        "alpha_ad": adiabaticity_parameter(hbar * omega01, rate, hbar),
+        "p_lz": (lz_probability(hbar * omega01, rate, hbar) if target == 1
+                 else sequential_lz(model, omega_l, rate)),
+        "two_level_margin": validity_check(model, omega_l).two_level_margin,
+    }
+
+
+def _chirp(preset: Preset, params: dict) -> ScrapPulseParams:
+    """The single-atom Stark-chirp pulse pair of a parameter set."""
+    t_omega = params["t_omega_s"]
+    return ScrapPulseParams(params["omega_hat_rad_s"], t_omega,
+                            params["delta_hat_rad_s"],
+                            preset.scrap.t_delta(t_omega), preset.scrap.tau(t_omega))
+
+
+def _scrap_1atom_schedules(model, preset, params, **_):
+    chirp = _chirp(preset, params)
+    return (build_scrap_schedule(chirp.omega_hat, chirp.t_omega, chirp.delta_hat,
+                                 chirp.t_delta, chirp.tau, params["delta_tau_s"],
+                                 model.derived.e1, hbar=model.hbar),)
+
+
+def _scrap_1atom_companions(model, preset, params, **_):
+    hbar = model.hbar
+    chirp = _chirp(preset, params)
+    omega_eff = rabi_coupling(model, 0, chirp.omega_hat)
+    slope = _scrap_slope(chirp.delta_hat, chirp.t_delta, chirp.tau)
+    report = validity_check(model, chirp.omega_hat, scrap=chirp)
+    return {
+        "alpha_ad": adiabaticity_parameter(hbar * omega_eff, slope, hbar),
+        "p_lz": lz_probability(hbar * omega_eff, slope, hbar),
+        "two_level_margin": report.two_level_margin,
+        "scrap_adiabatic_margin": report.scrap_adiabatic_margin,
+        "scrap_pump_width_margin": report.scrap_pump_width_margin,
+        "scrap_diabatic_margin": report.scrap_diabatic_margin,
+    }
+
+
+def _scrap_2atom_schedules(model, preset, params, **_):
+    cfg = preset.scrap2
+    t_omega = params["t_omega_s"]
+    return (build_two_atom_scrap_schedule(
+        params["omega_hat_rad_s"], t_omega, cfg.delta_hat, cfg.t_delta(t_omega),
+        cfg.baseline_depth, model.derived.e1,
+        model.derived.e2 - model.derived.e1,
+        ramp_time=cfg.ramp_time_factor * t_omega, hbar=model.hbar),)
+
+
+def _scrap_2atom_companions(model, preset, params, **_):
+    hbar = model.hbar
+    cfg = preset.scrap2
+    omega_hat = params["omega_hat_rad_s"]
+    t_delta = cfg.t_delta(params["t_omega_s"])
+    # crossing-by-crossing sweep prediction from the pulse's local slopes
+    q_gap = (model.derived.e2 - 2.0 * model.derived.e1) / hbar
+    tau01 = t_delta * math.sqrt(math.log(cfg.delta_hat / cfg.baseline_depth))
+    tau12 = t_delta * math.sqrt(
+        math.log(cfg.delta_hat / (cfg.baseline_depth + q_gap)))
+    slope01 = _scrap_slope(cfg.delta_hat, t_delta, tau01)
+    slope12 = _scrap_slope(cfg.delta_hat, t_delta, tau12)
+    om01 = rabi_coupling(model, 0, omega_hat)
+    om12 = rabi_coupling(model, 1, omega_hat)
+    return {
+        "p_lz": (lz_probability(hbar * om01, slope01, hbar)
+                 * lz_probability(hbar * om12, slope12, hbar)),
+        "alpha_ad": adiabaticity_parameter(hbar * om01, slope01, hbar),
+        "two_level_margin": validity_check(model, omega_hat).two_level_margin,
+    }
+
+
+def _pi_pulse_schedules(model, params, **_):
+    if params["omega_hat_rad_s"] is None:
+        return (build_pi_pulse(model, params["transition"], params["t_omega_s"]),)
+    return (resonant_gaussian_schedule(model, params["omega_hat_rad_s"],
+                                       params["t_omega_s"], params["transition"]),)
+
+
+def _pi_pulse_companions(model, schedules, **_):
+    peak = schedules[0].rabi.peak
+    return {"two_level_margin": validity_check(model, peak).two_level_margin}
+
+
+def _sequential_pi_schedules(model, params, **_):
+    transitions = [(0, 1)] if params["omit_second"] else [(0, 1), (1, 2)]
+    return tuple(build_pi_pulse(model, t, params["t_omega_s"]) for t in transitions)
+
+
+def _sequential_pi_companions(trajectories, **_):
+    return {"p1_after_first": transfer_probability(trajectories[0], 1)}
+
+
+@dataclass(frozen=True)
+class Protocol:
+    """One extraction protocol, as sweeps, the optimizer and the CLI run it.
+
+    target       the level reported; None takes the caller's target
+    required     the parameter names a point must give
+    defaults     each optional name's default: a value, or a function of
+                 the preset
+    schedules    (model, preset, params, target) -> pulses run in turn from |0>
+    companions   (model, preset, params, target, schedules, trajectories)
+                 -> the analytic predictions and margins reported beside p
+    chirp        the Stark-chirp pulse pair that `check` bounds, if any
+    chain_level  for chained pulses, the level `propagate` reports in place
+                 of a trajectory
+    """
+
+    target: int | None
+    required: tuple[str, ...]
+    defaults: dict
+    schedules: Callable[..., tuple[PulseSchedule, ...]]
+    companions: Callable[..., dict]
+    chirp: Callable[[Preset, dict], ScrapPulseParams] | None = None
+    chain_level: int | None = None
+
+    def check_names(self, given) -> None:
+        """Raise ConfigError for an unknown or a missing required name."""
+        accepted = [*self.required, *self.defaults]
+        unknown = sorted(set(given) - set(accepted))
+        if unknown:
+            raise ConfigError(f"unknown parameter(s) {unknown}; this protocol "
+                              f"accepts {accepted}")
+        missing = [name for name in self.required if name not in given]
+        if missing:
+            raise ConfigError(f"missing required parameter(s) {missing}")
+
+    def params(self, preset: Preset, point: dict) -> dict:
+        """The point's parameters with every omitted one at its default."""
+        self.check_names(point)
+        params = {name: default(preset) if callable(default) else default
+                  for name, default in self.defaults.items()}
+        params.update(point)
+        return params
+
+
+PROTOCOLS: dict[str, Protocol] = {
+    "ramp": Protocol(
+        target=None, required=("ramp_rate_rad_s2",),
+        defaults={"omega_l_rad_s": attrgetter("omega_l")},
+        schedules=_ramp_schedules, companions=_ramp_companions),
+    "scrap_1atom": Protocol(
+        target=1, required=(),
+        defaults={"omega_hat_rad_s": attrgetter("scrap.omega_hat"),
+                  "t_omega_s": attrgetter("scrap.t_omega"), "delta_tau_s": 0.0,
+                  "delta_hat_rad_s": attrgetter("scrap.delta_hat")},
+        schedules=_scrap_1atom_schedules, companions=_scrap_1atom_companions,
+        chirp=_chirp),
+    "scrap_2atom": Protocol(
+        target=2, required=(),
+        defaults={"omega_hat_rad_s": attrgetter("scrap2.omega_hat"),
+                  "t_omega_s": attrgetter("scrap2.t_omega")},
+        schedules=_scrap_2atom_schedules, companions=_scrap_2atom_companions),
+    # without omega_hat_rad_s the pulse is the pi-area pulse of its width
+    "pi_pulse": Protocol(
+        target=None, required=(),
+        defaults={"omega_hat_rad_s": None, "t_omega_s": attrgetter("pi.t_omega"),
+                  "transition": "0-1"},
+        schedules=_pi_pulse_schedules, companions=_pi_pulse_companions),
+    "sequential_pi": Protocol(
+        target=None, required=(),
+        defaults={"t_omega_s": attrgetter("pi.t_omega"), "omit_second": False},
+        schedules=_sequential_pi_schedules,
+        companions=_sequential_pi_companions, chain_level=2),
+}
+PROTOCOLS["delay_scan"] = PROTOCOLS["scrap_1atom"]
+
+
 # --- per-point evaluation ----------------------------------------------------
 
-def _build_model(preset: Preset) -> LevelModel:
+def preset_model(preset: Preset) -> LevelModel:
+    """The |0>, |1>, |2> ladder every protocol runs on, from a preset's system."""
     return build_level_model(derive_all(preset.system), n_max=2)
 
 
-def _evaluate_point(preset: Preset, protocol: str, point: dict,
-                    target: int) -> dict:
-    model = _build_model(preset)
-    hbar = model.hbar
-    out: dict = {}
-    if protocol == "ramp":
-        rate = point["ramp_rate_rad_s2"]
-        omega_l = point.get("omega_l_rad_s", preset.omega_l)
-        schedule = gated_ramp_schedule(model, omega_l, rate, target=target,
-                                       geometry=preset.ramp)
-        traj = propagate(model, schedule, step_control=_SWEEP_STEP_CONTROL)
-        out["p"] = transfer_probability(traj, target)
-        omega01 = rabi_coupling(model, 0, omega_l)
-        out["alpha_ad"] = adiabaticity_parameter(hbar * omega01, rate, hbar)
-        if target == 1:
-            out["p_lz"] = lz_probability(hbar * omega01, rate, hbar)
-        else:
-            out["p_lz"] = sequential_lz(model, omega_l, rate)
-        out["two_level_margin"] = validity_check(model, omega_l).two_level_margin
-    elif protocol in ("scrap_1atom", "delay_scan"):
-        omega_hat = point.get("omega_hat_rad_s", preset.scrap.omega_hat)
-        t_omega = point.get("t_omega_s", preset.scrap.t_omega)
-        delta_tau = point.get("delta_tau_s", 0.0)
-        t_delta = preset.scrap.t_delta(t_omega)
-        tau = preset.scrap.tau(t_omega)
-        delta_hat = preset.scrap.delta_hat
-        schedule = build_scrap_schedule(omega_hat, t_omega, delta_hat, t_delta,
-                                        tau, delta_tau, model.derived.e1,
-                                        hbar=hbar)
-        traj = propagate(model, schedule, step_control=_SWEEP_STEP_CONTROL)
-        out["p"] = transfer_probability(traj, 1)
-        omega_eff = rabi_coupling(model, 0, omega_hat)
-        slope = _scrap_slope(delta_hat, t_delta, tau)
-        out["alpha_ad"] = adiabaticity_parameter(hbar * omega_eff, slope, hbar)
-        out["p_lz"] = lz_probability(hbar * omega_eff, slope, hbar)
-        report = validity_check(model, omega_hat,
-                                scrap=ScrapPulseParams(omega_hat, t_omega,
-                                                       delta_hat, t_delta, tau))
-        out["two_level_margin"] = report.two_level_margin
-        out["scrap_adiabatic_margin"] = report.scrap_adiabatic_margin
-        out["scrap_pump_width_margin"] = report.scrap_pump_width_margin
-        out["scrap_diabatic_margin"] = report.scrap_diabatic_margin
-    elif protocol == "scrap_2atom":
-        omega_hat = point.get("omega_hat_rad_s", preset.scrap2.omega_hat)
-        t_omega = point.get("t_omega_s", preset.scrap2.t_omega)
-        cfg = preset.scrap2
-        t_delta = cfg.t_delta(t_omega)
-        schedule = build_two_atom_scrap_schedule(
-            omega_hat, t_omega, cfg.delta_hat, t_delta, cfg.baseline_depth,
-            model.derived.e1, model.derived.e2 - model.derived.e1,
-            ramp_time=cfg.ramp_time_factor * t_omega, hbar=hbar)
-        traj = propagate(model, schedule, step_control=_SWEEP_STEP_CONTROL)
-        out["p"] = transfer_probability(traj, 2)
-        # crossing-by-crossing sweep prediction from the pulse's local slopes
-        q_gap = (model.derived.e2 - 2.0 * model.derived.e1) / hbar
-        center_ratio = cfg.delta_hat / cfg.baseline_depth
-        tau01 = t_delta * math.sqrt(math.log(center_ratio))
-        tau12 = t_delta * math.sqrt(
-            math.log(cfg.delta_hat / (cfg.baseline_depth + q_gap)))
-        slope01 = _scrap_slope(cfg.delta_hat, t_delta, tau01)
-        slope12 = _scrap_slope(cfg.delta_hat, t_delta, tau12)
-        om01 = rabi_coupling(model, 0, omega_hat)
-        om12 = rabi_coupling(model, 1, omega_hat)
-        out["p_lz"] = (lz_probability(hbar * om01, slope01, hbar)
-                       * lz_probability(hbar * om12, slope12, hbar))
-        out["alpha_ad"] = adiabaticity_parameter(hbar * om01, slope01, hbar)
-        out["two_level_margin"] = validity_check(model, omega_hat).two_level_margin
-    elif protocol == "pi_pulse":
-        omega_hat = point["omega_hat_rad_s"]
-        t_omega = point["t_omega_s"]
-        schedule = resonant_gaussian_schedule(model, omega_hat, t_omega, (0, 1))
-        traj = propagate(model, schedule, step_control=_SWEEP_STEP_CONTROL)
-        out["p"] = transfer_probability(traj, target)
-        out["p_lz"] = math.nan
-        out["two_level_margin"] = validity_check(model, omega_hat).two_level_margin
-    elif protocol == "sequential_pi":
-        t_omega = point.get("t_omega_s", preset.pi.t_omega)
-        omit_second = bool(point.get("omit_second", False))
-        first = build_pi_pulse(model, (0, 1), t_omega)
-        traj1 = propagate(model, first, step_control=_SWEEP_STEP_CONTROL)
-        if omit_second:
-            out["p"] = transfer_probability(traj1, target)
-            out["p1_after_first"] = transfer_probability(traj1, 1)
-        else:
-            second = build_pi_pulse(model, (1, 2), t_omega)
-            traj2 = propagate(model, second, initial_state=traj1.final_state,
-                              step_control=_SWEEP_STEP_CONTROL)
-            out["p"] = transfer_probability(traj2, target)
-            out["p1_after_first"] = transfer_probability(traj1, 1)
-        out["p_lz"] = math.nan
-    else:
-        raise ValueError(f"unknown protocol {protocol!r}")
+def evaluate_point(preset: Preset, protocol: str, point: dict,
+                   target: int) -> dict:
+    """Propagate one parameter point: p plus its analytic companions."""
+    entry = PROTOCOLS[protocol]
+    params = entry.params(preset, point)
+    target = entry.target or target
+    model = preset_model(preset)
+    schedules = entry.schedules(model=model, preset=preset, params=params,
+                                target=target)
+    trajectories = []
+    for schedule in schedules:
+        state = trajectories[-1].final_state if trajectories else None
+        trajectories.append(propagate(model, schedule, initial_state=state,
+                                      step_control=_SWEEP_STEP_CONTROL))
+    out = {"p": transfer_probability(trajectories[-1], target)}
+    out.update(entry.companions(model=model, preset=preset, params=params,
+                                target=target, schedules=schedules,
+                                trajectories=trajectories))
     return out
 
 
 def _evaluate_task(task: tuple) -> dict:
     preset, protocol, point, target = task
     try:
-        return _evaluate_point(preset, protocol, point, target)
+        return evaluate_point(preset, protocol, point, target)
     except (TweezersError, ValueError, FloatingPointError) as exc:
         return {"p": math.nan, "p_lz": math.nan,
                 "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _execute(spec: SweepSpec, preset: Preset, threads: int = 1) -> SweepResult:
+# --- public sweep operations --------------------------------------------------
+
+def _axis_from_values(name: str, values: np.ndarray) -> AxisSpec:
+    """Describe a value array as an AxisSpec; it must be lin- or log-spaced."""
+    values = np.asarray(values, dtype=float)
+    if values.size < 2:
+        raise ValueError("a sweep axis needs at least 2 points")
+    ratios = np.diff(np.log(values)) if np.all(values > 0) else None
+    if ratios is not None and ratios.size and np.allclose(ratios, ratios[0],
+                                                          rtol=1e-10, atol=0):
+        scale = "log"
+    else:
+        scale = "linear"
+    axis = AxisSpec(name=name, minimum=float(values[0]), maximum=float(values[-1]),
+                    points=int(values.size), scale=scale)
+    if not np.allclose(axis.values(), values, rtol=1e-12, atol=0):
+        raise ValueError(
+            f"axis {name!r} values must be linearly or geometrically spaced")
+    return axis
+
+
+def _sweep(preset: Preset, protocol: str, axes: dict, target: int = 1,
+           threads: int = 1, fixed: dict | None = None) -> SweepResult:
+    spec = SweepSpec(protocol=protocol,
+                     axes=tuple(_axis_from_values(k, v) for k, v in axes.items()),
+                     target=target, fixed=fixed or {}, preset_name=preset.name)
+    return run_sweep(spec, preset, threads=threads)
+
+
+def ramp_rate_sweep(preset: Preset, rates, target: int = 1,
+                    threads: int = 1) -> SweepResult:
+    """Transfer probability vs detuning sweep rate, with the LZ companion.
+
+    The metadata records the contiguous rate intervals whose simulated
+    probability exceeds 0.99.
+    """
+    return _sweep(preset, "ramp", {"ramp_rate_rad_s2": rates}, target, threads)
+
+
+def scrap_contour(preset: Preset, omega_hats, t_omegas, target: int = 1,
+                  threads: int = 1) -> SweepResult:
+    """Stark-chirp efficiency over the (pump peak, pump width) plane.
+
+    The detuning-pulse width stays locked to twice the pump width.  For
+    target 2 the pump is the flat-top two-crossing variant.
+    """
+    protocol = "scrap_1atom" if target == 1 else "scrap_2atom"
+    return _sweep(preset, protocol,
+                  {"omega_hat_rad_s": omega_hats, "t_omega_s": t_omegas},
+                  target, threads)
+
+
+def delay_scan(preset: Preset, delays, threads: int = 1) -> SweepResult:
+    """Efficiency vs pump-to-crossing delay for the single-atom Stark chirp.
+
+    delta_tau = 0 centres the pump on the first resonance crossing;
+    negative values move it towards (and past) the second crossing, where
+    the adiabatic/diabatic passage order is exchanged.
+    """
+    return _sweep(preset, "delay_scan", {"delta_tau_s": delays}, threads=threads)
+
+
+def pipulse_contour(preset: Preset, omega_hats, t_omegas, target: int = 1,
+                    threads: int = 1) -> SweepResult:
+    """Resonant-pulse efficiency over the (peak, width) plane."""
+    return _sweep(preset, "pi_pulse",
+                  {"omega_hat_rad_s": omega_hats, "t_omega_s": t_omegas},
+                  target, threads)
+
+
+def sequential_pi(preset: Preset, t_omegas=None, omit_second: bool = False,
+                  threads: int = 1) -> SweepResult:
+    """Two chained resonant pi pulses (0->1 then 1->2), reporting P_{0->2}.
+
+    Each pulse's peak is solved for effective area pi at its own
+    transition; the second pulse starts from the state the first one left.
+    """
+    if t_omegas is None:
+        t_omegas = preset.pi.t_omega * np.array([0.75, 1.0, 1.5])
+    return _sweep(preset, "sequential_pi", {"t_omega_s": t_omegas}, 2, threads,
+                  fixed={"omit_second": omit_second})
+
+
+def run_sweep(spec: SweepSpec, preset: Preset, threads: int = 1) -> SweepResult:
+    """Evaluate a SweepSpec over its grid and add the region metadata.
+
+    A ramp sweep records the intervals of its first axis with P > 0.99;
+    a 2-D sweep records the 0.99 and 0.80 contours and the P > 0.99 area.
+    """
+    PROTOCOLS[spec.protocol].check_names(
+        [*(axis.name for axis in spec.axes), *spec.fixed])
     axis_values = tuple(axis.values() for axis in spec.axes)
     tasks = []
     for idx in np.ndindex(spec.shape):
@@ -396,7 +589,7 @@ def _execute(spec: SweepSpec, preset: Preset, threads: int = 1) -> SweepResult:
         if "error" in r:
             failures.append((i, r["error"]))
     shape = spec.shape
-    return SweepResult(
+    result = SweepResult(
         spec=spec,
         axis_values=axis_values,
         p=p.reshape(shape),
@@ -404,115 +597,6 @@ def _execute(spec: SweepSpec, preset: Preset, threads: int = 1) -> SweepResult:
         extras={k: v.reshape(shape) for k, v in extras.items()},
         failures=tuple(failures),
     )
-
-
-# --- public sweep operations --------------------------------------------------
-
-def _axis_from_values(name: str, values: np.ndarray) -> AxisSpec:
-    """Describe a value array as an AxisSpec; it must be lin- or log-spaced."""
-    values = np.asarray(values, dtype=float)
-    if values.size < 2:
-        raise ValueError("a sweep axis needs at least 2 points")
-    ratios = np.diff(np.log(values)) if np.all(values > 0) else None
-    if ratios is not None and ratios.size and np.allclose(ratios, ratios[0],
-                                                          rtol=1e-10, atol=0):
-        scale = "log"
-    else:
-        scale = "linear"
-    axis = AxisSpec(name=name, minimum=float(values[0]), maximum=float(values[-1]),
-                    points=int(values.size), scale=scale)
-    if not np.allclose(axis.values(), values, rtol=1e-12, atol=0):
-        raise ValueError(
-            f"axis {name!r} values must be linearly or geometrically spaced")
-    return axis
-
-
-def ramp_rate_sweep(preset: Preset, rates, target: int = 1,
-                    threads: int = 1) -> SweepResult:
-    """Transfer probability vs detuning sweep rate, with the LZ companion.
-
-    The metadata records the contiguous rate intervals whose simulated
-    probability exceeds 0.99.
-    """
-    spec = SweepSpec(protocol="ramp",
-                     axes=(_axis_from_values("ramp_rate_rad_s2", rates),),
-                     target=target, preset_name=preset.name)
-    result = _execute(spec, preset, threads)
-    intervals = contiguous_intervals(result.axis_values[0], result.p, 0.99)
-    result.metadata["intervals_p_gt_0.99"] = intervals
-    return result
-
-
-def scrap_contour(preset: Preset, omega_hats, t_omegas, target: int = 1,
-                  threads: int = 1) -> SweepResult:
-    """Stark-chirp efficiency over the (pump peak, pump width) plane.
-
-    The detuning-pulse width stays locked to twice the pump width.  For
-    target 2 the pump is the flat-top two-crossing variant.
-    """
-    protocol = "scrap_1atom" if target == 1 else "scrap_2atom"
-    spec = SweepSpec(
-        protocol=protocol,
-        axes=(_axis_from_values("omega_hat_rad_s", omega_hats),
-              _axis_from_values("t_omega_s", t_omegas)),
-        target=target, preset_name=preset.name)
-    result = _execute(spec, preset, threads)
-    result.metadata["contours"] = {
-        "0.99": threshold_contours(result, 0.99),
-        "0.80": threshold_contours(result, 0.80),
-    }
-    result.metadata["area_fraction_p_gt_0.99"] = region_area_fraction(result.p, 0.99)
-    return result
-
-
-def delay_scan(preset: Preset, delays, threads: int = 1) -> SweepResult:
-    """Efficiency vs pump-to-crossing delay for the single-atom Stark chirp.
-
-    delta_tau = 0 centres the pump on the first resonance crossing;
-    negative values move it towards (and past) the second crossing, where
-    the adiabatic/diabatic passage order is exchanged.
-    """
-    spec = SweepSpec(protocol="delay_scan",
-                     axes=(_axis_from_values("delta_tau_s", delays),),
-                     target=1, preset_name=preset.name)
-    return _execute(spec, preset, threads)
-
-
-def pipulse_contour(preset: Preset, omega_hats, t_omegas, target: int = 1,
-                    threads: int = 1) -> SweepResult:
-    """Resonant-pulse efficiency over the (peak, width) plane."""
-    spec = SweepSpec(
-        protocol="pi_pulse",
-        axes=(_axis_from_values("omega_hat_rad_s", omega_hats),
-              _axis_from_values("t_omega_s", t_omegas)),
-        target=target, preset_name=preset.name)
-    result = _execute(spec, preset, threads)
-    result.metadata["contours"] = {
-        "0.99": threshold_contours(result, 0.99),
-        "0.80": threshold_contours(result, 0.80),
-    }
-    return result
-
-
-def sequential_pi(preset: Preset, t_omegas=None, omit_second: bool = False,
-                  threads: int = 1) -> SweepResult:
-    """Two chained resonant pi pulses (0->1 then 1->2), reporting P_{0->2}.
-
-    Each pulse's peak is solved for effective area pi at its own
-    transition; the second pulse starts from the state the first one left.
-    """
-    if t_omegas is None:
-        t_omegas = preset.pi.t_omega * np.array([0.75, 1.0, 1.5])
-    spec = SweepSpec(protocol="sequential_pi",
-                     axes=(_axis_from_values("t_omega_s", t_omegas),),
-                     target=2, fixed={"omit_second": omit_second},
-                     preset_name=preset.name)
-    return _execute(spec, preset, threads)
-
-
-def run_sweep(spec: SweepSpec, preset: Preset, threads: int = 1) -> SweepResult:
-    """Dispatch a SweepSpec to its protocol implementation."""
-    result = _execute(spec, preset, threads)
     if spec.protocol == "ramp":
         result.metadata["intervals_p_gt_0.99"] = contiguous_intervals(
             result.axis_values[0], result.p, 0.99)
@@ -647,6 +731,7 @@ def optimize_pulse(protocol, bounds: dict[str, tuple[float, float]],
         if preset is None:
             raise ValueError("a preset is required for named protocols")
         base = dict(fixed or {})
+        PROTOCOLS[protocol].check_names([*names, *base])
 
         def evaluate_params(params: dict) -> float:
             point = dict(base)
@@ -662,7 +747,6 @@ def optimize_pulse(protocol, bounds: dict[str, tuple[float, float]],
 
     def objective(z: np.ndarray) -> float:
         nonlocal evaluations, best_value, best_x
-        z = np.clip(z, 0.0, 1.0)
         x = lows + z * (highs - lows)
         params = {k: float(x[d]) for d, k in enumerate(names)}
         value = float(evaluate_params(params))
@@ -681,7 +765,15 @@ def optimize_pulse(protocol, bounds: dict[str, tuple[float, float]],
     else:
         z0 = 0.5 + 0.2 * (rng.random(dim) - 0.5)
 
-    converged = _nelder_mead(objective, z0, budget)
+    # the initial simplex steps 0.25 along each axis, inwards at the far edge
+    simplex = np.tile(z0, (dim + 1, 1))
+    for d in range(dim):
+        simplex[d + 1, d] += 0.25 if z0[d] + 0.25 <= 1.0 else -0.25
+    search = minimize(objective, z0, method="Nelder-Mead",
+                      bounds=[(0.0, 1.0)] * dim,
+                      options={"maxfev": budget, "xatol": 1e-4, "fatol": 1e-10,
+                               "initial_simplex": simplex})
+    converged = bool(search.success)
     params = {k: float(best_x[d]) for d, k in enumerate(names)}
     return OptimizeResult(
         params=params,
@@ -691,53 +783,3 @@ def optimize_pulse(protocol, bounds: dict[str, tuple[float, float]],
         best_history=tuple(history),
     )
 
-
-def _nelder_mead(objective, z0: np.ndarray, budget: int,
-                 step: float = 0.25, xtol: float = 1e-4,
-                 ftol: float = 1e-10) -> bool:
-    """Simplex search in [0,1]^d; returns True if converged within budget."""
-    dim = z0.size
-    simplex = [np.clip(z0, 0.0, 1.0)]
-    for d in range(dim):
-        vertex = simplex[0].copy()
-        vertex[d] = vertex[d] + step if vertex[d] + step <= 1.0 else vertex[d] - step
-        simplex.append(np.clip(vertex, 0.0, 1.0))
-    spent = [0]
-
-    def f(z):
-        spent[0] += 1
-        return objective(z)
-
-    values = [f(v) for v in simplex]
-    while spent[0] < budget:
-        order = np.argsort(values)
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        spread = max(np.max(np.abs(v - simplex[0])) for v in simplex[1:])
-        if spread < xtol and values[-1] - values[0] < ftol:
-            return True
-        centroid = np.mean(simplex[:-1], axis=0)
-        reflected = np.clip(centroid + (centroid - simplex[-1]), 0.0, 1.0)
-        fr = f(reflected)
-        if fr < values[0]:
-            expanded = np.clip(centroid + 2.0 * (centroid - simplex[-1]), 0.0, 1.0)
-            fe = f(expanded) if spent[0] < budget else fr
-            if fe < fr:
-                simplex[-1], values[-1] = expanded, fe
-            else:
-                simplex[-1], values[-1] = reflected, fr
-        elif fr < values[-2]:
-            simplex[-1], values[-1] = reflected, fr
-        else:
-            contracted = np.clip(centroid + 0.5 * (simplex[-1] - centroid), 0.0, 1.0)
-            fc = f(contracted) if spent[0] < budget else math.inf
-            if fc < values[-1]:
-                simplex[-1], values[-1] = contracted, fc
-            else:
-                for i in range(1, len(simplex)):
-                    if spent[0] >= budget:
-                        return False
-                    simplex[i] = np.clip(
-                        simplex[0] + 0.5 * (simplex[i] - simplex[0]), 0.0, 1.0)
-                    values[i] = f(simplex[i])
-    return False

@@ -139,15 +139,7 @@ def hamiltonian_matrix(model: LevelModel, detuning: float,
     Diagonal entries are E(n, Delta); the only off-diagonal entries are
     hbar * Omega_L * kappa * sqrt(n+1) / 2 on the (n, n+1) positions.
     """
-    dim = model.dim
-    h = np.zeros((dim, dim))
-    for n in range(dim):
-        h[n, n] = level_energy(model, n, detuning)
-    for n in range(dim - 1):
-        coupling = 0.5 * model.hbar * rabi_coupling(model, n, omega_l)
-        h[n, n + 1] = coupling
-        h[n + 1, n] = coupling
-    return h
+    return hamiltonian_stack(model, [detuning], [omega_l])[0]
 
 
 def hamiltonian_stack(model: LevelModel, detunings: np.ndarray,

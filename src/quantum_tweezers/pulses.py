@@ -12,7 +12,7 @@ feature so the truncated tails contribute less than ~1e-8 of a pulse area.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 from scipy.integrate import quad
@@ -334,42 +334,34 @@ def crossing_times(schedule: PulseSchedule, resonance_energy: float,
 
 # --- JSON (de)serialization -------------------------------------------------
 
+# JSON tag of each envelope class; its fields follow in dataclass order
+_ENVELOPE_TAGS = {Constant: "constant", LinearRamp: "linear_ramp",
+                  Gaussian: "gaussian", TanhPlateau: "tanh_plateau",
+                  OffsetSum: "offset_sum"}
+_ENVELOPE_CLASSES = {tag: cls for cls, tag in _ENVELOPE_TAGS.items()}
+
+
 def envelope_to_dict(env: Envelope) -> dict:
-    if isinstance(env, Constant):
-        return {"type": "constant", "value": env.value}
-    if isinstance(env, LinearRamp):
-        return {"type": "linear_ramp", "start": env.start, "rate": env.rate,
-                "t_ref": env.t_ref}
-    if isinstance(env, Gaussian):
-        return {"type": "gaussian", "peak": env.peak, "center": env.center,
-                "width": env.width}
-    if isinstance(env, TanhPlateau):
-        return {"type": "tanh_plateau", "peak": env.peak,
-                "start_time": env.start_time,
-                "plateau_width": env.plateau_width,
-                "ramp_time": env.ramp_time}
-    if isinstance(env, OffsetSum):
-        return {"type": "offset_sum", "offset": env.offset,
-                "inner": envelope_to_dict(env.inner)}
-    raise TypeError(f"unknown envelope type {type(env).__name__}")
+    tag = _ENVELOPE_TAGS.get(type(env))
+    if tag is None:
+        raise TypeError(f"unknown envelope type {type(env).__name__}")
+    out = {"type": tag}
+    for f in fields(env):
+        value = getattr(env, f.name)
+        out[f.name] = envelope_to_dict(value) if isinstance(value, Envelope) else value
+    return out
 
 
 def envelope_from_dict(data: dict) -> Envelope:
-    kind = data.get("type")
-    if kind == "constant":
-        return Constant(float(data["value"]))
-    if kind == "linear_ramp":
-        return LinearRamp(float(data["start"]), float(data["rate"]),
-                          float(data.get("t_ref", 0.0)))
-    if kind == "gaussian":
-        return Gaussian(float(data["peak"]), float(data["center"]),
-                        float(data["width"]))
-    if kind == "tanh_plateau":
-        return TanhPlateau(float(data["peak"]), float(data["start_time"]),
-                           float(data["plateau_width"]), float(data["ramp_time"]))
-    if kind == "offset_sum":
-        return OffsetSum(float(data["offset"]), envelope_from_dict(data["inner"]))
-    raise ValueError(f"unknown envelope type {kind!r}")
+    cls = _ENVELOPE_CLASSES.get(data.get("type"))
+    if cls is None:
+        raise ValueError(f"unknown envelope type {data.get('type')!r}")
+
+    def value(f):
+        raw = data[f.name] if f.default is MISSING else data.get(f.name, f.default)
+        return envelope_from_dict(raw) if isinstance(raw, dict) else float(raw)
+
+    return cls(*(value(f) for f in fields(cls)))
 
 
 def schedule_to_dict(schedule: PulseSchedule) -> dict:

@@ -7,6 +7,7 @@ import pytest
 
 from quantum_tweezers.cli import main
 from quantum_tweezers.config import ConfigError, parse_frequency, validate_config
+from quantum_tweezers.experiments import PROTOCOLS
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -261,3 +262,61 @@ class TestUnitConventionOverrides:
         payload = json.loads((tmp_path / "params.json").read_text())
         # matches the steeper-trap catalogue entry
         assert payload["osc_length_x_m"] == pytest.approx(3.41e-8, rel=1e-3)
+
+
+def _axis(name, lo, hi):
+    return {"name": name, "min": lo, "max": hi, "points": 2}
+
+
+# a 2-point axis per protocol, over its required parameter where it has one
+PROTOCOL_AXES = {
+    "ramp": _axis("ramp_rate_rad_s2", 1e6, 2e6),
+    "scrap_1atom": _axis("t_omega_s", 0.9e-3, 1e-3),
+    "scrap_2atom": _axis("t_omega_s", 1.4e-3, 1.5e-3),
+    "pi_pulse": _axis("t_omega_s", 1.5e-3, 2e-3),
+    "delay_scan": _axis("delta_tau_s", -1e-4, 0.0),
+    "sequential_pi": _axis("t_omega_s", 2e-3, 3e-3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_every_protocol_sweeps_and_propagates(tmp_path, name):
+    entry = PROTOCOLS[name]
+    axis = PROTOCOL_AXES[name]
+    assert set(entry.required) <= {axis["name"]}
+    path = write_config(tmp_path, {"sweep": {"protocol": name, "axes": [axis]}})
+    assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == 2
+    assert all(math.isfinite(float(row.split(",")[1])) for row in rows)
+    if entry.chain_level is None:
+        path = write_config(tmp_path, {
+            "protocol": {"type": name, axis["name"]: axis["min"]}})
+        assert main(["propagate", "--config", path, "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("command, section", [
+    ("sweep", {"sweep": {"protocol": "ramp",
+                         "axes": [_axis("ramp_rate_rad_s2", 2e6, 1e6)]}}),
+    ("sweep", {"sweep": {"protocol": "ramp", "axes": [_axis("ramp_rate", 1e6, 2e6)]}}),
+    ("sweep", {"sweep": {"protocol": "ramp", "axes": [_axis("omega_l_rad_s", 3e3, 4e3)]}}),
+    ("sweep", {"sweep": {"protocol": "scrap_1atom", "fixed": {"omega_hat": 1.5e4},
+                         "axes": [_axis("t_omega_s", 0.9e-3, 1e-3)]}}),
+    ("optimize", {"optimize": {"protocol": "pi_pulse", "budget": 10,
+                               "bounds": {"omega_hat": [500.0, 5000.0]}}}),
+    ("optimize", {"optimize": {"protocol": "scrap_1atom", "budget": 10,
+                               "bounds": {"omega_hat": [1e4, 2e4]}}}),
+], ids=["min_above_max", "unknown_axis", "missing_rate", "unknown_fixed",
+        "unknown_pi_bound", "unknown_scrap_bound"])
+def test_malformed_parameters_exit_2(tmp_path, command, section):
+    path = write_config(tmp_path, {"preset": "fig4", **section})
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("config, flags", [({"threads": 2}, []),
+                                           ({}, ["--threads", "2"])],
+                         ids=["config", "flag"])
+def test_threads_above_cpu_count_exit_2(tmp_path, monkeypatch, config, flags):
+    monkeypatch.setattr("os.cpu_count", lambda: 1)
+    path = write_config(tmp_path, config)
+    assert main(["params", "--config", path, "--out", str(tmp_path), *flags]) == 2

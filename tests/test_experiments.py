@@ -17,7 +17,7 @@ from quantum_tweezers import (
 from quantum_tweezers.experiments import (
     AxisSpec,
     SweepSpec,
-    _evaluate_point,
+    evaluate_point,
     contiguous_intervals,
     region_area_fraction,
     threshold_contours,
@@ -61,8 +61,8 @@ class TestRampRateSweep:
 
     def test_grid_point_independence(self, fig3a, small_ramp_result):
         rates = small_ramp_result.axis_values[0]
-        standalone = _evaluate_point(fig3a, "ramp",
-                                     {"ramp_rate_rad_s2": float(rates[3])}, 1)
+        standalone = evaluate_point(fig3a, "ramp",
+                                    {"ramp_rate_rad_s2": float(rates[3])}, 1)
         inside = small_ramp_result.p[3]
         assert abs(standalone["p"] - inside) <= 1e-12
 
@@ -302,7 +302,7 @@ class TestOptimizer:
                                 fixed={"t_omega_s": 1.5e-3})
         point = {"t_omega_s": 1.5e-3}
         point.update(result.params)
-        fresh = _evaluate_point(fig3a, "pi_pulse", point, 1)
+        fresh = evaluate_point(fig3a, "pi_pulse", point, 1)
         assert abs(fresh["p"] - result.probability) <= 1e-10
 
     def test_budget_exhaustion_reported(self):
