@@ -106,6 +106,11 @@ def cmd_params(config: dict, preset: Preset, out_dir: str) -> int:
     return EXIT_OK
 
 
+def _target(section: dict, protocol: str) -> int:
+    """The section's target level, else the level a chained protocol reports."""
+    return section.get("target", PROTOCOLS[protocol].chain_level or 1)
+
+
 def cmd_propagate(config: dict, preset: Preset, out_dir: str) -> int:
     protocol = config.get("protocol")
     if not protocol:
@@ -113,6 +118,8 @@ def cmd_propagate(config: dict, preset: Preset, out_dir: str) -> int:
     kind = protocol["type"]
     model = preset_model(preset)
     if kind == "schedule":
+        if "schedule" not in protocol:
+            raise ConfigError("a 'schedule' protocol requires the key 'schedule'")
         schedule = schedule_from_dict(protocol["schedule"])
     else:
         entry = PROTOCOLS[kind]
@@ -134,6 +141,7 @@ def cmd_propagate(config: dict, preset: Preset, out_dir: str) -> int:
               for n in range(model.dim)}
     finals["n_steps"] = trajectory.n_steps
     finals["step_s"] = trajectory.step
+    finals["norm_drift"] = trajectory.norm_drift
     _atomic_write(os.path.join(out_dir, "final.json"), _json_text(finals))
     print("final populations: "
           + ", ".join(f"p{n} = {finals[f'p{n}']:.6f}" for n in range(model.dim)))
@@ -149,7 +157,7 @@ def cmd_sweep(config: dict, preset: Preset, out_dir: str, threads: int) -> int:
                  points=a["points"], scale=a.get("scale", "linear"))
         for a in sweep_cfg["axes"])
     spec = SweepSpec(protocol=sweep_cfg["protocol"], axes=axes,
-                     target=sweep_cfg.get("target", 1),
+                     target=_target(sweep_cfg, sweep_cfg["protocol"]),
                      fixed=sweep_cfg.get("fixed", {}),
                      preset_name=preset.name)
     started = time.perf_counter()
@@ -200,7 +208,8 @@ def cmd_optimize(config: dict, preset: Preset, out_dir: str, seed: int) -> int:
         raise ConfigError("optimize requires an 'optimize' section")
     bounds = {k: (v[0], v[1]) for k, v in opt_cfg["bounds"].items()}
     result = optimize_pulse(opt_cfg["protocol"], bounds, opt_cfg["budget"],
-                            preset=preset, target=opt_cfg.get("target", 1),
+                            preset=preset,
+                            target=_target(opt_cfg, opt_cfg["protocol"]),
                             seed=seed, fixed=opt_cfg.get("fixed"))
     payload = {
         "params": result.params,

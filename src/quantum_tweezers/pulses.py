@@ -19,7 +19,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .constants import HBAR
-from .exceptions import InfeasibleScheduleError
+from .exceptions import ConfigError, InfeasibleScheduleError
 from .levels import LevelModel, resonance_detunings
 
 __all__ = [
@@ -352,13 +352,21 @@ def envelope_to_dict(env: Envelope) -> dict:
     return out
 
 
+def _require(data: dict, key: str, owner: str):
+    if key not in data:
+        raise ConfigError(f"{owner} requires the key {key!r}")
+    return data[key]
+
+
 def envelope_from_dict(data: dict) -> Envelope:
+    """Inverse of envelope_to_dict; ConfigError names a missing field."""
     cls = _ENVELOPE_CLASSES.get(data.get("type"))
     if cls is None:
-        raise ValueError(f"unknown envelope type {data.get('type')!r}")
+        raise ConfigError(f"unknown envelope type {data.get('type')!r}")
 
     def value(f):
-        raw = data[f.name] if f.default is MISSING else data.get(f.name, f.default)
+        raw = (_require(data, f.name, f"a {data['type']!r} envelope")
+               if f.default is MISSING else data.get(f.name, f.default))
         return envelope_from_dict(raw) if isinstance(raw, dict) else float(raw)
 
     return cls(*(value(f) for f in fields(cls)))
@@ -373,10 +381,11 @@ def schedule_to_dict(schedule: PulseSchedule) -> dict:
 
 
 def schedule_from_dict(data: dict) -> PulseSchedule:
-    window = data["window"]
+    """Inverse of schedule_to_dict; ConfigError names a missing key."""
+    window = _require(data, "window", "a schedule")
     return PulseSchedule(
-        detuning=envelope_from_dict(data["detuning"]),
-        rabi=envelope_from_dict(data["rabi"]),
+        detuning=envelope_from_dict(_require(data, "detuning", "a schedule")),
+        rabi=envelope_from_dict(_require(data, "rabi", "a schedule")),
         t_start=float(window[0]),
         t_end=float(window[1]),
     )

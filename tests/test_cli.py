@@ -320,3 +320,48 @@ def test_threads_above_cpu_count_exit_2(tmp_path, monkeypatch, config, flags):
     monkeypatch.setattr("os.cpu_count", lambda: 1)
     path = write_config(tmp_path, config)
     assert main(["params", "--config", path, "--out", str(tmp_path), *flags]) == 2
+
+
+@pytest.mark.parametrize("protocol", [
+    {"type": "schedule"},
+    {"type": "schedule", "schedule": {
+        "detuning": {"type": "constant"}, "rabi": {"type": "constant", "value": 1e3},
+        "window": [0.0, 1e-4]}},
+    {"type": "schedule", "schedule": {
+        "detuning": {"type": "constant", "value": 0.0},
+        "rabi": {"type": "constant", "value": 1e3}}},
+    {"type": "schedule", "schedule": {
+        "detuning": {"type": "chirp"}, "rabi": {"type": "constant", "value": 1e3},
+        "window": [0.0, 1e-4]}},
+], ids=["no_schedule", "envelope_field", "no_window", "unknown_envelope"])
+def test_malformed_schedule_exit_2(tmp_path, capsys, protocol):
+    path = write_config(tmp_path, {"preset": "fig3a", "protocol": protocol})
+    assert main(["propagate", "--config", path, "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_sequential_pi_sweep_defaults_to_level_2(tmp_path):
+    def p_target(**target):
+        path = write_config(tmp_path, {"preset": "fig3a", "sweep": {
+            "protocol": "sequential_pi", "axes": [PROTOCOL_AXES["sequential_pi"]],
+            **target}})
+        assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")
+        column = rows[0].split(",").index("p_target")
+        return [float(row.split(",")[column]) for row in rows[1:]]
+
+    default = p_target()
+    meta = json.loads((tmp_path / "sweep_meta.json").read_text())
+    assert meta["spec"]["target"] == 2
+    assert default == p_target(target=2)
+    assert min(default) > 0.99
+    assert max(p_target(target=1)) < 1e-3  # an explicit target still wins
+
+
+def test_propagate_reports_norm_drift(tmp_path):
+    path = write_config(tmp_path, {"preset": "fig3a",
+                                   "protocol": {"type": "pi_pulse"}})
+    assert main(["propagate", "--config", path, "--out", str(tmp_path)]) == 0
+    finals = json.loads((tmp_path / "final.json").read_text())
+    assert 0.0 <= finals["norm_drift"] < 1e-12
+    assert {"n_steps", "step_s"} <= set(finals)

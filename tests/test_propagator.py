@@ -12,11 +12,15 @@ from quantum_tweezers import (
     PulseSchedule,
     StepControl,
     build_level_model,
+    build_scrap_schedule,
+    derive_all,
+    get_preset,
     phase_convention,
     propagate,
     trajectory_to_csv,
     transfer_probability,
 )
+from quantum_tweezers import propagator
 from quantum_tweezers.levels import rabi_coupling, resonance_detunings
 
 
@@ -138,9 +142,14 @@ class TestConvergence:
 
 class TestTransferProbability:
     def test_trivial_window(self, fig3a_model):
-        sched = _resonant_schedule(fig3a_model, 4e3, 1e-9)
-        traj = propagate(fig3a_model, sched)
-        assert transfer_probability(traj, 0) == pytest.approx(1.0, abs=1e-12)
+        # 1 ns of resonant drive: P0 = cos^2(Omega_01 t / 2) = 1 - 1.29e-12
+        omega_l, duration = 4e3, 1e-9
+        traj = propagate(fig3a_model,
+                         _resonant_schedule(fig3a_model, omega_l, duration))
+        coupling = rabi_coupling(fig3a_model, 0, omega_l)
+        expected = math.cos(coupling * duration / 2) ** 2
+        assert transfer_probability(traj, 0) == pytest.approx(expected, abs=1e-14)
+        assert np.sum(traj.populations[-1]) == pytest.approx(1.0, abs=1e-14)
 
     def test_range_checked(self, fig3a_model):
         traj = propagate(fig3a_model, _resonant_schedule(fig3a_model, 4e3, 1e-4))
@@ -214,6 +223,58 @@ class TestBlockedEvaluation:
         monkeypatch.setattr(prop, "_BLOCK", 97)
         blocked = propagate(fig3a_model, sched)
         np.testing.assert_array_equal(blocked.states, reference.states)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("norm", [0.0, 1e-9, 1e-3, 0.1, 1.0, 7.0, 50.0])
+    def test_exponential_matches_expm(self, norm):
+        # exp(-iA) for random Hermitian A with spectral norm `norm`; from
+        # 1.0 up the scaling-and-squaring path runs
+        from scipy.linalg import expm
+        rng = np.random.default_rng(int(norm * 1e3) + 7)
+        a = rng.normal(size=(20, 3, 3)) + 1j * rng.normal(size=(20, 3, 3))
+        a = a + a.conj().transpose(0, 2, 1)
+        a *= norm / np.linalg.norm(a, ord=2, axis=(1, 2))[:, None, None]
+        u = propagator._expm(np.ascontiguousarray((-1j * a).transpose(1, 2, 0)))
+        u = u.transpose(2, 0, 1)
+        bound = 1e-14 * max(1.0, norm)
+        for k in range(a.shape[0]):
+            assert np.max(np.abs(u[k] - expm(-1j * a[k]))) <= bound
+            assert np.max(np.abs(u[k].conj().T @ u[k] - np.eye(3))) <= bound
+
+    def test_block_boundaries_with_decimation(self, fig3a_model, monkeypatch):
+        # stride > 1: each stored sample is one product of `stride` steps,
+        # which must not depend on where the blocks split the steps
+        sched = _resonant_schedule(fig3a_model, 4e3, 2e-3)
+        control = StepControl(sample_cap=50)
+        reference = propagate(fig3a_model, sched, step_control=control)
+        monkeypatch.setattr(propagator, "_BLOCK", 97)
+        blocked = propagate(fig3a_model, sched, step_control=control)
+        assert reference.n_steps > 2 * 97  # several steps per stored sample
+        np.testing.assert_array_equal(blocked.states, reference.states)
+
+    def test_decimated_matches_every_step(self, fig3a_model):
+        sched = _resonant_schedule(fig3a_model, 4e3, 2e-3)
+        full = propagate(fig3a_model, sched)
+        decimated = propagate(fig3a_model, sched,
+                              step_control=StepControl(sample_cap=50))
+        index = np.searchsorted(full.times, decimated.times)
+        np.testing.assert_array_equal(full.times[index], decimated.times)
+        assert np.max(np.abs(full.states[index] - decimated.states)) < 1e-13
+
+    def test_norm_drift_of_long_chirp(self):
+        # the fig4 Stark chirp at t_omega = 3.25 ms takes 8763 steps
+        fig4 = get_preset("fig4")
+        model = build_level_model(derive_all(fig4.system), n_max=2)
+        cfg, t_omega = fig4.scrap, 3.25e-3
+        sched = build_scrap_schedule(cfg.omega_hat, t_omega, cfg.delta_hat,
+                                     cfg.t_delta(t_omega), cfg.tau(t_omega), 0.0,
+                                     model.derived.e1, hbar=model.hbar)
+        traj = propagate(model, sched)
+        assert traj.n_steps == 8763
+        norms = np.linalg.norm(traj.states, axis=1)
+        assert traj.norm_drift == np.max(np.abs(norms**2 - 1.0))
+        assert traj.norm_drift < 1e-13
 
 
 class TestOutput:
