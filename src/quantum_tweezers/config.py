@@ -20,6 +20,7 @@ from .exceptions import ConfigError
 from .experiments import PROTOCOLS
 from .params import PhysicalSystem
 from .presets import Preset, get_preset
+from .pulses import _ENVELOPE_CLASSES
 
 __all__ = [
     "ConfigError",
@@ -53,7 +54,27 @@ _AXIS_SCHEMA = {
     },
 }
 
+# a pulses envelope: its tag, then each field a number or a nested envelope
+_ENVELOPE_SCHEMA = {
+    "type": "object",
+    "required": ["type"],
+    "properties": {"type": {"enum": list(_ENVELOPE_CLASSES)}},
+    "additionalProperties": {"oneOf": [{"type": "number"},
+                                       {"$ref": "#/$defs/envelope"}]},
+}
+
+_SCHEDULE_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "detuning": {"$ref": "#/$defs/envelope"},
+        "rabi": {"$ref": "#/$defs/envelope"},
+        "window": {"type": "array", "items": {"type": "number"},
+                   "minItems": 2, "maxItems": 2},
+    },
+}
+
 CONFIG_SCHEMA = {
+    "$defs": {"envelope": _ENVELOPE_SCHEMA},
     "type": "object",
     "additionalProperties": False,
     "properties": {
@@ -89,7 +110,7 @@ CONFIG_SCHEMA = {
                 "delta_tau_s": {"type": "number"},
                 "transition": {"enum": ["0-1", "1-2"]},
                 "omit_second": {"type": "boolean"},
-                "schedule": {"type": "object"},
+                "schedule": _SCHEDULE_SCHEMA,
             },
         },
         "sweep": {

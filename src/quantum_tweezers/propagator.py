@@ -6,9 +6,14 @@ Oteo & Ros, Phys. Rep. 470, 151 (2009)).  Each step is the exponential of
 an anti-Hermitian generator, computed for a block of steps at once by
 scaling and squaring a degree-12 Taylor polynomial, exact to double
 precision, so the evolution is unitary to rounding regardless of step size
-and a constant Hamiltonian is propagated exactly.  The steps between two
-stored samples are multiplied into one matrix, so the state is advanced
-once per stored sample.  Step size follows
+and a constant Hamiltonian is propagated exactly.  Matrices are held
+component-major, (dim, dim, N), and multiplied by accumulating the rows of
+the inner index, one array operation per term.  The steps between two
+stored samples are multiplied into one matrix per sample (a pairwise
+reduction).  These are scanned in groups of a fixed length: each group is
+reduced to one matrix, which carries the state from group to group, and
+the samples inside all groups are then reached at once, so no Python loop
+runs once per step or once per stored sample.  Step size follows
 
     h = min(window / 1000,  2 pi / (50 * omega_max))
 
@@ -40,8 +45,10 @@ __all__ = [
 NORM_TOLERANCE = 1e-9
 _GL_NODE_1 = 0.5 - math.sqrt(3.0) / 6.0
 _GL_NODE_2 = 0.5 + math.sqrt(3.0) / 6.0
-_BLOCK = 2048  # steps per vectorized block (bounds memory); a multiple of the stride
+_BLOCK = 2048  # steps per vectorized block (bounds memory); a multiple of the group
+_GROUP = 32  # steps per group of the sample scan, rounded down to whole strides
 _THETA = 0.25  # 1-norm below which the Taylor polynomial is used unscaled
+_CSV_ROWS = 1024  # trajectory rows formatted at a time
 _TAYLOR = tuple(1.0 / math.factorial(k) for k in range(13))
 
 
@@ -122,8 +129,15 @@ def _component_major(stack: np.ndarray) -> np.ndarray:
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix products of component-major stacks, (dim, dim, ...) each."""
-    return np.einsum("ik...,kj...->ij...", a, b)
+    """Matrix products of component-major stacks, (dim, dim, ...) each.
+
+    The sum over the inner index runs in a fixed order for every matrix, so
+    a product does not depend on its neighbours in the stack.
+    """
+    out = a[:, 0, None] * b[None, 0]
+    for k in range(1, a.shape[1]):
+        out += a[:, k, None] * b[None, k]
+    return out
 
 
 def _expm(x: np.ndarray) -> np.ndarray:
@@ -162,30 +176,80 @@ def _expm(x: np.ndarray) -> np.ndarray:
     return u
 
 
-def _sample_products(steps: np.ndarray, stride: int) -> np.ndarray:
-    """Products of each run of `stride` consecutive step propagators.
+def _pad(stack: np.ndarray, width: int) -> np.ndarray:
+    """A (dim, dim, ..., n) stack with exact identities appended up to n = width."""
+    missing = width - stack.shape[-1]
+    if not missing:
+        return stack
+    dim = stack.shape[0]
+    eye = np.eye(dim).reshape((dim, dim) + (1,) * (stack.ndim - 2))
+    return np.concatenate(
+        [stack, np.broadcast_to(eye, stack.shape[:-1] + (missing,))], axis=-1)
 
-    steps is component-major (dim, dim, N), in time order; the result is
-    (ceil(N / stride), dim, dim), later steps on the left.  The product is a
-    pairwise reduction, with exact identities padding a short last run and
-    odd levels, so each run is multiplied the same way wherever it sits.
+
+def _split(stack: np.ndarray, length: int) -> np.ndarray:
+    """(dim, dim, N) matrices as (dim, dim, ceil(N / length), length) runs."""
+    dim, _, count = stack.shape
+    runs = -(-count // length)
+    return _pad(stack, runs * length).reshape(dim, dim, runs, length)
+
+
+def _reduce(runs: np.ndarray) -> np.ndarray:
+    """Product of each run of a (dim, dim, n, length) stack, later factors left.
+
+    A pairwise reduction, with identities padding odd levels, so a run is
+    multiplied the same way wherever it sits; the result is (dim, dim, n).
     """
-    dim, _, count = steps.shape
+    while runs.shape[-1] > 1:
+        runs = _pad(runs, runs.shape[-1] + runs.shape[-1] % 2)
+        runs = _mul(runs[..., 1::2], runs[..., 0::2])
+    return runs[..., 0]
 
-    def pad(a: np.ndarray, width: int) -> np.ndarray:
-        missing = width - a.shape[-1]
-        if not missing:
-            return a
-        eye = np.eye(dim).reshape((dim, dim) + (1,) * (a.ndim - 2))
-        return np.concatenate(
-            [a, np.broadcast_to(eye, a.shape[:-1] + (missing,))], axis=-1)
 
-    runs = -(-count // stride)
-    steps = pad(steps, runs * stride).reshape(dim, dim, runs, stride)
-    while steps.shape[-1] > 1:
-        steps = pad(steps, steps.shape[-1] + steps.shape[-1] % 2)
-        steps = _mul(steps[..., 1::2], steps[..., 0::2])
-    return np.ascontiguousarray(steps[..., 0].transpose(2, 0, 1))
+def _scan(runs: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """States after each run of a (dim, dim, groups, length) stack, from psi.
+
+    Each group is reduced to one matrix, which carries psi from the start of
+    its group to the next; then the runs inside all groups are applied at
+    once, one position in the group at a time (Blelloch, CMU-CS-90-190).  A
+    group's last state is the carried one.  Returns (groups * length, dim).
+    """
+    dim, _, groups, length = runs.shape
+    ends = np.ascontiguousarray(_reduce(runs).transpose(2, 0, 1))
+    states = np.empty((groups, length, dim), dtype=complex)
+    carried = psi
+    for g, end in enumerate(ends):
+        carried = states[g, -1] = end @ carried
+    # each group's start, (dim, groups), advanced through the group's runs
+    psi = np.concatenate([psi[:, None], states[:-1, -1].T], axis=1)
+    inside = np.ascontiguousarray(runs[..., :-1].transpose(3, 0, 1, 2))
+    for j, run in enumerate(inside):
+        psi = (run * psi).sum(axis=1)
+        states[:, j] = psi.T
+    return states.reshape(groups * length, dim)
+
+
+def _generator(model: LevelModel, schedule: PulseSchedule, times: np.ndarray,
+               h: float) -> np.ndarray:
+    """-i Omega for the steps starting at `times`, component-major.
+
+    Omega = h (H1 + H2) / 2 hbar - i sqrt(3) h^2 [H2, H1] / 12 hbar^2, with H1
+    and H2 at the two Gauss-Legendre nodes of each step.  H2 H1 is the
+    transpose of H1 H2, as both are real symmetric.
+    """
+    hbar = model.hbar
+    t1 = times + _GL_NODE_1 * h
+    t2 = times + _GL_NODE_2 * h
+    h1 = _component_major(hamiltonian_stack(model, schedule.detuning(t1),
+                                            schedule.rabi(t1)))
+    h2 = _component_major(hamiltonian_stack(model, schedule.detuning(t2),
+                                            schedule.rabi(t2)))
+    product = _mul(h1, h2)
+    generator = np.empty(h1.shape, dtype=complex)
+    generator.real = (math.sqrt(3.0) * h * h / (12.0 * hbar * hbar)) * (
+        product - product.transpose(1, 0, 2))
+    generator.imag = -(h / (2.0 * hbar)) * (h1 + h2)
+    return generator
 
 
 def propagate(model: LevelModel, schedule: PulseSchedule,
@@ -212,36 +276,24 @@ def propagate(model: LevelModel, schedule: PulseSchedule,
 
     h, n_steps = _choose_step(model, schedule, control)
     stride = max(1, math.ceil((n_steps + 1) / control.sample_cap))
-    block = max(stride, _BLOCK // stride * stride)
-    hbar = model.hbar
+    runs_per_group = max(1, _GROUP // stride)
+    group = runs_per_group * stride
+    block = max(group, _BLOCK // group * group)
     sample_steps = np.append(np.arange(0, n_steps, stride), n_steps)
     states = np.empty((sample_steps.size, dim), dtype=complex)
     states[0] = psi
 
-    coeff_lin = h / (2.0 * hbar)
-    coeff_comm = math.sqrt(3.0) * h * h / (12.0 * hbar * hbar)
-
     t0 = schedule.t_start
     sample = 1
     for start in range(0, n_steps, block):
-        count = min(block, n_steps - start)
-        base = t0 + (start + np.arange(count)) * h
-        t1 = base + _GL_NODE_1 * h
-        t2 = base + _GL_NODE_2 * h
-        h1 = _component_major(hamiltonian_stack(model, schedule.detuning(t1),
-                                                schedule.rabi(t1)))
-        h2 = _component_major(hamiltonian_stack(model, schedule.detuning(t2),
-                                                schedule.rabi(t2)))
-        # -i Omega, Omega = h (H1 + H2) / 2 hbar - i sqrt(3) h^2 [H2, H1] / 12 hbar^2;
-        # H2 H1 is the transpose of H1 H2, as both are real symmetric
-        product = _mul(h1, h2)
-        generator = np.empty(h1.shape, dtype=complex)
-        generator.real = coeff_comm * (product - product.transpose(1, 0, 2))
-        generator.imag = -coeff_lin * (h1 + h2)
-        for step_product in _sample_products(_expm(generator), stride):
-            psi = step_product @ psi
-            states[sample] = psi
-            sample += 1
+        times = t0 + (start + np.arange(min(block, n_steps - start))) * h
+        # the block's Hamiltonians are freed before the exponential runs
+        runs = _reduce(_split(_expm(_generator(model, schedule, times, h)), stride))
+        count = runs.shape[-1]
+        states[sample:sample + count] = _scan(_split(runs, runs_per_group),
+                                              psi)[:count]
+        sample += count
+        psi = states[sample - 1]
 
     if not np.all(np.isfinite(states)):
         raise IntegrationError(
@@ -300,17 +352,19 @@ def trajectory_to_csv(trajectory: Trajectory) -> str:
 
     Columns: time_s, p0..p{d-1}, then re_c{n}, im_c{n} for each level.
     Floats are written with shortest round-trip formatting, so identical
-    trajectories serialize to identical bytes.
+    trajectories serialize to identical bytes.  Rows are formatted a column
+    at a time, in chunks of _CSV_ROWS rows.
     """
     dim = trajectory.dim
     header = (["time_s"] + [f"p{n}" for n in range(dim)]
               + [item for n in range(dim) for item in (f"re_c{n}", f"im_c{n}")])
-    lines = [",".join(header)]
-    for k in range(trajectory.times.size):
-        row = [repr(float(trajectory.times[k]))]
-        row += [repr(float(p)) for p in trajectory.populations[k]]
-        for n in range(dim):
-            c = trajectory.states[k, n]
-            row += [repr(float(c.real)), repr(float(c.imag))]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    parts = [",".join(header)]
+    for start in range(0, trajectory.times.size, _CSV_ROWS):
+        rows = slice(start, start + _CSV_ROWS)
+        states = np.ascontiguousarray(trajectory.states[rows], dtype=complex)
+        columns = [np.asarray(trajectory.times[rows], dtype=float),
+                   *np.asarray(trajectory.populations[rows], dtype=float).T,
+                   *states.view(float).T]  # re_c0, im_c0, re_c1, ...
+        text = zip(*(map(repr, column.tolist()) for column in columns))
+        parts.append("\n".join(map(",".join, text)))
+    return "\n".join(parts) + "\n"

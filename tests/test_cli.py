@@ -340,6 +340,40 @@ def test_malformed_schedule_exit_2(tmp_path, capsys, protocol):
     assert "config error" in capsys.readouterr().err
 
 
+_RABI = {"type": "constant", "value": 1e3}
+
+
+@pytest.mark.parametrize("schedule", [
+    {"detuning": {"type": "constant", "value": 0.0}, "rabi": _RABI, "window": [0.0]},
+    {"detuning": {"type": "constant", "value": 0.0}, "rabi": _RABI,
+     "window": [0.0, "1e-4"]},
+    {"detuning": 5.0, "rabi": _RABI, "window": [0.0, 1e-4]},
+    {"detuning": {"value": 0.0}, "rabi": _RABI, "window": [0.0, 1e-4]},
+    {"detuning": {"type": "constant", "value": "abc"}, "rabi": _RABI,
+     "window": [0.0, 1e-4]},
+    {"detuning": {"type": "offset_sum", "offset": 0.0, "inner": {"type": "chirp"}},
+     "rabi": _RABI, "window": [0.0, 1e-4]},
+], ids=["short_window", "string_window", "number_envelope", "untyped_envelope",
+        "string_field", "unknown_inner_envelope"])
+def test_schedule_shape_exit_2(tmp_path, capsys, schedule):
+    # the schema, not the schedule parser, rejects these: they used to end in
+    # IndexError, AttributeError or ValueError tracebacks
+    path = write_config(tmp_path, {"preset": "fig3a", "protocol": {
+        "type": "schedule", "schedule": schedule}})
+    assert main(["propagate", "--config", path, "--out", str(tmp_path)]) == 2
+    assert "invalid config" in capsys.readouterr().err
+
+
+def test_nested_schedule_propagates(tmp_path):
+    path = write_config(tmp_path, {"preset": "fig3a", "protocol": {
+        "type": "schedule", "schedule": {
+            "detuning": {"type": "constant", "value": 0.0},
+            "rabi": {"type": "offset_sum", "offset": 1e3, "inner": {
+                "type": "gaussian", "peak": 1e3, "center": 5e-5, "width": 2e-5}},
+            "window": [0.0, 1e-4]}}})
+    assert main(["propagate", "--config", path, "--out", str(tmp_path)]) == 0
+
+
 def test_sequential_pi_sweep_defaults_to_level_2(tmp_path):
     def p_target(**target):
         path = write_config(tmp_path, {"preset": "fig3a", "sweep": {

@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantum_tweezers import (
     Constant,
     Gaussian,
     IntegrationError,
+    LinearRamp,
     PulseSchedule,
     StepControl,
+    Trajectory,
     build_level_model,
     build_scrap_schedule,
     derive_all,
@@ -300,3 +304,98 @@ class TestOutput:
         a = trajectory_to_csv(propagate(fig3a_model, sched))
         b = trajectory_to_csv(propagate(fig3a_model, sched))
         assert a == b
+
+
+def _stepped(model, n_steps, sample_cap):
+    # a Gaussian drive with a linear detuning chirp, on exactly n_steps steps
+    res = resonance_detunings(model)
+    schedule = PulseSchedule(LinearRamp(res.d01 - 2e4, 2e7, 0.0),
+                             Gaussian(peak=8e3, center=1.0e-3, width=4e-4),
+                             0.0, 2e-3)
+    control = StepControl(sample_cap=sample_cap,
+                          h_override=schedule.duration / n_steps)
+    return schedule, control
+
+
+class TestScan:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_product_matches_matmul(self, dim):
+        rng = np.random.default_rng(dim)
+        shape = (dim, dim, 257)
+        a, b = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                for _ in range(2))
+        a *= 10.0 ** rng.integers(-6, 6, size=shape)
+        product = propagator._mul(a, b)
+        expected = np.matmul(a.transpose(2, 0, 1), b.transpose(2, 0, 1))
+        scale = np.matmul(np.abs(a).transpose(2, 0, 1), np.abs(b).transpose(2, 0, 1))
+        error = np.abs(product.transpose(2, 0, 1) - expected)
+        assert np.all(error <= 1e-15 * scale)
+
+    @pytest.mark.parametrize("sample_cap", [10_000, 200, 20])
+    def test_scan_independent_of_block(self, fig3a_model, monkeypatch, sample_cap):
+        # stride 1, a stride inside the group, a stride longer than the group;
+        # 1001 steps end in a partial group (and a partial run when stride > 1)
+        schedule, control = _stepped(fig3a_model, 1001, sample_cap)
+        reference = propagate(fig3a_model, schedule, step_control=control)
+        stride = math.ceil((reference.n_steps + 1) / sample_cap)
+        group = max(1, propagator._GROUP // stride) * stride
+        assert reference.n_steps == 1001 and reference.n_steps % group
+        for block in (1, 97):
+            monkeypatch.setattr(propagator, "_BLOCK", block)
+            blocked = propagate(fig3a_model, schedule, step_control=control)
+            np.testing.assert_array_equal(blocked.states, reference.states)
+            np.testing.assert_array_equal(blocked.times, reference.times)
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(sample_cap=st.integers(2, 1200), block=st.integers(1, 3000))
+    def test_decimated_final_state_matches_every_step(self, fig3a_model,
+                                                      sample_cap, block):
+        schedule, every_step = _stepped(fig3a_model, 1001, 10_000)
+        full = propagate(fig3a_model, schedule, step_control=every_step)
+        _, control = _stepped(fig3a_model, 1001, sample_cap)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(propagator, "_BLOCK", block)
+            decimated = propagate(fig3a_model, schedule, step_control=control)
+        assert np.max(np.abs(decimated.final_state - full.final_state)) < 1e-13
+        index = np.searchsorted(full.times, decimated.times)
+        np.testing.assert_array_equal(full.times[index], decimated.times)
+        assert np.max(np.abs(full.states[index] - decimated.states)) < 1e-13
+
+
+def _csv_by_rows(trajectory):
+    # one row at a time, each float through repr: the reference layout
+    dim = trajectory.dim
+    header = (["time_s"] + [f"p{n}" for n in range(dim)]
+              + [item for n in range(dim) for item in (f"re_c{n}", f"im_c{n}")])
+    lines = [",".join(header)]
+    for k in range(trajectory.times.size):
+        row = [repr(float(trajectory.times[k]))]
+        row += [repr(float(p)) for p in trajectory.populations[k]]
+        for c in trajectory.states[k]:
+            row += [repr(float(c.real)), repr(float(c.imag))]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsv:
+    def test_matches_row_by_row_repr(self):
+        rows = 2 * propagator._CSV_ROWS + 37
+        rng = np.random.default_rng(11)
+        states = (rng.normal(size=(rows, 3)) + 1j * rng.normal(size=(rows, 3)))
+        states *= 10.0 ** rng.integers(-300, 300, size=(rows, 3))
+        states[0] = [-0.0, complex(0.0, -0.0), complex(-0.0, 5e-324)]
+        states[1] = [complex(1.7976931348623157e308, -2.2250738585072014e-308),
+                     1e-310, complex(-1e300, 1e-300)]
+        populations = rng.uniform(size=(rows, 3))
+        populations[0] = [-0.0, 5e-324, 1e300]
+        times = np.linspace(-1e-3, 2e-3, rows)
+        times[1] = -0.0
+        trajectory = Trajectory(times=times, states=states, populations=populations,
+                                n_steps=rows - 1, step=1e-6)
+        assert trajectory_to_csv(trajectory) == _csv_by_rows(trajectory)
+
+    def test_propagated_matches_row_by_row_repr(self, fig3a_model):
+        schedule, control = _stepped(fig3a_model, 1001, 10_000)
+        trajectory = propagate(fig3a_model, schedule, step_control=control)
+        assert trajectory.times.size % propagator._CSV_ROWS
+        assert trajectory_to_csv(trajectory) == _csv_by_rows(trajectory)
