@@ -13,7 +13,13 @@ stored samples are multiplied into one matrix per sample (a pairwise
 reduction).  These are scanned in groups of a fixed length: each group is
 reduced to one matrix, which carries the state from group to group, and
 the samples inside all groups are then reached at once, so no Python loop
-runs once per step or once per stored sample.  Step size follows
+runs once per step or once per stored sample.  Every block-sized array of
+the kernel is a view of a per-thread workspace (seven flat arrays, about
+2.2 MB for three levels), lent and given back stage by stage and kept
+between calls, so a warm propagation allocates no block-sized memory and
+takes no page faults for it.  The arithmetic is the same whichever memory
+holds it, so the results do not depend on the workspace or the block size.
+Step size follows
 
     h = min(window / 1000,  2 pi / (50 * omega_max))
 
@@ -25,6 +31,7 @@ resolved with ~50 steps per oscillation period.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,20 +130,52 @@ def _choose_step(model: LevelModel, schedule: PulseSchedule,
     return window / n, n
 
 
-def _component_major(stack: np.ndarray) -> np.ndarray:
-    """(N, dim, dim) matrices as a contiguous (dim, dim, N) array."""
-    return np.ascontiguousarray(stack.transpose(1, 2, 0))
+class _Workspace(threading.local):
+    """Scratch arrays of the block kernel, one set per thread, kept for reuse.
+
+    take() lends a contiguous view at the start of a free flat array (the
+    one given back last, so the one most likely still in cache) and replaces
+    that array if it is too small; give() takes views back.  Only views that
+    take() lent are given back, each once.  An array lost to an exception is
+    freed with its views.  Nothing propagate returns is a view of these
+    arrays.
+    """
+
+    def __init__(self):
+        self.free: list[np.ndarray] = []  # flat complex arrays
+
+    def take(self, shape: tuple, dtype=complex) -> np.ndarray:
+        free = self.free
+        flat = free.pop() if free else _NO_MEMORY
+        try:
+            return np.ndarray(shape, dtype, flat)
+        except TypeError:  # the flat array is too small
+            nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+            return np.ndarray(shape, dtype, np.empty(-(-nbytes // 16), dtype=complex))
+
+    def give(self, *views: np.ndarray) -> None:
+        free = self.free
+        for view in views:
+            free.append(view.base)
+
+
+_NO_MEMORY = np.empty(0, dtype=complex)
+_WORK = _Workspace()
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix products of component-major stacks, (dim, dim, ...) each.
 
     The sum over the inner index runs in a fixed order for every matrix, so
-    a product does not depend on its neighbours in the stack.
+    a product does not depend on its neighbours in the stack.  The result is
+    a workspace array.
     """
-    out = a[:, 0, None] * b[None, 0]
+    out = _WORK.take(a.shape[:1] + b.shape[1:], np.result_type(a, b))
+    term = _WORK.take(out.shape, out.dtype)
+    np.multiply(a[:, 0, None], b[None, 0], out=out)
     for k in range(1, a.shape[1]):
-        out += a[:, k, None] * b[None, k]
+        out += np.multiply(a[:, k, None], b[None, k], out=term)
+    _WORK.give(term)
     return out
 
 
@@ -149,42 +188,60 @@ def _expm(x: np.ndarray) -> np.ndarray:
     3e-18, so a matrix's result does not depend on the others in the stack.
     The polynomial is evaluated in Paterson-Stockmeyer form, in five products:
     exp(x) ~ B0 + x^4 (B1 + x^4 (B2 + x^4 / 12!)), B_j = sum_k<4 x^k / (4j+k)!.
+    x is scaled in place; the result is a workspace array.
     """
-    norm = np.abs(x).sum(axis=0).max(axis=0)
+    magnitude = np.abs(x, out=_WORK.take(x.shape, float))
+    norm = magnitude.sum(axis=0).max(axis=0)
+    _WORK.give(magnitude)
     squarings = np.maximum(0, np.frexp(norm / _THETA)[1])
     if squarings.any():
-        x = x * np.ldexp(1.0, -squarings)
+        np.multiply(x, np.ldexp(1.0, -squarings), out=x)
     x2 = _mul(x, x)
     x3 = _mul(x2, x)
     x4 = _mul(x2, x2)
-    diagonal = np.arange(x.shape[0])
 
     def add_block(j: int, u: np.ndarray) -> np.ndarray:
         c = _TAYLOR[4 * j:4 * j + 4]
-        u += c[1] * x
-        u += c[2] * x2
-        u += c[3] * x3
-        u[diagonal, diagonal] += c[0]
+        term = _WORK.take(u.shape)
+        u += np.multiply(c[1], x, out=term)
+        u += np.multiply(c[2], x2, out=term)
+        u += np.multiply(c[3], x3, out=term)
+        _WORK.give(term)
+        for k in range(u.shape[0]):
+            u[k, k] += c[0]
         return u
 
-    u = add_block(2, _TAYLOR[12] * x4)
-    u = add_block(1, _mul(x4, u))
-    u = add_block(0, _mul(x4, u))
+    u = add_block(2, np.multiply(_TAYLOR[12], x4, out=_WORK.take(x.shape)))
+    for j in (1, 0):
+        product = _mul(x4, u)
+        _WORK.give(u)
+        u = add_block(j, product)
+    _WORK.give(x2, x3, x4)
     for level in range(int(squarings.max())):
         pick = squarings > level
-        u[..., pick] = _mul(u[..., pick], u[..., pick])
+        part = np.compress(pick, u, axis=2,
+                           out=_WORK.take(u.shape[:2] + (int(pick.sum()),)))
+        square = _mul(part, part)
+        u[..., pick] = square
+        _WORK.give(part, square)
     return u
 
 
 def _pad(stack: np.ndarray, width: int) -> np.ndarray:
-    """A (dim, dim, ..., n) stack with exact identities appended up to n = width."""
-    missing = width - stack.shape[-1]
-    if not missing:
+    """A (dim, dim, ..., n) workspace stack with identities appended up to n = width.
+
+    Returns stack itself if it is wide enough; otherwise a padded copy, and
+    stack is given back.
+    """
+    count = stack.shape[-1]
+    if count == width:
         return stack
+    padded = _WORK.take(stack.shape[:-1] + (width,))
+    padded[..., :count] = stack
     dim = stack.shape[0]
-    eye = np.eye(dim).reshape((dim, dim) + (1,) * (stack.ndim - 2))
-    return np.concatenate(
-        [stack, np.broadcast_to(eye, stack.shape[:-1] + (missing,))], axis=-1)
+    padded[..., count:] = np.eye(dim).reshape((dim, dim) + (1,) * (stack.ndim - 2))
+    _WORK.give(stack)
+    return padded
 
 
 def _split(stack: np.ndarray, length: int) -> np.ndarray:
@@ -199,10 +256,13 @@ def _reduce(runs: np.ndarray) -> np.ndarray:
 
     A pairwise reduction, with identities padding odd levels, so a run is
     multiplied the same way wherever it sits; the result is (dim, dim, n).
+    Each level is a new workspace array, and the one before it is given back.
     """
     while runs.shape[-1] > 1:
         runs = _pad(runs, runs.shape[-1] + runs.shape[-1] % 2)
-        runs = _mul(runs[..., 1::2], runs[..., 0::2])
+        pairs = _mul(runs[..., 1::2], runs[..., 0::2])
+        _WORK.give(runs)
+        runs = pairs
     return runs[..., 0]
 
 
@@ -212,43 +272,56 @@ def _scan(runs: np.ndarray, psi: np.ndarray) -> np.ndarray:
     Each group is reduced to one matrix, which carries psi from the start of
     its group to the next; then the runs inside all groups are applied at
     once, one position in the group at a time (Blelloch, CMU-CS-90-190).  A
-    group's last state is the carried one.  Returns (groups * length, dim).
+    group's last state is the carried one.  Returns (groups * length, dim), a
+    workspace array; runs is given back.
     """
     dim, _, groups, length = runs.shape
-    ends = np.ascontiguousarray(_reduce(runs).transpose(2, 0, 1))
-    states = np.empty((groups, length, dim), dtype=complex)
+    # copied before _reduce, which gives runs back
+    inside = _WORK.take((length - 1, dim, dim, groups))
+    np.copyto(inside, runs[..., :-1].transpose(3, 0, 1, 2))
+    reduced = _reduce(runs)
+    ends = np.ascontiguousarray(reduced.transpose(2, 0, 1))
+    _WORK.give(reduced)
+    states = _WORK.take((groups, length, dim))
     carried = psi
     for g, end in enumerate(ends):
         carried = states[g, -1] = end @ carried
     # each group's start, (dim, groups), advanced through the group's runs
     psi = np.concatenate([psi[:, None], states[:-1, -1].T], axis=1)
-    inside = np.ascontiguousarray(runs[..., :-1].transpose(3, 0, 1, 2))
     for j, run in enumerate(inside):
         psi = (run * psi).sum(axis=1)
         states[:, j] = psi.T
+    _WORK.give(inside)
     return states.reshape(groups * length, dim)
+
+
+def _hamiltonians(model: LevelModel, schedule: PulseSchedule,
+                  times: np.ndarray) -> np.ndarray:
+    """H at `times` as a component-major (dim, dim, N) workspace array."""
+    stack = hamiltonian_stack(model, schedule.detuning(times), schedule.rabi(times))
+    out = _WORK.take(stack.shape[1:] + stack.shape[:1], float)
+    np.copyto(out, stack.transpose(1, 2, 0))
+    return out
 
 
 def _generator(model: LevelModel, schedule: PulseSchedule, times: np.ndarray,
                h: float) -> np.ndarray:
-    """-i Omega for the steps starting at `times`, component-major.
+    """-i Omega for the steps starting at `times`, a component-major workspace array.
 
     Omega = h (H1 + H2) / 2 hbar - i sqrt(3) h^2 [H2, H1] / 12 hbar^2, with H1
     and H2 at the two Gauss-Legendre nodes of each step.  H2 H1 is the
     transpose of H1 H2, as both are real symmetric.
     """
     hbar = model.hbar
-    t1 = times + _GL_NODE_1 * h
-    t2 = times + _GL_NODE_2 * h
-    h1 = _component_major(hamiltonian_stack(model, schedule.detuning(t1),
-                                            schedule.rabi(t1)))
-    h2 = _component_major(hamiltonian_stack(model, schedule.detuning(t2),
-                                            schedule.rabi(t2)))
+    h1 = _hamiltonians(model, schedule, times + _GL_NODE_1 * h)
+    h2 = _hamiltonians(model, schedule, times + _GL_NODE_2 * h)
     product = _mul(h1, h2)
-    generator = np.empty(h1.shape, dtype=complex)
-    generator.real = (math.sqrt(3.0) * h * h / (12.0 * hbar * hbar)) * (
-        product - product.transpose(1, 0, 2))
-    generator.imag = -(h / (2.0 * hbar)) * (h1 + h2)
+    generator = _WORK.take(h1.shape)
+    np.multiply(-(h / (2.0 * hbar)), np.add(h1, h2, out=h1), out=generator.imag)
+    np.multiply(math.sqrt(3.0) * h * h / (12.0 * hbar * hbar),
+                np.subtract(product, product.transpose(1, 0, 2), out=h2),
+                out=generator.real)
+    _WORK.give(h1, h2, product)
     return generator
 
 
@@ -287,11 +360,14 @@ def propagate(model: LevelModel, schedule: PulseSchedule,
     sample = 1
     for start in range(0, n_steps, block):
         times = t0 + (start + np.arange(min(block, n_steps - start))) * h
-        # the block's Hamiltonians are freed before the exponential runs
-        runs = _reduce(_split(_expm(_generator(model, schedule, times, h)), stride))
+        generator = _generator(model, schedule, times, h)
+        steps = _expm(generator)
+        _WORK.give(generator)
+        runs = _reduce(_split(steps, stride))
         count = runs.shape[-1]
-        states[sample:sample + count] = _scan(_split(runs, runs_per_group),
-                                              psi)[:count]
+        scanned = _scan(_split(runs, runs_per_group), psi)
+        states[sample:sample + count] = scanned[:count]
+        _WORK.give(scanned)
         sample += count
         psi = states[sample - 1]
 

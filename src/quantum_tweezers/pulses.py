@@ -358,18 +358,35 @@ def _require(data: dict, key: str, owner: str):
     return data[key]
 
 
+def _finite(raw, name: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, not {value!r}")
+    return value
+
+
 def envelope_from_dict(data: dict) -> Envelope:
-    """Inverse of envelope_to_dict; ConfigError names a missing field."""
+    """Inverse of envelope_to_dict.
+
+    ConfigError names a field that is missing, not finite, or out of range
+    (such as a Gaussian width that is not positive).
+    """
     cls = _ENVELOPE_CLASSES.get(data.get("type"))
     if cls is None:
         raise ConfigError(f"unknown envelope type {data.get('type')!r}")
+    owner = f"a {data['type']!r} envelope"
 
     def value(f):
-        raw = (_require(data, f.name, f"a {data['type']!r} envelope")
+        raw = (_require(data, f.name, owner)
                if f.default is MISSING else data.get(f.name, f.default))
-        return envelope_from_dict(raw) if isinstance(raw, dict) else float(raw)
+        return (envelope_from_dict(raw) if isinstance(raw, dict)
+                else _finite(raw, f"{owner}'s {f.name!r}"))
 
-    return cls(*(value(f) for f in fields(cls)))
+    args = [value(f) for f in fields(cls)]
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{owner}: {exc}") from exc
 
 
 def schedule_to_dict(schedule: PulseSchedule) -> dict:
@@ -381,11 +398,17 @@ def schedule_to_dict(schedule: PulseSchedule) -> dict:
 
 
 def schedule_from_dict(data: dict) -> PulseSchedule:
-    """Inverse of schedule_to_dict; ConfigError names a missing key."""
+    """Inverse of schedule_to_dict.
+
+    ConfigError names a missing key, a field that is not finite or out of
+    range, or a window whose start is not before its end.
+    """
     window = _require(data, "window", "a schedule")
-    return PulseSchedule(
-        detuning=envelope_from_dict(_require(data, "detuning", "a schedule")),
-        rabi=envelope_from_dict(_require(data, "rabi", "a schedule")),
-        t_start=float(window[0]),
-        t_end=float(window[1]),
-    )
+    detuning = envelope_from_dict(_require(data, "detuning", "a schedule"))
+    rabi = envelope_from_dict(_require(data, "rabi", "a schedule"))
+    t_start = _finite(window[0], "a schedule's 'window'")
+    t_end = _finite(window[1], "a schedule's 'window'")
+    try:
+        return PulseSchedule(detuning=detuning, rabi=rabi, t_start=t_start, t_end=t_end)
+    except ValueError as exc:
+        raise ConfigError(f"a schedule's 'window' {[t_start, t_end]}: {exc}") from exc

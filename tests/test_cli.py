@@ -1,9 +1,13 @@
 """Command-line interface: configs, outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantum_tweezers.cli import main
 from quantum_tweezers.config import ConfigError, parse_frequency, validate_config
@@ -362,6 +366,108 @@ def test_schedule_shape_exit_2(tmp_path, capsys, schedule):
         "type": "schedule", "schedule": schedule}})
     assert main(["propagate", "--config", path, "--out", str(tmp_path)]) == 2
     assert "invalid config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("schedule, field", [
+    ({"detuning": {"type": "constant", "value": 0.0}, "rabi": _RABI,
+      "window": [1e-4, 0.0]}, "'window'"),
+    ({"detuning": {"type": "constant", "value": 0.0}, "rabi": _RABI,
+      "window": [1e-4, 1e-4]}, "'window'"),
+    ({"detuning": {"type": "gaussian", "peak": 1e3, "center": 5e-5, "width": 0.0},
+      "rabi": _RABI, "window": [0.0, 1e-4]}, "width"),
+    ({"detuning": {"type": "constant", "value": 0.0},
+      "rabi": {"type": "offset_sum", "offset": 0.0, "inner": {
+          "type": "gaussian", "peak": 1e3, "center": 5e-5, "width": -2e-5}},
+      "window": [0.0, 1e-4]}, "width"),
+    ({"detuning": {"type": "tanh_plateau", "peak": 1e3, "start_time": 0.0,
+                   "plateau_width": 5e-5, "ramp_time": 0.0},
+      "rabi": _RABI, "window": [0.0, 1e-4]}, "ramp_time"),
+    ({"detuning": {"type": "constant", "value": math.nan}, "rabi": _RABI,
+      "window": [0.0, 1e-4]}, "'value'"),
+    ({"detuning": {"type": "linear_ramp", "start": 0.0, "rate": 1e6,
+                   "t_ref": math.nan}, "rabi": _RABI, "window": [0.0, 1e-4]},
+     "'t_ref'"),
+    ({"detuning": {"type": "constant", "value": 0.0}, "rabi": _RABI,
+      "window": [0.0, math.inf]}, "'window'"),
+], ids=["reversed_window", "empty_window", "zero_width", "negative_inner_width",
+        "zero_ramp_time", "nan_value", "nan_t_ref", "infinite_window"])
+def test_schedule_values_exit_2(tmp_path, capsys, schedule, field):
+    # these pass the schema and used to end in ValueError or OverflowError
+    # tracebacks (exit 1, which is check's validity warning)
+    path = write_config(tmp_path, {"preset": "fig3a", "protocol": {
+        "type": "schedule", "schedule": schedule}})
+    assert main(["propagate", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
+
+
+_TIME = 2e-4  # s: the window and every time field stay within this of zero
+_AMPLITUDE = 1e5  # rad/s: each envelope stays within a few of this
+
+
+def _number(lo, hi):
+    """Mostly a float in [lo, hi]; one draw in twenty NaN or infinite."""
+    return st.integers(0, 19).flatmap(
+        lambda k: st.sampled_from([math.nan, math.inf]) if k == 0
+        else st.floats(lo, hi))
+
+
+def _random_envelope(depth=0):
+    time = _number(-_TIME, _TIME)
+    positive = _number(-_TIME / 10, _TIME)  # a width: 0 and negatives are errors
+    amplitude = _number(-_AMPLITUDE, _AMPLITUDE)
+    fields = {
+        "constant": {"value": amplitude},
+        "linear_ramp": {"start": amplitude, "t_ref": time,
+                        "rate": _number(-_AMPLITUDE / _TIME, _AMPLITUDE / _TIME)},
+        "gaussian": {"peak": amplitude, "center": time, "width": positive},
+        "tanh_plateau": {"peak": amplitude, "start_time": time,
+                         "plateau_width": positive, "ramp_time": positive},
+    }
+    if depth < 2:
+        fields["offset_sum"] = {"offset": amplitude,
+                                "inner": _random_envelope(depth + 1)}
+    return st.one_of(*(st.fixed_dictionaries({"type": st.just(tag), **spec})
+                       for tag, spec in fields.items()))
+
+
+# one window in four reversed (or empty)
+_WINDOW = st.tuples(_number(0.0, _TIME), _number(0.0, _TIME), st.integers(0, 3)).map(
+    lambda w: sorted(w[:2], reverse=w[2] == 0))
+
+
+def _invalid(value) -> bool:
+    """Whether a config value holds a number that is not finite or out of range."""
+    if isinstance(value, dict):
+        positive = {"width", "plateau_width", "ramp_time"} & set(value)
+        return (any(_invalid(v) for v in value.values())
+                or any(not value[k] > 0 for k in positive))
+    if isinstance(value, list):
+        return any(_invalid(v) for v in value) or not value[1] > value[0]
+    return isinstance(value, float) and not math.isfinite(value)
+
+
+@pytest.fixture(scope="module")
+def random_schedule_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("random_schedule")
+
+
+# a width near 1e-300 s overflows the Gaussian's exponent to inf, and exp
+# then gives the exact 0
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(detuning=_random_envelope(), rabi=_random_envelope(), window=_WINDOW)
+def test_random_schedule_exit_codes(random_schedule_dir, detuning, rabi, window):
+    # either window order, every envelope type, 0, negative and non-finite
+    # fields: a documented exit code, never a traceback, and exit 2 exactly
+    # when a field is not finite or out of range
+    schedule = {"detuning": detuning, "rabi": rabi, "window": window}
+    path = write_config(random_schedule_dir, {"preset": "fig3a", "protocol": {
+        "type": "schedule", "schedule": schedule}})
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["propagate", "--config", path, "--out", str(random_schedule_dir)])
+    assert code == 2 if _invalid(schedule) else code in (0, 3)
 
 
 def test_nested_schedule_propagates(tmp_path):

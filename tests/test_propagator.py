@@ -1,6 +1,9 @@
 """Schroedinger propagation: analytic oracles, unitarity, convergence."""
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -399,3 +402,122 @@ class TestCsv:
         trajectory = propagate(fig3a_model, schedule, step_control=control)
         assert trajectory.times.size % propagator._CSV_ROWS
         assert trajectory_to_csv(trajectory) == _csv_by_rows(trajectory)
+
+
+def _fig4_chirp(t_omega=3.25e-3):
+    fig4 = get_preset("fig4")
+    model = build_level_model(derive_all(fig4.system), n_max=2)
+    cfg = fig4.scrap
+    schedule = build_scrap_schedule(cfg.omega_hat, t_omega, cfg.delta_hat,
+                                    cfg.t_delta(t_omega), cfg.tau(t_omega), 0.0,
+                                    model.derived.e1, hbar=model.hbar)
+    return model, schedule
+
+
+def _assert_same_bits(a, b):
+    for name in ("times", "states", "populations"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert (a.n_steps, a.step, a.norm_drift) == (b.n_steps, b.step, b.norm_drift)
+
+
+def _in_fresh_thread(call):
+    # a new thread starts with an empty workspace
+    out = []
+    worker = threading.Thread(target=lambda: out.append(call()))
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive() and len(out) == 1
+    return out[0]
+
+
+class TestWorkspace:
+    """The block kernel's per-thread scratch arrays change no result."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, fig3a_derived, fig3a_model):
+        # dims 2 and 3, stride 1 and strides inside and beyond the group,
+        # lengths that end in partial blocks, and a block of 97 steps
+        two_level = build_level_model(fig3a_derived, n_max=1)
+        fig4_model, chirp = _fig4_chirp(1.0e-3)
+        stepped, every_step = _stepped(fig3a_model, 1001, 10_000)
+        _, decimated = _stepped(fig3a_model, 1001, 20)
+        return [
+            (two_level, _resonant_schedule(two_level, 4e3, 2e-3), StepControl(), None),
+            (fig3a_model, stepped, every_step, None),
+            (fig4_model, chirp, StepControl(sample_cap=256), None),
+            (fig3a_model, stepped, decimated, 97),
+            (two_level, _resonant_schedule(two_level, 4e3, 1e-3),
+             StepControl(sample_cap=37), 97),
+        ]
+
+    @staticmethod
+    def _run(case):
+        model, schedule, control, block = case
+        with pytest.MonkeyPatch.context() as patch:
+            if block is not None:
+                patch.setattr(propagator, "_BLOCK", block)
+            return propagate(model, schedule, step_control=control)
+
+    def test_interleaved_calls_match_fresh_threads(self, cases):
+        fresh = [_in_fresh_thread(lambda case=case: self._run(case)) for case in cases]
+        for k in (0, 2, 1, 4, 3, 2, 0, 3, 1, 4):
+            _assert_same_bits(self._run(cases[k]), fresh[k])
+
+    def test_concurrent_threads_match_serial(self, cases):
+        # _BLOCK is left alone here: patching a module global from several
+        # threads at once would race
+        serial = [propagate(model, schedule, step_control=control)
+                  for model, schedule, control, _ in cases]
+        results = {}
+
+        def work(order):
+            for k in order:
+                model, schedule, control, _ = cases[k]
+                results.setdefault(k, []).append(
+                    propagate(model, schedule, step_control=control))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(order,))
+                       for order in ([0, 1, 2, 3, 4], [2, 4, 3, 1, 0], [4, 3, 2, 1, 0])]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert sum(map(len, results.values())) == 15
+        for k, trajectories in results.items():
+            for trajectory in trajectories:
+                _assert_same_bits(trajectory, serial[k])
+
+    def test_returned_trajectory_is_not_reused(self, cases):
+        first = self._run(cases[1])
+        kept = Trajectory(times=first.times.copy(), states=first.states.copy(),
+                          populations=first.populations.copy(),
+                          n_steps=first.n_steps, step=first.step,
+                          norm_drift=first.norm_drift)
+        for case in cases:
+            self._run(case)
+        _assert_same_bits(first, kept)
+        for array in (first.times, first.states, first.populations):
+            assert not any(np.shares_memory(array, flat)
+                           for flat in propagator._WORK.free)
+
+    def test_warm_propagate_allocates_under_two_blocks(self):
+        # the 8763-step fig4 chirp: with the workspace warm, the traced peak
+        # stays below two block-sized arrays (the allocating kernel peaked at
+        # 7.5); tracemalloc counts numpy's data, whatever the allocator does
+        model, schedule = _fig4_chirp()
+        control = StepControl(sample_cap=256)
+        propagate(model, schedule, step_control=control)
+        tracemalloc.start()
+        try:
+            trajectory = propagate(model, schedule, step_control=control)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trajectory.n_steps == 8763
+        assert peak < 2 * model.dim ** 2 * propagator._BLOCK * 16
