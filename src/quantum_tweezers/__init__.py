@@ -41,10 +41,8 @@ from .levels import (
     LevelModel,
     build_level_model,
     hamiltonian_matrix,
-    level_energy,
     rabi_coupling,
     resonance_detunings,
-    two_photon_rabi,
 )
 from .params import (
     DerivedParams,
@@ -61,7 +59,6 @@ from .presets import Preset, get_preset
 from .propagator import (
     StepControl,
     Trajectory,
-    phase_convention,
     propagate,
     trajectory_to_csv,
     transfer_probability,
@@ -75,10 +72,8 @@ from .pulses import (
     PulseSchedule,
     TanhPlateau,
     build_pi_pulse,
-    build_ramp_schedule,
     build_scrap_schedule,
     build_two_atom_scrap_schedule,
-    crossing_times,
     pulse_area,
     schedule_from_dict,
     schedule_to_dict,

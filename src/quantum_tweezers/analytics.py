@@ -28,6 +28,7 @@ __all__ = [
     "sequential_lz",
     "ramp_rate_bound",
     "min_transfer_time",
+    "scrap_crossing_slope",
     "scrap_adiabatic_condition",
     "scrap_pump_width_bound",
     "validity_check",
@@ -136,11 +137,20 @@ def min_transfer_time(delta_e2: float, p0: float, hbar: float = HBAR) -> float:
     return (2.0 / math.pi) * abs(math.log1p(-p0)) / (delta_e2 / hbar)
 
 
+def scrap_crossing_slope(delta_hat: float, t_delta: float, tau: float) -> float:
+    """|d detuning/dt| (rad/s^2) at the crossings of a Stark-chirp detuning pulse.
+
+    2 |delta_hat| tau / T_d^2 * exp(-tau^2/T_d^2), for crossings tau before
+    and after the pulse peak.
+    """
+    return 2.0 * abs(delta_hat) * tau / t_delta**2 * math.exp(-(tau / t_delta) ** 2)
+
+
 def scrap_adiabatic_condition(delta_hat: float, t_delta: float, tau: float,
                               delta_e2: float, hbar: float = HBAR) -> float:
     """Margin of the Stark-chirp adiabaticity condition at the first crossing.
 
-    Compares pi dE2^2 / (4 hbar^2) against the detuning slope scale
+    Compares pi dE2^2 / (4 hbar^2) against half the crossing slope,
     delta_hat tau / T_d^2 * exp(-tau^2/T_d^2); >> 1 (threshold 10) means
     the crossing can be swept adiabatically at the allowed couplings.
     tau is the time from the first crossing to the detuning-pulse peak.
@@ -148,7 +158,7 @@ def scrap_adiabatic_condition(delta_hat: float, t_delta: float, tau: float,
     if not (t_delta > 0 and tau > 0):
         raise ValueError("t_delta and tau must be strictly positive")
     lhs = math.pi * (delta_e2 / hbar) ** 2 / 4.0
-    rhs = abs(delta_hat) * tau / t_delta**2 * math.exp(-(tau / t_delta) ** 2)
+    rhs = scrap_crossing_slope(delta_hat, t_delta, tau) / 2.0
     if rhs == 0.0:
         return math.inf
     return lhs / rhs
@@ -170,7 +180,7 @@ def scrap_pump_width_bound(omega_hat_eff: float, delta_hat: float,
         raise ValueError("t_delta and tau must be positive, delta_hat non-zero")
     exponent = (tau / t_delta) ** 2
     t_min = abs(omega_hat_eff) * t_delta**2 / (tau * abs(delta_hat)) * math.exp(exponent)
-    slope = 2.0 * abs(delta_hat) * tau / t_delta**2 * math.exp(-exponent)
+    slope = scrap_crossing_slope(delta_hat, t_delta, tau)
     t_jump = math.inf if slope == 0.0 else 2.0 * abs(omega_hat_eff) / slope
     return t_min, t_jump
 
@@ -273,8 +283,7 @@ def validity_check(model: LevelModel, omega_l: float,
         # pump suppression at the second crossing, 2*tau after the first:
         # its residual coupling must be negligible for a diabatic passage.
         residual = math.exp(-(2.0 * scrap.tau / scrap.t_omega) ** 2)
-        slope = 2.0 * abs(scrap.delta_hat) * scrap.tau / scrap.t_delta**2 \
-            * math.exp(-(scrap.tau / scrap.t_delta) ** 2)
+        slope = scrap_crossing_slope(scrap.delta_hat, scrap.t_delta, scrap.tau)
         alpha_first = adiabaticity_parameter(hbar * omega_eff, slope, hbar)
         alpha_second = adiabaticity_parameter(hbar * omega_eff * residual, slope, hbar)
         diabatic_margin = math.inf if alpha_second == 0 else 1.0 / alpha_second

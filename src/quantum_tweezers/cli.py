@@ -35,6 +35,7 @@ from .experiments import (  # noqa: F401
     gated_ramp_schedule,
     optimize_pulse,
     preset_model,
+    region_area_fraction,
     resonant_gaussian_schedule,
     run_sweep,
 )
@@ -173,7 +174,7 @@ def cmd_sweep(config: dict, preset: Preset, out_dir: str, threads: int) -> int:
         print("sweep failed at every grid point", file=sys.stderr)
         return EXIT_NUMERICAL
     max_p = float(np.max(finite))
-    area = float(np.mean(np.nan_to_num(result.p, nan=-1.0) > 0.99))
+    area = region_area_fraction(result.p, 0.99)
     print(f"sweep complete: max P = {max_p:.6f}, "
           f"P>0.99 region fraction = {area:.4f}, "
           f"{len(result.failures)} failed points")

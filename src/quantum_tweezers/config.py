@@ -17,7 +17,7 @@ import re
 import jsonschema
 
 from .exceptions import ConfigError
-from .experiments import PROTOCOLS
+from .experiments import PROTOCOLS, TRANSITIONS
 from .params import PhysicalSystem
 from .presets import Preset, get_preset
 from .pulses import _ENVELOPE_CLASSES
@@ -108,7 +108,7 @@ CONFIG_SCHEMA = {
                 "t_omega_s": {"type": "number", "exclusiveMinimum": 0},
                 "delta_hat": _FREQ,
                 "delta_tau_s": {"type": "number"},
-                "transition": {"enum": ["0-1", "1-2"]},
+                "transition": {"enum": list(TRANSITIONS)},
                 "omit_second": {"type": "boolean"},
                 "schedule": _SCHEDULE_SCHEMA,
             },

@@ -15,6 +15,7 @@ import math
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from numbers import Real
 from operator import attrgetter
 
 import numpy as np
@@ -24,6 +25,7 @@ from .analytics import (
     ScrapPulseParams,
     adiabaticity_parameter,
     lz_probability,
+    scrap_crossing_slope,
     sequential_lz,
     validity_check,
 )
@@ -47,6 +49,7 @@ __all__ = [
     "SweepResult",
     "OptimizeResult",
     "PROTOCOLS",
+    "TRANSITIONS",
     "preset_model",
     "evaluate_point",
     "gated_ramp_schedule",
@@ -62,6 +65,9 @@ __all__ = [
     "region_area_fraction",
     "threshold_contours",
 ]
+
+# the pi_pulse transitions a sweep or optimize config may name
+TRANSITIONS = ("0-1", "1-2")
 
 # trajectory storage is decimated hard during sweeps; only the final state
 # matters for the transfer probability.
@@ -243,11 +249,6 @@ def resonant_gaussian_schedule(model: LevelModel, omega_hat: float,
     return replace(pi, rabi=replace(pi.rabi, peak=omega_hat))
 
 
-def _scrap_slope(delta_hat: float, t_delta: float, tau: float) -> float:
-    """|d detuning/dt| at the crossings of a Stark-chirp detuning pulse."""
-    return 2.0 * abs(delta_hat) * tau / t_delta**2 * math.exp(-(tau / t_delta) ** 2)
-
-
 # --- the protocol table ----------------------------------------------------------
 # Builders and companions take keyword arguments and look up what they call
 # at call time.
@@ -290,7 +291,7 @@ def _scrap_1atom_companions(model, preset, params, **_):
     hbar = model.hbar
     chirp = _chirp(preset, params)
     omega_eff = rabi_coupling(model, 0, chirp.omega_hat)
-    slope = _scrap_slope(chirp.delta_hat, chirp.t_delta, chirp.tau)
+    slope = scrap_crossing_slope(chirp.delta_hat, chirp.t_delta, chirp.tau)
     report = validity_check(model, chirp.omega_hat, scrap=chirp)
     return {
         "alpha_ad": adiabaticity_parameter(hbar * omega_eff, slope, hbar),
@@ -322,8 +323,8 @@ def _scrap_2atom_companions(model, preset, params, **_):
     tau01 = t_delta * math.sqrt(math.log(cfg.delta_hat / cfg.baseline_depth))
     tau12 = t_delta * math.sqrt(
         math.log(cfg.delta_hat / (cfg.baseline_depth + q_gap)))
-    slope01 = _scrap_slope(cfg.delta_hat, t_delta, tau01)
-    slope12 = _scrap_slope(cfg.delta_hat, t_delta, tau12)
+    slope01 = scrap_crossing_slope(cfg.delta_hat, t_delta, tau01)
+    slope12 = scrap_crossing_slope(cfg.delta_hat, t_delta, tau12)
     om01 = rabi_coupling(model, 0, omega_hat)
     om12 = rabi_coupling(model, 1, omega_hat)
     return {
@@ -362,7 +363,7 @@ class Protocol:
     target       the level reported; None takes the caller's target
     required     the parameter names a point must give
     defaults     each optional name's default: a value, or a function of
-                 the preset
+                 the preset (a number); its type is what the name takes
     schedules    (model, preset, params, target) -> pulses run in turn from |0>
     companions   (model, preset, params, target, schedules, trajectories)
                  -> the analytic predictions and margins reported beside p
@@ -389,6 +390,32 @@ class Protocol:
         missing = [name for name in self.required if name not in given]
         if missing:
             raise ConfigError(f"missing required parameter(s) {missing}")
+
+    def check_run(self, varied, fixed: dict) -> None:
+        """check_names for a sweep or optimize run, then the types.
+
+        A parameter takes what its default is: one of TRANSITIONS for a
+        string, a bool for a bool, else a number (or null, where the default
+        is null).  Varied names, the axes or bounds, must take numbers.
+        """
+        self.check_names([*varied, *fixed])
+        for name in varied:
+            if not self._accepts(name, 0.0):
+                raise ConfigError(f"parameter {name!r} is not a number; it "
+                                  "cannot be an axis or a bound")
+        for name, value in fixed.items():
+            if not self._accepts(name, value):
+                raise ConfigError(f"parameter {name!r} cannot be {value!r}")
+
+    def _accepts(self, name: str, value) -> bool:
+        default = self.defaults.get(name, 0.0)  # a required name takes a number
+        if isinstance(default, bool):
+            return isinstance(value, bool)
+        if isinstance(default, str):
+            return value in TRANSITIONS
+        if default is None and value is None:
+            return True
+        return isinstance(value, Real) and not isinstance(value, bool)
 
     def params(self, preset: Preset, point: dict) -> dict:
         """The point's parameters with every omitted one at its default."""
@@ -557,8 +584,8 @@ def run_sweep(spec: SweepSpec, preset: Preset, threads: int = 1) -> SweepResult:
     A ramp sweep records the intervals of its first axis with P > 0.99;
     a 2-D sweep records the 0.99 and 0.80 contours and the P > 0.99 area.
     """
-    PROTOCOLS[spec.protocol].check_names(
-        [*(axis.name for axis in spec.axes), *spec.fixed])
+    PROTOCOLS[spec.protocol].check_run([axis.name for axis in spec.axes],
+                                       spec.fixed)
     axis_values = tuple(axis.values() for axis in spec.axes)
     tasks = []
     for idx in np.ndindex(spec.shape):
@@ -731,7 +758,7 @@ def optimize_pulse(protocol, bounds: dict[str, tuple[float, float]],
         if preset is None:
             raise ValueError("a preset is required for named protocols")
         base = dict(fixed or {})
-        PROTOCOLS[protocol].check_names([*names, *base])
+        PROTOCOLS[protocol].check_run(names, base)
 
         def evaluate_params(params: dict) -> float:
             point = dict(base)

@@ -8,14 +8,12 @@ linear in the drive detuning,
 
 and adjacent states are coupled with strength Omega_L * kappa * sqrt(n+1).
 There is no direct |0> <-> |2> matrix element: the two-photon transfer
-emerges from propagation through |1>, and the perturbative two-photon rate
-is exposed only as a diagnostic.
+emerges from propagation through |1>.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +23,7 @@ from .params import DerivedParams
 __all__ = [
     "LevelModel",
     "build_level_model",
-    "level_energy",
     "rabi_coupling",
-    "two_photon_rabi",
     "resonance_detunings",
     "hamiltonian_matrix",
 ]
@@ -81,38 +77,11 @@ def build_level_model(derived: DerivedParams, n_max: int = 2) -> LevelModel:
     )
 
 
-def level_energy(model: LevelModel, n: int, detuning: float) -> float:
-    """Diagonal energy E(n, Delta) = bare(n) - n hbar Delta (J)."""
-    if not 0 <= n <= model.n_max:
-        raise ValueError(f"level index {n} outside 0..{model.n_max}")
-    return model.bare_energies[n] - n * model.hbar * detuning
-
-
 def rabi_coupling(model: LevelModel, n: int, omega_l: float) -> float:
     """Collective coupling between |n> and |n+1> (rad/s): Omega_L kappa sqrt(n+1)."""
     if not 0 <= n < model.n_max:
         raise ValueError(f"coupling index {n} outside 0..{model.n_max - 1}")
     return omega_l * model.rabi_units[n]
-
-
-def two_photon_rabi(model: LevelModel, omega_l: float) -> float:
-    """Perturbative two-photon |0> <-> |2> rate (rad/s).
-
-    Second-order expression Omega01 * Omega12 / (E2 / 2 hbar), valid when
-    hbar * Omega01 << E2; a warning is emitted outside that regime.
-    """
-    e2 = model.derived.e2
-    if e2 == 0:
-        raise ZeroDivisionError("two-photon resonance energy E2 is zero")
-    omega01 = rabi_coupling(model, 0, omega_l)
-    omega12 = rabi_coupling(model, 1, omega_l)
-    if abs(omega01) > 0.1 * abs(e2) / model.hbar:
-        warnings.warn(
-            "two-photon rate outside its perturbative regime: "
-            f"hbar*Omega01 = {model.hbar * abs(omega01):.3g} J vs E2 = {e2:.3g} J",
-            stacklevel=2,
-        )
-    return omega01 * omega12 / (e2 / (2.0 * model.hbar))
 
 
 @dataclass(frozen=True)

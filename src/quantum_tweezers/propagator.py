@@ -21,11 +21,13 @@ takes no page faults for it.  The arithmetic is the same whichever memory
 holds it, so the results do not depend on the workspace or the block size.
 Step size follows
 
-    h = min(window / 1000,  2 pi / (50 * omega_max))
+    h = min(window / _MIN_STEPS,  2 pi / (_POINTS_PER_PERIOD * omega_max))
 
-with omega_max the largest instantaneous spectral scale of H/hbar sampled
-over the window (plus the drive strength), so fast detuning excursions are
-resolved with ~50 steps per oscillation period.
+with _MIN_STEPS = 1000, _POINTS_PER_PERIOD = 50 and omega_max the largest
+instantaneous spectral scale of H/hbar at _N_PROBE = 257 times across the
+window (plus the drive strength), so fast detuning excursions are resolved
+with ~50 steps per oscillation period.  A schedule that is not finite at
+those times raises IntegrationError.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ __all__ = [
     "Trajectory",
     "propagate",
     "transfer_probability",
-    "phase_convention",
     "trajectory_to_csv",
 ]
 
@@ -57,20 +58,19 @@ _GROUP = 32  # steps per group of the sample scan, rounded down to whole strides
 _THETA = 0.25  # 1-norm below which the Taylor polynomial is used unscaled
 _CSV_ROWS = 1024  # trajectory rows formatted at a time
 _TAYLOR = tuple(1.0 / math.factorial(k) for k in range(13))
+_POINTS_PER_PERIOD = 50  # steps per 2 pi / omega_max oscillation
+_MIN_STEPS = 1000  # lower bound on the step count
+_N_PROBE = 257  # window samples that estimate omega_max
 
 
 @dataclass(frozen=True)
 class StepControl:
-    """Step-selection and output-decimation knobs.
+    """Output decimation and an optional fixed step.
 
-    points_per_period : steps per 2pi/omega_max oscillation (default 50)
-    min_steps         : lower bound on step count (window/1000 rule)
-    sample_cap        : maximum number of stored trajectory samples
-    h_override        : fixed step size in seconds, bypassing the rule
+    sample_cap : maximum number of stored trajectory samples
+    h_override : fixed step size in seconds, bypassing the step rule
     """
 
-    points_per_period: int = 50
-    min_steps: int = 1000
     sample_cap: int = 10_000
     h_override: float | None = None
 
@@ -100,14 +100,13 @@ class Trajectory:
         return self.states[-1]
 
 
-def _spectral_scale(model: LevelModel, schedule: PulseSchedule,
-                    n_probe: int = 257) -> float:
+def _spectral_scale(model: LevelModel, schedule: PulseSchedule) -> float:
     """Largest instantaneous eigenfrequency scale of H/hbar over the window."""
-    ts = np.linspace(schedule.t_start, schedule.t_end, n_probe)
+    ts = np.linspace(schedule.t_start, schedule.t_end, _N_PROBE)
     deltas = np.asarray(schedule.detuning(ts), dtype=float)
     omegas = np.asarray(schedule.rabi(ts), dtype=float)
     if not (np.all(np.isfinite(deltas)) and np.all(np.isfinite(omegas))):
-        raise ValueError("schedule is not finite on its window")
+        raise IntegrationError("schedule is not finite on its window")
     h_stack = hamiltonian_stack(model, deltas, omegas)
     eigs = np.linalg.eigvalsh(h_stack)
     scale = float(np.max(np.abs(eigs))) / model.hbar
@@ -123,10 +122,10 @@ def _choose_step(model: LevelModel, schedule: PulseSchedule,
         n = max(1, math.ceil(window / control.h_override))
         return window / n, n
     omega_max = _spectral_scale(model, schedule)
-    h = window / control.min_steps
+    h = window / _MIN_STEPS
     if omega_max > 0:
-        h = min(h, 2.0 * math.pi / (control.points_per_period * omega_max))
-    n = max(control.min_steps, math.ceil(window / h))
+        h = min(h, 2.0 * math.pi / (_POINTS_PER_PERIOD * omega_max))
+    n = max(_MIN_STEPS, math.ceil(window / h))
     return window / n, n
 
 
@@ -395,32 +394,6 @@ def transfer_probability(trajectory: Trajectory, n: int) -> float:
     if not 0 <= n < trajectory.dim:
         raise ValueError(f"level index {n} outside 0..{trajectory.dim - 1}")
     return float(trajectory.populations[-1, n])
-
-
-def phase_convention(trajectory: Trajectory) -> Trajectory:
-    """Fix the global phase so Re(c_0) >= 0 and Im(c_0) = 0 at every sample.
-
-    Populations are unchanged; samples with c_0 = 0 are left as they are.
-    Idempotent.
-    """
-    states = trajectory.states.copy()
-    c0 = states[:, 0]
-    mag = np.abs(c0)
-    # samples already in the convention are left untouched, which makes the
-    # operation exactly idempotent despite last-ulp rounding in abs/divide
-    rotate = (mag > 0.0) & ((c0.imag != 0.0) | (c0.real < 0.0))
-    phase = np.ones_like(c0)
-    phase[rotate] = np.conj(c0[rotate]) / mag[rotate]
-    states = states * phase[:, None]
-    states[rotate, 0] = mag[rotate]
-    return Trajectory(
-        times=trajectory.times,
-        states=states,
-        populations=trajectory.populations.copy(),
-        n_steps=trajectory.n_steps,
-        step=trajectory.step,
-        norm_drift=trajectory.norm_drift,
-    )
 
 
 def trajectory_to_csv(trajectory: Trajectory) -> str:

@@ -16,7 +16,6 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .constants import HBAR
 from .exceptions import ConfigError, InfeasibleScheduleError
@@ -31,11 +30,9 @@ __all__ = [
     "OffsetSum",
     "PulseSchedule",
     "pulse_area",
-    "build_ramp_schedule",
     "build_scrap_schedule",
     "build_two_atom_scrap_schedule",
     "build_pi_pulse",
-    "crossing_times",
     "envelope_to_dict",
     "envelope_from_dict",
     "schedule_to_dict",
@@ -160,31 +157,6 @@ def pulse_area(envelope: Envelope, t_start: float, t_end: float) -> float:
     return value
 
 
-def build_ramp_schedule(delta_i: float, delta_f: float, rate: float,
-                        omega_l: float) -> PulseSchedule:
-    """Linear detuning sweep from delta_i to delta_f at |rate|, constant drive.
-
-    The signed rate must point from delta_i towards delta_f; the window is
-    exactly the sweep duration |delta_f - delta_i| / |rate|.
-    """
-    if rate == 0:
-        raise ValueError("ramp rate must be non-zero")
-    span = delta_f - delta_i
-    if span == 0:
-        raise ValueError("degenerate ramp: delta_i == delta_f")
-    if span * rate < 0:
-        raise ValueError(
-            f"ramp direction inconsistent: delta_f - delta_i = {span:.3g} "
-            f"but rate = {rate:.3g}")
-    duration = span / rate
-    return PulseSchedule(
-        detuning=LinearRamp(start=delta_i, rate=rate),
-        rabi=Constant(omega_l),
-        t_start=0.0,
-        t_end=duration,
-    )
-
-
 def build_scrap_schedule(omega_hat: float, t_omega: float, delta_hat: float,
                          t_delta: float, tau: float, delta_tau: float,
                          e1: float, delta_offset: float | None = None,
@@ -296,40 +268,6 @@ def build_pi_pulse(model: LevelModel, transition: tuple[int, int] | str,
         t_start=-5.0 * t_omega,
         t_end=5.0 * t_omega,
     )
-
-
-def crossing_times(schedule: PulseSchedule, resonance_energy: float,
-                   hbar: float = HBAR, n_scan: int = 4096) -> list[float]:
-    """All times in the window where the detuning crosses resonance_energy/hbar.
-
-    Sign-scan on a dense grid followed by bisection; roots are refined to
-    1e-12 of the window length and returned ascending.  An empty list means
-    the detuning never reaches the resonance.
-    """
-    target = resonance_energy / hbar
-    ts = np.linspace(schedule.t_start, schedule.t_end, n_scan + 1)
-    values = np.asarray(schedule.detuning(ts), dtype=float) - target
-    roots: list[float] = []
-    xtol = 1e-12 * schedule.duration
-
-    def f(t):
-        return float(schedule.detuning(t)) - target
-
-    for k in range(n_scan):
-        a, b = ts[k], ts[k + 1]
-        fa, fb = values[k], values[k + 1]
-        if fa == 0.0:
-            roots.append(float(a))
-        elif fa * fb < 0.0:
-            roots.append(float(brentq(f, a, b, xtol=xtol)))
-    if values[-1] == 0.0:
-        roots.append(float(ts[-1]))
-    # merge duplicates from roots landing exactly on scan nodes
-    merged: list[float] = []
-    for r in roots:
-        if not merged or abs(r - merged[-1]) > 2.0 * xtol:
-            merged.append(r)
-    return merged
 
 
 # --- JSON (de)serialization -------------------------------------------------

@@ -505,3 +505,46 @@ def test_propagate_reports_norm_drift(tmp_path):
     finals = json.loads((tmp_path / "final.json").read_text())
     assert 0.0 <= finals["norm_drift"] < 1e-12
     assert {"n_steps", "step_s"} <= set(finals)
+
+
+# every field is finite and in range, but the ramp overflows on the window
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_schedule_exits_3(tmp_path, capsys):
+    path = write_config(tmp_path, {"preset": "fig3a", "protocol": {
+        "type": "schedule", "schedule": {
+            "detuning": {"type": "linear_ramp", "start": 0.0, "rate": 1e300,
+                         "t_ref": -1e10},
+            "rabi": _RABI, "window": [0.0, 1e-4]}}})
+    assert main(["propagate", "--config", path, "--out", str(tmp_path)]) == 3
+    assert "not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section, name", [
+    ("sweep", {"sweep": {"protocol": "pi_pulse",
+                         "axes": [_axis("transition", 0.0, 1.0)]}}, "transition"),
+    ("sweep", {"sweep": {"protocol": "pi_pulse",
+                         "fixed": {"omega_hat_rad_s": "abc"},
+                         "axes": [_axis("t_omega_s", 1.5e-3, 2e-3)]}},
+     "omega_hat_rad_s"),
+    ("optimize", {"optimize": {"protocol": "pi_pulse", "budget": 10,
+                               "bounds": {"transition": [0.0, 1.0]}}}, "transition"),
+    ("optimize", {"optimize": {"protocol": "pi_pulse", "budget": 10,
+                               "bounds": {"t_omega_s": [1e-3, 2e-3]},
+                               "fixed": {"omega_hat_rad_s": [1, 2]}}},
+     "omega_hat_rad_s"),
+    ("sweep", {"sweep": {"protocol": "sequential_pi",
+                         "fixed": {"omit_second": "yes"},
+                         "axes": [_axis("t_omega_s", 2e-3, 3e-3)]}}, "omit_second"),
+    ("sweep", {"sweep": {"protocol": "pi_pulse",
+                         "fixed": {"omega_hat_rad_s": True},
+                         "axes": [_axis("t_omega_s", 1.5e-3, 2e-3)]}},
+     "omega_hat_rad_s"),
+], ids=["transition_axis", "string_fixed", "transition_bound", "list_fixed",
+        "string_for_bool", "bool_for_number"])
+def test_typed_parameters_exit_2(tmp_path, capsys, command, section, name):
+    # the first three ended in a TypeError traceback, the last three ran to
+    # exit 0 on values the protocol does not take
+    path = write_config(tmp_path, {"preset": "fig3a", **section})
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(name) in err

@@ -14,7 +14,9 @@ from quantum_tweezers import (
     scrap_contour,
     sequential_pi,
 )
+from quantum_tweezers.exceptions import ConfigError
 from quantum_tweezers.experiments import (
+    PROTOCOLS,
     AxisSpec,
     SweepSpec,
     evaluate_point,
@@ -213,6 +215,23 @@ class TestSpecValidation:
     def test_arbitrary_spacing_rejected(self, fig3a):
         with pytest.raises(ValueError, match="spaced"):
             ramp_rate_sweep(fig3a, np.array([1e6, 2e6, 7e6]))
+
+    def test_parameter_types_follow_defaults(self):
+        # null where the default is null, a transition, a bool and numpy numbers
+        PROTOCOLS["pi_pulse"].check_run(
+            ["t_omega_s"], {"omega_hat_rad_s": None, "transition": "1-2"})
+        PROTOCOLS["pi_pulse"].check_run([], {"omega_hat_rad_s": np.float64(2e3)})
+        PROTOCOLS["sequential_pi"].check_run([], {"omit_second": True,
+                                                  "t_omega_s": 2e-3})
+        PROTOCOLS["ramp"].check_run(["omega_l_rad_s"], {"ramp_rate_rad_s2": 1e6})
+        for protocol, varied, fixed in [
+                ("pi_pulse", [], {"transition": "0-2"}),
+                ("pi_pulse", [], {"t_omega_s": None}),
+                ("sequential_pi", [], {"omit_second": 1}),
+                ("sequential_pi", ["omit_second"], {}),
+                ("ramp", ["omega_l_rad_s"], {"ramp_rate_rad_s2": None})]:
+            with pytest.raises(ConfigError):
+                PROTOCOLS[protocol].check_run(varied, fixed)
 
 
 class TestRegionExtraction:

@@ -22,7 +22,6 @@ from quantum_tweezers import (
     build_scrap_schedule,
     derive_all,
     get_preset,
-    phase_convention,
     propagate,
     trajectory_to_csv,
     transfer_probability,
@@ -167,34 +166,6 @@ class TestTransferProbability:
         traj = propagate(fig3a_model, _resonant_schedule(fig3a_model, 8e3, 3e-3))
         for n in range(3):
             assert 0.0 <= transfer_probability(traj, n) <= 1.0
-
-
-class TestPhaseConvention:
-    def test_population_preserving(self, two_level):
-        traj = propagate(two_level, _resonant_schedule(two_level, 4e3, 2e-3))
-        fixed = phase_convention(traj)
-        np.testing.assert_array_equal(fixed.populations, traj.populations)
-
-    def test_idempotent(self, two_level):
-        traj = propagate(two_level, _resonant_schedule(two_level, 4e3, 2e-3))
-        once = phase_convention(traj)
-        twice = phase_convention(once)
-        np.testing.assert_array_equal(once.states, twice.states)
-
-    def test_reference_amplitude_real_nonnegative(self, two_level):
-        traj = propagate(two_level, _resonant_schedule(two_level, 4e3, 2e-3))
-        fixed = phase_convention(traj)
-        keep = np.abs(fixed.states[:, 0]) > 0
-        assert np.all(fixed.states[keep, 0].real >= 0)
-        assert np.max(np.abs(fixed.states[keep, 0].imag)) < 1e-9
-
-    def test_rabi_populations_unchanged(self, two_level):
-        omega_l = 4e3
-        coupling = rabi_coupling(two_level, 0, omega_l)
-        traj = phase_convention(propagate(
-            two_level, _resonant_schedule(two_level, omega_l, 2e-3)))
-        expected = np.sin(coupling * traj.times / 2) ** 2
-        assert np.max(np.abs(traj.populations[:, 1] - expected)) < 1e-7
 
 
 class TestInputValidation:

@@ -1,9 +1,10 @@
-"""Envelope primitives, schedule builders and crossing finding."""
+"""Envelope primitives, schedule builders and serialization."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from quantum_tweezers import (
     HBAR,
@@ -15,10 +16,8 @@ from quantum_tweezers import (
     PulseSchedule,
     TanhPlateau,
     build_pi_pulse,
-    build_ramp_schedule,
     build_scrap_schedule,
     build_two_atom_scrap_schedule,
-    crossing_times,
     pulse_area,
     schedule_from_dict,
     schedule_to_dict,
@@ -107,26 +106,11 @@ class TestPulseArea:
             pulse_area(Bad(1.0), 0.0, 1.0)
 
 
-class TestRampSchedule:
-    def test_duration(self):
-        sched = build_ramp_schedule(1e4, 5e4, 2e6, 4e3)
-        assert sched.duration == pytest.approx(4e4 / 2e6, rel=1e-12)
-
-    def test_crossing_setup_below_first_resonance(self, fig3a_model):
-        res = resonance_detunings(fig3a_model)
-        sched = build_ramp_schedule(res.d01 - 1e4, res.d01 + 3e3, 1e6, 4e3)
-        roots = crossing_times(sched, fig3a_model.derived.e1)
-        assert len(roots) == 1
-        assert sched.detuning(sched.t_start) < res.d01
-        assert res.d01 < sched.detuning(sched.t_end) < res.d02
-
-    def test_rejects_degenerate_and_inconsistent(self):
-        with pytest.raises(ValueError):
-            build_ramp_schedule(1e4, 1e4, 1e6, 4e3)
-        with pytest.raises(ValueError):
-            build_ramp_schedule(1e4, 5e4, -1e6, 4e3)
-        with pytest.raises(ValueError):
-            build_ramp_schedule(1e4, 5e4, 0.0, 4e3)
+def _crossings(schedule, energy, brackets):
+    """The time in each (a, b) bracket where the detuning crosses energy/hbar."""
+    target = energy / HBAR
+    return [brentq(lambda t: schedule.detuning(t) - target, a, b,
+                   xtol=1e-12 * schedule.duration) for a, b in brackets]
 
 
 class TestScrapSchedule:
@@ -134,9 +118,11 @@ class TestScrapSchedule:
         e1 = fig3a_model.derived.e1
         tau = 1.25e-3
         sched = build_scrap_schedule(1.5e4, 1e-3, 2e4, 2e-3, tau, 0.0, e1)
-        roots = crossing_times(sched, e1)
-        assert len(roots) == 2
-        t1, t2 = roots
+        # below resonance at both window ends, above it at the pulse peak:
+        # the Gaussian bump crosses it once on each side
+        below = sched.detuning(np.array([sched.t_start, sched.t_end]))
+        assert np.all(below < e1 / HBAR) and sched.detuning(tau) > e1 / HBAR
+        t1, t2 = _crossings(sched, e1, [(sched.t_start, tau), (tau, sched.t_end)])
         # equidistant from the detuning-pulse centre at t = tau
         assert (tau - t1) == pytest.approx(t2 - tau, rel=1e-9)
 
@@ -144,9 +130,10 @@ class TestScrapSchedule:
         e1 = fig3a_model.derived.e1
         tau = 1.25e-3
         sched = build_scrap_schedule(1.5e4, 1e-3, 2e4, 2e-3, tau, 0.0, e1)
-        t1, t2 = crossing_times(sched, e1)
-        assert abs(t1 - 0.0) < 1e-9 * tau
-        assert abs(t2 - 2 * tau) < 1e-9 * tau
+        # the resonance is met at t1 = 0 and t2 = 2 tau, and exceeded between
+        assert sched.detuning(0.0) == pytest.approx(e1 / HBAR, rel=1e-12)
+        assert sched.detuning(2 * tau) == pytest.approx(e1 / HBAR, rel=1e-12)
+        assert sched.detuning(tau) > e1 / HBAR
 
     def test_pump_centred_on_first_crossing(self, fig3a_model):
         e1 = fig3a_model.derived.e1
@@ -157,8 +144,9 @@ class TestScrapSchedule:
         e1 = fig3a_model.derived.e1
         tau = 1.25e-3
         sched = build_scrap_schedule(1.5e4, 1e-3, 2e4, 2e-3, tau, -2 * tau, e1)
-        t1, t2 = crossing_times(sched, e1)
-        assert sched.rabi.center == pytest.approx(t2, rel=1e-9)
+        assert sched.rabi.center == pytest.approx(2 * tau, rel=1e-9)
+        assert sched.detuning(sched.rabi.center) == pytest.approx(e1 / HBAR, rel=1e-12)
+        assert sched.detuning(0.5 * (tau + sched.t_end)) < e1 / HBAR
 
     def test_infeasible_offset(self, fig3a_model):
         e1 = fig3a_model.derived.e1
@@ -169,11 +157,17 @@ class TestScrapSchedule:
 
     def test_explicit_feasible_offset(self, fig3a_model):
         e1 = fig3a_model.derived.e1
+        tau = 1.25e-3
         offset = e1 / HBAR - 1.0e4
-        sched = build_scrap_schedule(1.5e4, 1e-3, 2e4, 2e-3, 1.25e-3, 0.0, e1,
+        sched = build_scrap_schedule(1.5e4, 1e-3, 2e4, 2e-3, tau, 0.0, e1,
                                      delta_offset=offset)
-        roots = crossing_times(sched, e1)
-        assert len(roots) == 2
+        # the crossings move inwards, to t1 = tau - T_d sqrt(ln 2), and the
+        # pump follows the first one
+        half = 2e-3 * math.sqrt(math.log(2.0))
+        t1, t2 = _crossings(sched, e1, [(sched.t_start, tau), (tau, sched.t_end)])
+        assert t1 == pytest.approx(tau - half, rel=1e-9)
+        assert t2 == pytest.approx(tau + half, rel=1e-9)
+        assert sched.rabi.center == pytest.approx(t1, rel=1e-9)
 
 
 class TestTwoAtomScrapSchedule:
@@ -181,19 +175,26 @@ class TestTwoAtomScrapSchedule:
         d = fig3a_model.derived
         sched = build_two_atom_scrap_schedule(1.5e4, 1e-3, 4.6e4, 2e-3, 2.0e4,
                                               d.e1, d.e2 - d.e1)
-        first = crossing_times(sched, d.e1)
-        second = crossing_times(sched, d.e2 - d.e1)
-        assert len(first) == 2 and len(second) == 2
+        peak = sched.detuning.inner.center
+        ends = sched.detuning(np.array([sched.t_start, sched.t_end]))
+        assert np.all(ends < d.e1 / HBAR)
+        assert d.e1 < d.e2 - d.e1 < HBAR * sched.detuning(peak)
+        brackets = [(sched.t_start, peak), (peak, sched.t_end)]
+        first = _crossings(sched, d.e1, brackets)
+        second = _crossings(sched, d.e2 - d.e1, brackets)
         # rising order: 0->1 resonance first, then 1->2
         assert first[0] < second[0] < second[1] < first[1]
         assert first[0] == pytest.approx(0.0, abs=1e-9)
+        assert sched.detuning(0.0) == pytest.approx(d.e1 / HBAR, rel=1e-12)
 
     def test_pump_is_flat_top(self, fig3a_model):
         d = fig3a_model.derived
         sched = build_two_atom_scrap_schedule(1.5e4, 1e-3, 4.6e4, 2e-3, 2.0e4,
                                               d.e1, d.e2 - d.e1)
         assert isinstance(sched.rabi, TanhPlateau)
-        t_12 = crossing_times(sched, d.e2 - d.e1)
+        peak = sched.detuning.inner.center
+        t_12 = _crossings(sched, d.e2 - d.e1,
+                          [(sched.t_start, peak), (peak, sched.t_end)])
         # on across both rising crossings, off by the falling 1->2 crossing
         assert sched.rabi(0.0) > 0.99 * 1.5e4
         assert sched.rabi(t_12[0]) > 0.99 * 1.5e4
@@ -229,22 +230,6 @@ class TestPiPulse:
     def test_rejects_bad_transition(self, fig3a_model):
         with pytest.raises(ValueError):
             build_pi_pulse(fig3a_model, (0, 2), 1e-3)
-
-
-class TestCrossingTimes:
-    def test_linear_ramp_analytic_root(self, fig3a_model):
-        e1 = fig3a_model.derived.e1
-        d01 = e1 / HBAR
-        sched = build_ramp_schedule(d01 - 2e4, d01 + 1e4, 1e6, 4e3)
-        roots = crossing_times(sched, e1)
-        assert len(roots) == 1
-        assert roots[0] == pytest.approx(2e4 / 1e6, rel=1e-9)
-
-    def test_no_crossing(self, fig3a_model):
-        e1 = fig3a_model.derived.e1
-        d01 = e1 / HBAR
-        sched = build_ramp_schedule(d01 - 5e4, d01 - 1e4, 1e6, 4e3)
-        assert crossing_times(sched, e1) == []
 
 
 class TestSerialization:
