@@ -14,7 +14,8 @@ import json
 import math
 import re
 
-import jsonschema
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .exceptions import ConfigError
 from .experiments import PROTOCOLS, TRANSITIONS
@@ -186,12 +187,16 @@ def _parse_freq_or_vec(value, convention: str):
     return parse_frequency(value, convention)
 
 
+# the class jsonschema.validate picks, built once: the schema is a constant,
+# so the metaschema check validate repeats per call is a test instead
+_VALIDATOR = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
 def validate_config(config: dict) -> dict:
     """Schema-validate a raw config dict; unknown keys are rejected."""
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"invalid config: {exc.message}") from exc
+    error = best_match(_VALIDATOR.iter_errors(config))
+    if error is not None:
+        raise ConfigError(f"invalid config: {error.message}") from error
     return config
 
 

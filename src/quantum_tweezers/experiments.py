@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from numbers import Real
 from operator import attrgetter
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .analytics import (
     ScrapPulseParams,
@@ -581,7 +579,7 @@ def sequential_pi(preset: Preset, t_omegas=None, omit_second: bool = False,
 def run_sweep(spec: SweepSpec, preset: Preset, threads: int = 1) -> SweepResult:
     """Evaluate a SweepSpec over its grid and add the region metadata.
 
-    A ramp sweep records the intervals of its first axis with P > 0.99;
+    A 1-D ramp sweep records the intervals of its axis with P > 0.99;
     a 2-D sweep records the 0.99 and 0.80 contours and the P > 0.99 area.
     """
     PROTOCOLS[spec.protocol].check_run([axis.name for axis in spec.axes],
@@ -594,6 +592,8 @@ def run_sweep(spec: SweepSpec, preset: Preset, threads: int = 1) -> SweepResult:
             point[axis.name] = float(axis_values[d][idx[d]])
         tasks.append((preset, spec.protocol, point, spec.target))
     if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_evaluate_task, tasks,
                                     chunksize=max(1, len(tasks) // (threads * 8))))
@@ -624,7 +624,7 @@ def run_sweep(spec: SweepSpec, preset: Preset, threads: int = 1) -> SweepResult:
         extras={k: v.reshape(shape) for k, v in extras.items()},
         failures=tuple(failures),
     )
-    if spec.protocol == "ramp":
+    if spec.protocol == "ramp" and result.p.ndim == 1:
         result.metadata["intervals_p_gt_0.99"] = contiguous_intervals(
             result.axis_values[0], result.p, 0.99)
     if result.p.ndim == 2:
@@ -740,6 +740,10 @@ def optimize_pulse(protocol, bounds: dict[str, tuple[float, float]],
     out before the simplex collapses, the best point found so far is
     returned with converged=False.
     """
+    # imported here, not at module level: scipy.optimize would be most of
+    # the package's import time, and nothing else needs it
+    from scipy.optimize import minimize
+
     if budget < 10:
         raise ValueError("optimization budget must be at least 10 evaluations")
     names = sorted(bounds)

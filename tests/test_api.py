@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,3 +38,26 @@ def test_package_exports_are_public_in_their_home_module():
         stale += [f"{node.module}.{alias.name}" for alias in node.names
                   if alias.name not in _public(module)]
     assert stale == []
+
+
+# run in a fresh interpreter, so no other test has imported these yet
+_LAZY_IMPORTS = """
+import sys
+import quantum_tweezers
+import quantum_tweezers.cli
+loaded = [name for name in ("scipy.optimize", "scipy.integrate",
+                            "concurrent.futures.process") if name in sys.modules]
+assert loaded == [], loaded
+from quantum_tweezers import Constant, optimize_pulse, pulse_area
+assert pulse_area(Constant(3.0), 0.0, 2.0) == 6.0
+result = optimize_pulse(lambda params: -(params["x"] - 0.3) ** 2, {"x": (0.0, 1.0)}, 10)
+assert result.n_evaluations == 10, result
+"""
+
+
+def test_importing_the_package_leaves_optimizer_integrator_and_pool_unloaded():
+    src = Path(quantum_tweezers.__file__).parents[1]
+    run = subprocess.run([sys.executable, "-c", _LAZY_IMPORTS],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

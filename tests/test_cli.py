@@ -8,9 +8,15 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from jsonschema.validators import validator_for
 
 from quantum_tweezers.cli import main
-from quantum_tweezers.config import ConfigError, parse_frequency, validate_config
+from quantum_tweezers.config import (
+    CONFIG_SCHEMA,
+    ConfigError,
+    parse_frequency,
+    validate_config,
+)
 from quantum_tweezers.experiments import PROTOCOLS
 
 
@@ -54,6 +60,10 @@ class TestConfigValidation:
 
     def test_empty_config_ok(self):
         assert validate_config({}) == {}
+
+    def test_schema_is_valid_against_its_metaschema(self):
+        # validate_config builds its validator once and skips this check
+        validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
 
 
 class TestParamsCommand:
@@ -452,9 +462,6 @@ def random_schedule_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("random_schedule")
 
 
-# a width near 1e-300 s overflows the Gaussian's exponent to inf, and exp
-# then gives the exact 0
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(detuning=_random_envelope(), rabi=_random_envelope(), window=_WINDOW)
 def test_random_schedule_exit_codes(random_schedule_dir, detuning, rabi, window):
@@ -468,6 +475,19 @@ def test_random_schedule_exit_codes(random_schedule_dir, detuning, rabi, window)
             contextlib.redirect_stderr(io.StringIO()):
         code = main(["propagate", "--config", path, "--out", str(random_schedule_dir)])
     assert code == 2 if _invalid(schedule) else code in (0, 3)
+
+
+def test_two_axis_ramp_sweep_has_contours_not_intervals(tmp_path):
+    # the P > 0.99 intervals belong to a 1-D sweep; on a 2-D grid they used
+    # to index the first axis with the flattened grid (an IndexError)
+    path = write_config(tmp_path, {"preset": "fig3a", "sweep": {
+        "protocol": "ramp", "axes": [
+            {"name": "ramp_rate_rad_s2", "min": 1e6, "max": 4e6, "points": 4},
+            {"name": "omega_l_rad_s", "min": 3e3, "max": 5e3, "points": 3}]}})
+    assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "sweep_meta.json").read_text())
+    assert "intervals_p_gt_0.99" not in meta
+    assert meta["contours"]["0.99"] and "area_fraction_p_gt_0.99" in meta
 
 
 def test_nested_schedule_propagates(tmp_path):

@@ -38,6 +38,16 @@ class TestEnvelopes:
         assert env(1.0) == 2.0
         assert env(1.5) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-14)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("width", [1e-300, 5e-324])
+    def test_gaussian_of_tiny_width_is_exact_zero_off_centre(self, width):
+        # the exponent overflows to inf off the centre (in the division too
+        # at 5e-324); exp(-inf) is the exact 0, and no warning is raised
+        env = Gaussian(peak=2.0, center=1e-4, width=width)
+        np.testing.assert_array_equal(env(np.array([0.0, 1e-4, 2e-4])),
+                                      [0.0, 2.0, 0.0])
+        assert env(0.0) == 0.0
+
     def test_tanh_plateau_mid_value(self):
         # flat-top form: mid-plateau sits within e^-4 of the peak
         env = TanhPlateau(peak=3.0, start_time=0.0, plateau_width=1.0,
