@@ -37,6 +37,8 @@ __all__ = [
 
 STRONG_MARGIN = 10.0
 WEAK_MARGIN = 3.0
+# the transfer probability validity_check's ramp-rate and time limits reach
+THRESHOLD_PROBABILITY = 0.99
 
 
 @dataclass(frozen=True)
@@ -241,16 +243,15 @@ class AdiabaticityReport:
 
 
 def validity_check(model: LevelModel, omega_l: float,
-                   scrap: ScrapPulseParams | None = None,
-                   p0: float = 0.99) -> AdiabaticityReport:
+                   scrap: ScrapPulseParams | None = None) -> AdiabaticityReport:
     """Evaluate every analytic validity condition for a drive strength.
 
     Always reports the two-level margin (coupling far below the two-atom
     interaction shift) and the single-particle margin (coupling far below
     the trap frequency), plus the ramp-rate and transfer-time limits at
-    threshold p0.  With Stark-chirp pulse parameters it also reports the
-    chirp adiabaticity margin, the pump-width margin and the diabaticity
-    of the second crossing.
+    THRESHOLD_PROBABILITY.  With Stark-chirp pulse parameters it also
+    reports the chirp adiabaticity margin, the pump-width margin and the
+    diabaticity of the second crossing.
     """
     hbar = model.hbar
     omega01 = abs(rabi_coupling(model, 0, omega_l))
@@ -269,9 +270,9 @@ def validity_check(model: LevelModel, omega_l: float,
         "two_level_flag": flags["two_level"],
         "single_particle_margin": single,
         "single_particle_flag": flags["single_particle"],
-        "ramp_rate_limit": ramp_rate_bound(delta_e2, p0, hbar),
-        "tau_min": min_transfer_time(delta_e2, p0, hbar),
-        "threshold_probability": p0,
+        "ramp_rate_limit": ramp_rate_bound(delta_e2, THRESHOLD_PROBABILITY, hbar),
+        "tau_min": min_transfer_time(delta_e2, THRESHOLD_PROBABILITY, hbar),
+        "threshold_probability": THRESHOLD_PROBABILITY,
     }
     if scrap is not None:
         omega_eff = abs(rabi_coupling(model, 0, scrap.omega_hat))

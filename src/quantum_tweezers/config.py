@@ -13,13 +13,14 @@ from __future__ import annotations
 import json
 import math
 import re
+from dataclasses import replace
 
 from jsonschema.exceptions import best_match
 from jsonschema.validators import validator_for
 
 from .exceptions import ConfigError
 from .experiments import PROTOCOLS, TRANSITIONS
-from .params import PhysicalSystem
+from .params import derive_all
 from .presets import Preset, get_preset
 from .pulses import _ENVELOPE_CLASSES
 
@@ -162,22 +163,26 @@ def parse_frequency(value, convention: str = "angular_khz") -> float:
     Numbers pass through unchanged (already rad/s).  Strings carry a unit:
     under "angular_khz" a bare "X kHz" is X*1e3 rad/s; under "two_pi_khz"
     it is 2*pi*X*1e3 rad/s.  A "2pi*" prefix always multiplies by 2*pi.
+    A result that is not finite raises ConfigError.
     """
     if isinstance(value, (int, float)):
-        return float(value)
-    match = _FREQ_RE.match(str(value))
-    if not match:
-        raise ConfigError(f"cannot parse frequency {value!r}")
-    try:
-        number = float(match.group("value"))
-    except ValueError:
-        raise ConfigError(f"cannot parse frequency {value!r}") from None
-    unit = match.group("unit")
-    result = number * _UNIT_FACTORS[unit]
-    if match.group("twopi"):
-        result *= 2.0 * math.pi
-    elif unit in ("Hz", "kHz", "MHz") and convention == "two_pi_khz":
-        result *= 2.0 * math.pi
+        result = float(value)
+    else:
+        match = _FREQ_RE.match(str(value))
+        if not match:
+            raise ConfigError(f"cannot parse frequency {value!r}")
+        try:
+            number = float(match.group("value"))
+        except ValueError:
+            raise ConfigError(f"cannot parse frequency {value!r}") from None
+        unit = match.group("unit")
+        result = number * _UNIT_FACTORS[unit]
+        if match.group("twopi"):
+            result *= 2.0 * math.pi
+        elif unit in ("Hz", "kHz", "MHz") and convention == "two_pi_khz":
+            result *= 2.0 * math.pi
+    if not math.isfinite(result):
+        raise ConfigError(f"frequency {value!r} is not finite")
     return result
 
 
@@ -213,14 +218,21 @@ def load_config(path: str) -> dict:
     return validate_config(config)
 
 
+# each "system" config key and the PhysicalSystem field it sets
+_SYSTEM_FIELDS = {"atom_mass_kg": "atom_mass", "nu_a": "nu_a", "nu_b": "nu_b",
+                  "atom_number": "atom_number", "peak_density_m3": "peak_density",
+                  "a_aa_m": "a_aa", "a_bb_m": "a_bb", "a_ab_m": "a_ab",
+                  "mu_override_J": "mu_override"}
+
+
 def resolve_preset(config: dict, preset_name: str | None = None) -> Preset:
     """Build the working Preset from a validated config and CLI override.
 
     Precedence: CLI --preset, then config "preset", then fig3a.  System
-    fields and omega_l in the config override the preset values.
+    fields and omega_l in the config override the preset values.  A system
+    the model rejects, one whose derived parameters are not finite
+    included, raises ConfigError.
     """
-    from dataclasses import replace
-
     name = preset_name or config.get("preset", "fig3a")
     try:
         preset = get_preset(name)
@@ -229,21 +241,15 @@ def resolve_preset(config: dict, preset_name: str | None = None) -> Preset:
     convention = config.get("frequency_units", "angular_khz")
     system_cfg = config.get("system")
     if system_cfg:
-        base = preset.system
-        kwargs = {
-            "atom_mass": system_cfg.get("atom_mass_kg", base.atom_mass),
-            "nu_a": (_parse_freq_or_vec(system_cfg["nu_a"], convention)
-                     if "nu_a" in system_cfg else base.nu_a),
-            "nu_b": (_parse_freq_or_vec(system_cfg["nu_b"], convention)
-                     if "nu_b" in system_cfg else base.nu_b),
-            "atom_number": system_cfg.get("atom_number", base.atom_number),
-            "peak_density": system_cfg.get("peak_density_m3", base.peak_density),
-            "a_aa": system_cfg.get("a_aa_m", base.a_aa),
-            "a_bb": system_cfg.get("a_bb_m", base.a_bb),
-            "a_ab": system_cfg.get("a_ab_m", base.a_ab),
-            "mu_override": system_cfg.get("mu_override_J", base.mu_override),
-        }
-        preset = replace(preset, system=PhysicalSystem(**kwargs))
+        changes = {_SYSTEM_FIELDS[key]: (_parse_freq_or_vec(value, convention)
+                                         if key in ("nu_a", "nu_b") else value)
+                   for key, value in system_cfg.items()}
+        try:
+            system = replace(preset.system, **changes)
+            derive_all(system)
+        except (ValueError, ArithmeticError) as exc:
+            raise ConfigError(f"system: {exc}") from exc
+        preset = replace(preset, system=system)
     if "omega_l" in config:
         preset = replace(preset,
                          omega_l=parse_frequency(config["omega_l"], convention))

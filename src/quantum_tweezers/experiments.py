@@ -184,16 +184,16 @@ def _csv_float(value: float) -> str:
 # --- protocol schedule assembly ---------------------------------------------
 
 def gated_ramp_schedule(model: LevelModel, omega_l: float, rate: float,
-                        target: int = 1,
-                        geometry: RampGeometry | None = None) -> PulseSchedule:
+                        target: int = 1, *,
+                        geometry: RampGeometry) -> PulseSchedule:
     """Linear detuning sweep with a flat-top drive gate.
 
     The detuning sweeps up through the 0->1 crossing (and for target 2 the
     1->2 crossing as well) at |rate|; the drive switches on before the
     first crossing and off after the last one, so the final populations are
-    measured in the bare basis with the drive dark.
+    measured in the bare basis with the drive dark.  geometry, a preset's
+    ramp, sets where the sweep starts and ends and how the gate is shaped.
     """
-    geom = geometry or RampGeometry()
     if rate == 0:
         raise ValueError("ramp rate must be non-zero")
     rate = abs(rate)
@@ -205,13 +205,13 @@ def gated_ramp_schedule(model: LevelModel, omega_l: float, rate: float,
         raise InfeasibleScheduleError(
             "no level anharmonicity: crossings are degenerate, the sweep "
             "cannot select an atom number")
-    delta_i = res.d01 - geom.start_depth_frac * q
+    delta_i = res.d01 - geometry.start_depth_frac * q
     if target == 1:
-        delta_f = res.d01 + geom.end_above_frac_1 * q
+        delta_f = res.d01 + geometry.end_above_frac_1 * q
         last_crossing = res.d01
         coupling = abs(rabi_coupling(model, 0, omega_l))
     else:
-        delta_f = res.d12 + geom.end_above_frac_2 * q
+        delta_f = res.d12 + geometry.end_above_frac_2 * q
         last_crossing = res.d12
         coupling = abs(rabi_coupling(model, 1, omega_l))
     duration = (delta_f - delta_i) / rate
@@ -221,11 +221,11 @@ def gated_ramp_schedule(model: LevelModel, omega_l: float, rate: float,
     # hold the plateau through the crossing's jump region, then switch off
     # over a tanh edge slow compared to the dressed gap opened by the sweep
     span_after = delta_f - last_crossing
-    off_frac = geom.jump_coeff * coupling / span_after if span_after > 0 else 1.0
-    off_frac = min(max(off_frac, geom.min_off_frac), geom.max_off_frac)
-    gate_start = geom.gate_start_frac * t_first
+    off_frac = geometry.jump_coeff * coupling / span_after if span_after > 0 else 1.0
+    off_frac = min(max(off_frac, geometry.min_off_frac), geometry.max_off_frac)
+    gate_start = geometry.gate_start_frac * t_first
     gate_end = t_last + off_frac * tail
-    ramp_time = (1.0 - off_frac) * tail / geom.edge_divisor
+    ramp_time = (1.0 - off_frac) * tail / geometry.edge_divisor
     rabi = TanhPlateau(peak=omega_l, start_time=gate_start,
                        plateau_width=gate_end - gate_start,
                        ramp_time=ramp_time)
@@ -641,20 +641,14 @@ def run_sweep(spec: SweepSpec, preset: Preset, threads: int = 1) -> SweepResult:
 
 def contiguous_intervals(axis: np.ndarray, p: np.ndarray,
                          threshold: float) -> list[tuple[float, float]]:
-    """Axis-value intervals over which p exceeds the threshold (grid runs)."""
+    """Grid runs of axis values over which p exceeds the threshold (NaN does not)."""
     mask = np.asarray(p).reshape(-1) > threshold
-    intervals = []
-    start = None
+    # +1 where a run starts, -1 one past where it ends
+    edges = np.diff(np.concatenate(([0], mask.astype(np.int8), [0])))
     values = np.asarray(axis, dtype=float)
-    for i, hit in enumerate(mask):
-        if hit and start is None:
-            start = i
-        elif not hit and start is not None:
-            intervals.append((float(values[start]), float(values[i - 1])))
-            start = None
-    if start is not None:
-        intervals.append((float(values[start]), float(values[-1])))
-    return intervals
+    return [(float(values[start]), float(values[end - 1]))
+            for start, end in zip(np.flatnonzero(edges == 1),
+                                  np.flatnonzero(edges == -1))]
 
 
 def region_area_fraction(p: np.ndarray, threshold: float) -> float:
@@ -738,23 +732,24 @@ def optimize_pulse(protocol, bounds: dict[str, tuple[float, float]],
     leaves it.  The search is deterministic for fixed inputs and seed, and
     the best-so-far history is monotone non-decreasing.  If the budget runs
     out before the simplex collapses, the best point found so far is
-    returned with converged=False.
+    returned with converged=False.  A budget under 10, no bounds, or a bound
+    that is not finite or not low < high raises ConfigError.
     """
     # imported here, not at module level: scipy.optimize would be most of
     # the package's import time, and nothing else needs it
     from scipy.optimize import minimize
 
     if budget < 10:
-        raise ValueError("optimization budget must be at least 10 evaluations")
+        raise ConfigError("optimization budget must be at least 10 evaluations")
     names = sorted(bounds)
     if not names:
-        raise ValueError("no parameters to optimize")
+        raise ConfigError("no parameters to optimize")
     lows = np.array([float(bounds[k][0]) for k in names])
     highs = np.array([float(bounds[k][1]) for k in names])
     if not np.all(np.isfinite(lows)) or not np.all(np.isfinite(highs)):
-        raise ValueError("bounds must be finite")
+        raise ConfigError("bounds must be finite")
     if not np.all(highs > lows):
-        raise ValueError("each bound must satisfy low < high")
+        raise ConfigError("each bound must satisfy low < high")
 
     if callable(protocol):
         evaluate_params = protocol

@@ -140,7 +140,7 @@ def chemical_potential(system: PhysicalSystem, units: UnitSystem = SI) -> float:
     return g_bb * system.peak_density
 
 
-def collision_shift(g_aa: float, osc_lengths, units: UnitSystem = SI) -> float:
+def collision_shift(g_aa: float, osc_lengths) -> float:
     """Two-atom collisional shift in the steep-trap ground state (J).
 
     For the Gaussian ground state the density-overlap integral evaluates in
@@ -152,8 +152,7 @@ def collision_shift(g_aa: float, osc_lengths, units: UnitSystem = SI) -> float:
     return g_aa / ((2.0 * math.pi) ** 1.5 * ax * ay * az)
 
 
-def overlap_factor(osc_lengths, peak_density: float,
-                   units: UnitSystem = SI) -> float:
+def overlap_factor(osc_lengths, peak_density: float) -> float:
     """Dimensionless wavefunction-overlap factor kappa.
 
     kappa = sqrt(n_b) * integral of the steep-trap Gaussian ground state,
@@ -243,9 +242,9 @@ def derive_all(system: PhysicalSystem, units: UnitSystem = SI) -> DerivedParams:
     g_bb = coupling_constant(system.atom_mass, system.a_bb, units)
     g_ab = coupling_constant(system.atom_mass, system.a_ab, units)
     mu = chemical_potential(system, units)
-    de_coll = collision_shift(g_aa, osc, units)
+    de_coll = collision_shift(g_aa, osc)
     e_sc1 = scattering_shift(g_ab, 1, system.peak_density)
-    kappa = overlap_factor(osc, system.peak_density, units)
+    kappa = overlap_factor(osc, system.peak_density)
     half_trap = 0.5 * hbar * sum(system.nu_a)
     e1 = half_trap + e_sc1 - mu
     e2 = 2.0 * half_trap + de_coll + 2.0 * e_sc1 - 2.0 * mu

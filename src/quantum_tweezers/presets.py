@@ -78,11 +78,11 @@ class ScrapPreset:
     tau_factor: float = 1.25      # tau = factor * t_omega
     delta_hat: float = 2.0e4      # detuning-pulse amplitude (rad/s)
 
-    def t_delta(self, t_omega: float | None = None) -> float:
-        return self.t_delta_factor * (self.t_omega if t_omega is None else t_omega)
+    def t_delta(self, t_omega: float) -> float:
+        return self.t_delta_factor * t_omega
 
-    def tau(self, t_omega: float | None = None) -> float:
-        return self.tau_factor * (self.t_omega if t_omega is None else t_omega)
+    def tau(self, t_omega: float) -> float:
+        return self.tau_factor * t_omega
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,8 @@ class TwoAtomScrapPreset:
     baseline_depth: float = 2.0e4  # rad/s below the 0->1 resonance
     ramp_time_factor: float = 0.2  # tanh edge time / t_omega
 
-    def t_delta(self, t_omega: float | None = None) -> float:
-        return self.t_delta_factor * (self.t_omega if t_omega is None else t_omega)
+    def t_delta(self, t_omega: float) -> float:
+        return self.t_delta_factor * t_omega
 
 
 @dataclass(frozen=True)

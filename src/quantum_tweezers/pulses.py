@@ -175,34 +175,23 @@ def pulse_area(envelope: Envelope, t_start: float, t_end: float) -> float:
 
 def build_scrap_schedule(omega_hat: float, t_omega: float, delta_hat: float,
                          t_delta: float, tau: float, delta_tau: float,
-                         e1: float, delta_offset: float | None = None,
-                         hbar: float = HBAR) -> PulseSchedule:
+                         e1: float, hbar: float = HBAR) -> PulseSchedule:
     """Stark-chirp schedule: Gaussian detuning pulse plus Gaussian pump.
 
     The detuning pulse delta_offset + delta_hat * exp(-(t - tau)^2/T_d^2)
-    is centred at t = tau and crosses the one-atom resonance E1/hbar twice,
-    at t1 and t2 symmetric about tau.  When delta_offset is not given it is
-    solved so that t1 = 0 and t2 = 2 tau.  The pump Gaussian is centred at
-    t1 - delta_tau: delta_tau = 0 puts the pump peak on the first crossing
-    (adiabatic first, diabatic second), and delta_tau = -(t2 - t1) moves it
-    onto the second crossing, exchanging the passage order.
+    is centred at t = tau, and delta_offset is solved so that it crosses
+    the one-atom resonance E1/hbar at t1 = 0 and t2 = 2 tau.  The pump
+    Gaussian is centred at t1 - delta_tau: delta_tau = 0 puts the pump peak
+    on the first crossing (adiabatic first, diabatic second), and
+    delta_tau = -2 tau moves it onto the second crossing, exchanging the
+    passage order.
     """
     if not (t_omega > 0 and t_delta > 0 and tau > 0):
         raise ValueError("t_omega, t_delta and tau must be strictly positive")
     if delta_hat == 0:
         raise ValueError("delta_hat must be non-zero")
-    resonance = e1 / hbar
-    if delta_offset is None:
-        delta_offset = resonance - delta_hat * math.exp(-(tau / t_delta) ** 2)
-        t1, t2 = 0.0, 2.0 * tau
-    else:
-        ratio = (resonance - delta_offset) / delta_hat
-        if not 0.0 < ratio <= 1.0:
-            raise InfeasibleScheduleError(
-                "detuning pulse never reaches the resonance: "
-                f"(E1/hbar - delta_offset)/delta_hat = {ratio:.3g} not in (0, 1]")
-        half = t_delta * math.sqrt(max(-math.log(ratio), 0.0))
-        t1, t2 = tau - half, tau + half
+    delta_offset = e1 / hbar - delta_hat * math.exp(-(tau / t_delta) ** 2)
+    t1, t2 = 0.0, 2.0 * tau
     pump_center = t1 - delta_tau
     pump = Gaussian(peak=omega_hat, center=pump_center, width=t_omega)
     detuning = OffsetSum(offset=delta_offset,
@@ -215,17 +204,18 @@ def build_scrap_schedule(omega_hat: float, t_omega: float, delta_hat: float,
 def build_two_atom_scrap_schedule(omega_hat: float, t_omega: float,
                                   delta_hat: float, t_delta: float,
                                   baseline_depth: float, e1: float, e12: float,
-                                  ramp_time: float | None = None,
-                                  lead: float | None = None,
-                                  lag: float | None = None,
+                                  ramp_time: float,
                                   hbar: float = HBAR) -> PulseSchedule:
     """Sequential two-atom Stark-chirp schedule.
 
     One Gaussian detuning pulse sweeps up through both resonances (first
     E1/hbar for 0->1 at t = 0, then (E2-E1)/hbar for 1->2) while a
-    flat-top tanh pump stays on across both crossings and switches off
-    before the detuning comes back down through them.  baseline_depth is
-    how far below the 0->1 resonance the detuning sits between pulses.
+    flat-top tanh pump, with tanh edges of ramp_time, stays on across both
+    crossings and switches off before the detuning comes back down through
+    them.  The pump switches on 0.5 t_omega before the 0->1 crossing and
+    its plateau ends 0.3 t_omega after the rising 1->2 crossing.
+    baseline_depth is how far below the 0->1 resonance the detuning sits
+    between pulses.
     """
     if not (t_omega > 0 and t_delta > 0 and baseline_depth > 0):
         raise ValueError("t_omega, t_delta and baseline_depth must be positive")
@@ -240,9 +230,8 @@ def build_two_atom_scrap_schedule(omega_hat: float, t_omega: float,
         raise InfeasibleScheduleError(
             f"detuning pulse maximum {delta_hat:.3g} rad/s never reaches the "
             f"1->2 resonance (needs > {baseline_depth + gap:.3g} rad/s)")
-    ramp_time = 0.2 * t_omega if ramp_time is None else ramp_time
-    lead = 0.5 * t_omega if lead is None else lead
-    lag = 0.3 * t_omega if lag is None else lag
+    lead = 0.5 * t_omega
+    lag = 0.3 * t_omega
     delta_offset = d01 - baseline_depth
     # centre the detuning pulse so the rising 0->1 crossing sits at t = 0
     center = t_delta * math.sqrt(math.log(delta_hat / baseline_depth))
@@ -263,6 +252,7 @@ def build_pi_pulse(model: LevelModel, transition: tuple[int, int] | str,
                    t_omega: float) -> PulseSchedule:
     """Resonant Gaussian pulse with effective area pi on one transition.
 
+    The transition is a (lower, upper) pair or its "0-1" / "1-2" spelling.
     The drive peak is solved so that the collective coupling integrates to
     pi: Omega_hat = sqrt(pi) / (kappa sqrt(n+1) T), with the detuning held
     at the transition's resonance (d01 for 0->1, d12 for 1->2).
@@ -270,7 +260,7 @@ def build_pi_pulse(model: LevelModel, transition: tuple[int, int] | str,
     if not t_omega > 0:
         raise ValueError("t_omega must be strictly positive")
     if isinstance(transition, str):
-        parts = transition.replace("->", "-").split("-")
+        parts = transition.split("-")
         transition = (int(parts[0]), int(parts[1]))
     lower, upper = transition
     if upper != lower + 1 or not 0 <= lower < model.n_max:

@@ -189,8 +189,8 @@ class TestScrapAdiabaticCondition:
     def test_preset_point_satisfied(self, fig3a_model, fig3a):
         cfg = fig3a.scrap
         de2 = fig3a_model.derived.e2 - 2 * fig3a_model.derived.e1
-        margin = scrap_adiabatic_condition(cfg.delta_hat, cfg.t_delta(),
-                                           cfg.tau(), de2)
+        margin = scrap_adiabatic_condition(
+            cfg.delta_hat, cfg.t_delta(cfg.t_omega), cfg.tau(cfg.t_omega), de2)
         assert margin > 10
 
 
@@ -210,8 +210,8 @@ class TestScrapPumpWidthBound:
         # the minimum usable pump width times dE2/hbar stays well above 1
         cfg = fig3a.scrap
         omega_eff = rabi_coupling(fig3a_model, 0, cfg.omega_hat)
-        t_min, t_jump = scrap_pump_width_bound(omega_eff, cfg.delta_hat,
-                                               cfg.t_delta(), cfg.tau())
+        t_min, t_jump = scrap_pump_width_bound(
+            omega_eff, cfg.delta_hat, cfg.t_delta(cfg.t_omega), cfg.tau(cfg.t_omega))
         de2 = fig3a_model.derived.e2 - 2 * fig3a_model.derived.e1
         assert t_min * de2 / HBAR > 1
         assert t_jump > 0
@@ -252,7 +252,8 @@ class TestValidityCheck:
         report = validity_check(
             fig3a_model, fig3a.omega_l,
             scrap=ScrapPulseParams(cfg.omega_hat, cfg.t_omega, cfg.delta_hat,
-                                   cfg.t_delta(), cfg.tau()))
+                                   cfg.t_delta(cfg.t_omega),
+                                   cfg.tau(cfg.t_omega)))
         assert report.scrap_adiabatic_margin is not None
         assert report.scrap_diabatic_margin > 10
         assert report.alpha_ad > 1

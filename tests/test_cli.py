@@ -527,8 +527,9 @@ def test_propagate_reports_norm_drift(tmp_path):
     assert {"n_steps", "step_s"} <= set(finals)
 
 
-# every field is finite and in range, but the ramp overflows on the window
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# every field is finite and in range, but the ramp overflows on the window;
+# the error names that, and numpy's overflow warning does not reach stderr
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_schedule_exits_3(tmp_path, capsys):
     path = write_config(tmp_path, {"preset": "fig3a", "protocol": {
         "type": "schedule", "schedule": {
@@ -536,7 +537,8 @@ def test_overflowing_schedule_exits_3(tmp_path, capsys):
                          "t_ref": -1e10},
             "rabi": _RABI, "window": [0.0, 1e-4]}}})
     assert main(["propagate", "--config", path, "--out", str(tmp_path)]) == 3
-    assert "not finite" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "numerical failure: schedule is not finite on its window\n")
 
 
 @pytest.mark.parametrize("command, section, name", [
@@ -568,3 +570,84 @@ def test_typed_parameters_exit_2(tmp_path, capsys, command, section, name):
     assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and repr(name) in err
+
+
+@pytest.mark.parametrize("command, config", [
+    ("params", {"system": {"nu_a": "0 kHz"}}),
+    ("params", {"system": {"atom_mass_kg": math.nan}}),
+    ("params", {"system": {"nu_a": "1e400 kHz"}}),
+    ("params", {"system": {"nu_a": 1e300}}),
+    ("check", {"omega_l": math.nan}),
+    ("check", {"omega_l": math.inf}),
+    ("optimize", {"optimize": {"protocol": "pi_pulse", "budget": 10,
+                               "bounds": {"t_omega_s": [2e-3, 1e-3]}}}),
+    ("optimize", {"optimize": {"protocol": "pi_pulse", "budget": 10,
+                               "bounds": {"t_omega_s": [math.nan, 1e-3]}}}),
+    ("optimize", {"optimize": {"protocol": "pi_pulse", "budget": 10,
+                               "bounds": {}}}),
+], ids=["zero_trap", "nan_mass", "infinite_trap", "trap_overflows_model",
+        "nan_drive", "infinite_drive", "reversed_bound", "nan_bound", "no_bounds"])
+def test_malformed_values_exit_2(tmp_path, capsys, command, config):
+    # the system and bounds cases ended in a ValueError traceback; the drives
+    # exited 1 and wrote check.json, with a bare NaN (not JSON) for NaN
+    path = write_config(tmp_path, {"preset": "fig3a", **config})
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
+
+
+# a typical value of each number parameter; random runs scale it by 0,
+# negative and positive factors
+_TYPICAL = {"ramp_rate_rad_s2": 2e6, "omega_l_rad_s": 4e3, "omega_hat_rad_s": 1.5e4,
+            "t_omega_s": 1.5e-3, "delta_tau_s": 1e-4, "delta_hat_rad_s": 2e4}
+_SCALES = [1.0, 2.0, 0.5, 0.0, -1.0]
+_WRONG_TYPES = ["abc", "0-1", True, None, [1.0, 2.0]]
+
+
+@st.composite
+def _random_run(draw):
+    protocol = draw(st.sampled_from(sorted(PROTOCOLS)))
+    entry = PROTOCOLS[protocol]
+    # mostly the protocol's own names, else an unknown or a non-number one
+    own = [*entry.required, *entry.defaults]
+    names = st.sampled_from([*own * 3, "ramp_rate", "transition", "omit_second"])
+    one_in_four = st.integers(0, 3).map(lambda k: k == 3)
+
+    def pair(name):  # increasing, one in four reversed
+        scales = draw(st.lists(st.sampled_from(_SCALES), min_size=2, max_size=2,
+                               unique=True))
+        return sorted((k * _TYPICAL.get(name, 1.0) for k in scales),
+                      reverse=draw(one_in_four))
+
+    varied = {name: pair(name)
+              for name in draw(st.lists(names, min_size=1, max_size=2))}
+    fixed = {name: (draw(st.sampled_from(_WRONG_TYPES)) if draw(one_in_four)
+                    else draw(st.sampled_from(_SCALES)) * _TYPICAL.get(name, 1.0))
+             for name in draw(st.lists(names, max_size=1))}
+    section = {"protocol": protocol, "fixed": fixed,
+               **draw(st.sampled_from([{}, {"target": 1}, {"target": 2}]))}
+    if draw(st.booleans()):
+        return "optimize", {**section, "bounds": varied, "budget": 10}
+    axes = [{"name": name, "min": lo, "max": hi, "points": 2,
+             "scale": draw(st.sampled_from(["linear", "log"]))}
+            for name, (lo, hi) in varied.items()]
+    return "sweep", {**section, "axes": axes}
+
+
+@pytest.fixture(scope="module")
+def random_run_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("random_run")
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(run=_random_run())
+def test_random_sweep_and_optimize_exit_codes(random_run_dir, run):
+    # every protocol; unknown, non-number, reversed, zero and negative axes
+    # and bounds; fixed values of the wrong type: a documented exit code,
+    # never a traceback
+    command, section = run
+    path = write_config(random_run_dir, {"preset": "fig3a", command: section})
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, "--config", path, "--out", str(random_run_dir)])
+    assert code in (0, 1, 2, 3)

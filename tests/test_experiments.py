@@ -246,6 +246,36 @@ class TestRegionExtraction:
         p = np.array([0.999, math.nan, 0.999])
         assert len(contiguous_intervals(axis, p, 0.99)) == 2
 
+    @pytest.mark.parametrize("p, expected", [
+        ([1, 1, 0, 0, 1], [(1.0, 2.0), (5.0, 5.0)]),
+        ([0, 1, 1, 1, 1], [(2.0, 5.0)]),
+        ([1, 1, 1, 1, 1], [(1.0, 5.0)]),
+        ([0, 0, 0, 0, 0], []),
+        ([math.nan, 1, math.nan, 1, 1], [(2.0, 2.0), (4.0, 5.0)]),
+        ([math.nan] * 5, []),
+    ], ids=["touch_start", "touch_end", "all_true", "all_false", "nan",
+            "all_nan"])
+    def test_intervals_match_the_loop_reference(self, p, expected):
+        axis = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        p = np.array(p, dtype=float)
+
+        # the run scan contiguous_intervals replaced, kept as the reference
+        def by_loop():
+            intervals, start = [], None
+            for i, hit in enumerate(p > 0.99):
+                if hit and start is None:
+                    start = i
+                elif not hit and start is not None:
+                    intervals.append((float(axis[start]), float(axis[i - 1])))
+                    start = None
+            if start is not None:
+                intervals.append((float(axis[start]), float(axis[-1])))
+            return intervals
+
+        got = contiguous_intervals(axis, p, 0.99)
+        assert got == by_loop() == expected
+        assert all(type(v) is float for interval in got for v in interval)
+
     def test_area_fraction(self):
         p = np.array([[1.0, 0.0], [1.0, math.nan]])
         assert region_area_fraction(p, 0.5) == pytest.approx(0.5)

@@ -82,7 +82,8 @@ class TestUnitarity:
         from quantum_tweezers import build_scrap_schedule
         cfg = fig3a.scrap
         sched = build_scrap_schedule(cfg.omega_hat, cfg.t_omega, cfg.delta_hat,
-                                     cfg.t_delta(), cfg.tau(), 0.0,
+                                     cfg.t_delta(cfg.t_omega),
+                                     cfg.tau(cfg.t_omega), 0.0,
                                      fig3a_model.derived.e1)
         traj = propagate(fig3a_model, sched)
         norms = np.sum(traj.populations, axis=1)

@@ -158,33 +158,13 @@ class TestScrapSchedule:
         assert sched.detuning(sched.rabi.center) == pytest.approx(e1 / HBAR, rel=1e-12)
         assert sched.detuning(0.5 * (tau + sched.t_end)) < e1 / HBAR
 
-    def test_infeasible_offset(self, fig3a_model):
-        e1 = fig3a_model.derived.e1
-        # baseline so far below resonance the pulse never reaches it
-        with pytest.raises(InfeasibleScheduleError):
-            build_scrap_schedule(1.5e4, 1e-3, 2e4, 2e-3, 1.25e-3, 0.0, e1,
-                                 delta_offset=e1 / HBAR - 5e4)
-
-    def test_explicit_feasible_offset(self, fig3a_model):
-        e1 = fig3a_model.derived.e1
-        tau = 1.25e-3
-        offset = e1 / HBAR - 1.0e4
-        sched = build_scrap_schedule(1.5e4, 1e-3, 2e4, 2e-3, tau, 0.0, e1,
-                                     delta_offset=offset)
-        # the crossings move inwards, to t1 = tau - T_d sqrt(ln 2), and the
-        # pump follows the first one
-        half = 2e-3 * math.sqrt(math.log(2.0))
-        t1, t2 = _crossings(sched, e1, [(sched.t_start, tau), (tau, sched.t_end)])
-        assert t1 == pytest.approx(tau - half, rel=1e-9)
-        assert t2 == pytest.approx(tau + half, rel=1e-9)
-        assert sched.rabi.center == pytest.approx(t1, rel=1e-9)
-
 
 class TestTwoAtomScrapSchedule:
     def test_crossings_against_both_resonances(self, fig3a_model):
         d = fig3a_model.derived
         sched = build_two_atom_scrap_schedule(1.5e4, 1e-3, 4.6e4, 2e-3, 2.0e4,
-                                              d.e1, d.e2 - d.e1)
+                                              d.e1, d.e2 - d.e1,
+                                              ramp_time=0.2 * 1e-3)
         peak = sched.detuning.inner.center
         ends = sched.detuning(np.array([sched.t_start, sched.t_end]))
         assert np.all(ends < d.e1 / HBAR)
@@ -200,7 +180,8 @@ class TestTwoAtomScrapSchedule:
     def test_pump_is_flat_top(self, fig3a_model):
         d = fig3a_model.derived
         sched = build_two_atom_scrap_schedule(1.5e4, 1e-3, 4.6e4, 2e-3, 2.0e4,
-                                              d.e1, d.e2 - d.e1)
+                                              d.e1, d.e2 - d.e1,
+                                              ramp_time=0.2 * 1e-3)
         assert isinstance(sched.rabi, TanhPlateau)
         peak = sched.detuning.inner.center
         t_12 = _crossings(sched, d.e2 - d.e1,
@@ -214,7 +195,8 @@ class TestTwoAtomScrapSchedule:
         d = fig3a_model.derived
         with pytest.raises(InfeasibleScheduleError):
             build_two_atom_scrap_schedule(1.5e4, 1e-3, 2.0e4, 2e-3, 2.0e4,
-                                          d.e1, d.e2 - d.e1)
+                                          d.e1, d.e2 - d.e1,
+                                          ramp_time=0.2 * 1e-3)
 
 
 class TestPiPulse:
