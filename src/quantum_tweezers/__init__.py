@@ -74,7 +74,6 @@ from .pulses import (
     build_pi_pulse,
     build_scrap_schedule,
     build_two_atom_scrap_schedule,
-    pulse_area,
     schedule_from_dict,
     schedule_to_dict,
 )

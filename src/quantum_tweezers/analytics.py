@@ -10,12 +10,12 @@ strong pass at >= 10, weak pass at >= 3, fail below 3.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 
 from .constants import HBAR
+from .exceptions import ConfigError
 from .levels import LevelModel, rabi_coupling
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "scrap_adiabatic_condition",
     "scrap_pump_width_bound",
     "validity_check",
-    "report_to_json",
 ]
 
 STRONG_MARGIN = 10.0
@@ -208,30 +207,31 @@ class ScrapPulseParams:
 
 @dataclass(frozen=True)
 class AdiabaticityReport:
-    """Numeric margins and flags for every validity condition.
+    """Numeric margins for every validity condition, and their flags.
 
-    Margins are ratios (large is good); flags are 'strong' (>= 10),
+    Margins are ratios (large is good); each is flagged 'strong' (>= 10),
     'weak' (>= 3) or 'fail'.  Fields that need pulse parameters are None
-    when no schedule information was supplied.
+    when no schedule information was supplied.  The ramp-rate and time
+    limits are at THRESHOLD_PROBABILITY.
     """
 
     omega01: float              # collective 0<->1 coupling (rad/s)
     two_level_margin: float     # (dE2/hbar) / |Omega01|
-    two_level_flag: str
     single_particle_margin: float  # min(nu_a) / |Omega01|
-    single_particle_flag: str
-    ramp_rate_limit: float      # rad/s^2 at threshold_probability
+    ramp_rate_limit: float      # rad/s^2
     tau_min: float              # s
-    threshold_probability: float
     alpha_ad: float | None = None          # at the first crossing, if known
     scrap_adiabatic_margin: float | None = None
-    scrap_adiabatic_flag: str | None = None
     scrap_pump_width_margin: float | None = None  # t_omega / t_omega_min
-    scrap_pump_width_flag: str | None = None
     scrap_diabatic_margin: float | None = None    # suppression at 2nd crossing
-    scrap_diabatic_flag: str | None = None
     t_jump: float | None = None
-    flags: dict = field(default_factory=dict)
+
+    @property
+    def flags(self) -> dict:
+        """The flag of each margin given, keyed by its name less "_margin"."""
+        return {f.name.removesuffix("_margin"): _flag(getattr(self, f.name))
+                for f in fields(self)
+                if f.name.endswith("_margin") and getattr(self, f.name) is not None}
 
     @property
     def all_strong(self) -> bool:
@@ -251,91 +251,38 @@ def validity_check(model: LevelModel, omega_l: float,
     the trap frequency), plus the ramp-rate and transfer-time limits at
     THRESHOLD_PROBABILITY.  With Stark-chirp pulse parameters it also
     reports the chirp adiabaticity margin, the pump-width margin and the
-    diabaticity of the second crossing.
+    diabaticity of the second crossing.  A model with no anharmonicity
+    (E2 = 2 E1) has no finite transfer time and raises ConfigError.
     """
     hbar = model.hbar
     omega01 = abs(rabi_coupling(model, 0, omega_l))
     delta_e2_over_hbar = (model.derived.e2 - 2.0 * model.derived.e1) / hbar
-    two_level = math.inf if omega01 == 0 else delta_e2_over_hbar / omega01
-    nu_min = min(model.derived.system.nu_a)
-    single = math.inf if omega01 == 0 else nu_min / omega01
-    flags = {
-        "two_level": _flag(two_level),
-        "single_particle": _flag(single),
-    }
+    if delta_e2_over_hbar == 0.0:
+        raise ConfigError("the anharmonicity E2 - 2 E1 is zero: no crossing "
+                          "selects an atom number")
     delta_e2 = hbar * delta_e2_over_hbar
-    report = {
-        "omega01": omega01,
-        "two_level_margin": two_level,
-        "two_level_flag": flags["two_level"],
-        "single_particle_margin": single,
-        "single_particle_flag": flags["single_particle"],
-        "ramp_rate_limit": ramp_rate_bound(delta_e2, THRESHOLD_PROBABILITY, hbar),
-        "tau_min": min_transfer_time(delta_e2, THRESHOLD_PROBABILITY, hbar),
-        "threshold_probability": THRESHOLD_PROBABILITY,
-    }
-    if scrap is not None:
-        omega_eff = abs(rabi_coupling(model, 0, scrap.omega_hat))
-        ad_margin = scrap_adiabatic_condition(
-            scrap.delta_hat, scrap.t_delta, scrap.tau, delta_e2, hbar)
-        t_min, t_jump = scrap_pump_width_bound(
-            omega_eff, scrap.delta_hat, scrap.t_delta, scrap.tau)
-        width_margin = math.inf if t_min == 0 else scrap.t_omega / t_min
-        # pump suppression at the second crossing, 2*tau after the first:
-        # its residual coupling must be negligible for a diabatic passage.
-        residual = math.exp(-(2.0 * scrap.tau / scrap.t_omega) ** 2)
-        slope = scrap_crossing_slope(scrap.delta_hat, scrap.t_delta, scrap.tau)
-        alpha_first = adiabaticity_parameter(hbar * omega_eff, slope, hbar)
-        alpha_second = adiabaticity_parameter(hbar * omega_eff * residual, slope, hbar)
-        diabatic_margin = math.inf if alpha_second == 0 else 1.0 / alpha_second
-        flags.update({
-            "scrap_adiabatic": _flag(ad_margin),
-            "scrap_pump_width": _flag(width_margin),
-            "scrap_diabatic": _flag(diabatic_margin),
-        })
-        report.update({
-            "alpha_ad": alpha_first,
-            "scrap_adiabatic_margin": ad_margin,
-            "scrap_adiabatic_flag": flags["scrap_adiabatic"],
-            "scrap_pump_width_margin": width_margin,
-            "scrap_pump_width_flag": flags["scrap_pump_width"],
-            "scrap_diabatic_margin": diabatic_margin,
-            "scrap_diabatic_flag": flags["scrap_diabatic"],
-            "t_jump": t_jump,
-        })
-    return AdiabaticityReport(flags=flags, **report)
-
-
-def report_to_json(report: AdiabaticityReport) -> str:
-    """Serialize a validity report with stable field names.
-
-    Infinite margins serialize as the string "inf" so the output is
-    strictly valid JSON.
-    """
-    def clean(value):
-        if isinstance(value, float) and math.isinf(value):
-            return "inf"
-        return value
-
-    payload = {
-        "omega01_rad_s": clean(report.omega01),
-        "two_level_margin": clean(report.two_level_margin),
-        "two_level_flag": report.two_level_flag,
-        "single_particle_margin": clean(report.single_particle_margin),
-        "single_particle_flag": report.single_particle_flag,
-        "ramp_rate_limit_rad_s2": clean(report.ramp_rate_limit),
-        "tau_min_s": clean(report.tau_min),
-        "threshold_probability": report.threshold_probability,
-        "alpha_ad": clean(report.alpha_ad),
-        "scrap_adiabatic_margin": clean(report.scrap_adiabatic_margin),
-        "scrap_adiabatic_flag": report.scrap_adiabatic_flag,
-        "scrap_pump_width_margin": clean(report.scrap_pump_width_margin),
-        "scrap_pump_width_flag": report.scrap_pump_width_flag,
-        "scrap_diabatic_margin": clean(report.scrap_diabatic_margin),
-        "scrap_diabatic_flag": report.scrap_diabatic_flag,
-        "t_jump_s": clean(report.t_jump),
-        "flags": report.flags,
-        "all_strong": report.all_strong,
-        "any_fail": report.any_fail,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    report = AdiabaticityReport(
+        omega01=omega01,
+        two_level_margin=math.inf if omega01 == 0 else delta_e2_over_hbar / omega01,
+        single_particle_margin=(math.inf if omega01 == 0
+                                else min(model.derived.system.nu_a) / omega01),
+        ramp_rate_limit=ramp_rate_bound(delta_e2, THRESHOLD_PROBABILITY, hbar),
+        tau_min=min_transfer_time(delta_e2, THRESHOLD_PROBABILITY, hbar))
+    if scrap is None:
+        return report
+    omega_eff = abs(rabi_coupling(model, 0, scrap.omega_hat))
+    ad_margin = scrap_adiabatic_condition(
+        scrap.delta_hat, scrap.t_delta, scrap.tau, delta_e2, hbar)
+    t_min, t_jump = scrap_pump_width_bound(
+        omega_eff, scrap.delta_hat, scrap.t_delta, scrap.tau)
+    # pump suppression at the second crossing, 2*tau after the first:
+    # its residual coupling must be negligible for a diabatic passage.
+    residual = math.exp(-(2.0 * scrap.tau / scrap.t_omega) ** 2)
+    slope = scrap_crossing_slope(scrap.delta_hat, scrap.t_delta, scrap.tau)
+    alpha_first = adiabaticity_parameter(hbar * omega_eff, slope, hbar)
+    alpha_second = adiabaticity_parameter(hbar * omega_eff * residual, slope, hbar)
+    return replace(
+        report, alpha_ad=alpha_first, scrap_adiabatic_margin=ad_margin,
+        scrap_pump_width_margin=math.inf if t_min == 0 else scrap.t_omega / t_min,
+        scrap_diabatic_margin=math.inf if alpha_second == 0 else 1.0 / alpha_second,
+        t_jump=t_jump)

@@ -18,11 +18,12 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .analytics import report_to_json, validity_check
+from .analytics import THRESHOLD_PROBABILITY, validity_check
 from .config import ConfigError, load_config, parse_frequency, resolve_preset, validate_config
 from .exceptions import IntegrationError, TweezersError
 # The schedule builders and build_level_model are not called here; they stay
@@ -181,6 +182,12 @@ def cmd_sweep(config: dict, preset: Preset, out_dir: str, threads: int) -> int:
     return EXIT_OK
 
 
+# the check.json keys of the report fields that carry a unit
+_CHECK_UNIT_KEYS = {"omega01": "omega01_rad_s",
+                    "ramp_rate_limit": "ramp_rate_limit_rad_s2",
+                    "tau_min": "tau_min_s", "t_jump": "t_jump_s"}
+
+
 def cmd_check(config: dict, preset: Preset, out_dir: str) -> int:
     model = preset_model(preset)
     entry = PROTOCOLS.get(config.get("protocol", {}).get("type"))
@@ -190,11 +197,18 @@ def cmd_check(config: dict, preset: Preset, out_dir: str) -> int:
     if entry is not None and entry.chirp is not None:
         scrap = entry.chirp(preset, entry.params(preset, _protocol_point(config)))
     report = validity_check(model, preset.omega_l, scrap=scrap)
-    text = report_to_json(report)
-    _atomic_write(os.path.join(out_dir, "check.json"), text + "\n")
+    flags = report.flags
+    payload = {"threshold_probability": THRESHOLD_PROBABILITY, "flags": flags,
+               "all_strong": report.all_strong, "any_fail": report.any_fail}
+    for name, value in asdict(report).items():
+        payload[_CHECK_UNIT_KEYS.get(name, name)] = value
+        condition = name.removesuffix("_margin")
+        if condition != name:
+            payload[f"{condition}_flag"] = flags.get(condition)
+    _atomic_write(os.path.join(out_dir, "check.json"), _json_text(payload))
     print(f"validity report for preset {preset.name} "
           f"(omega_l = {preset.omega_l!r} rad/s)")
-    for name, flag in sorted(report.flags.items()):
+    for name, flag in sorted(flags.items()):
         print(f"  {name}: {flag}")
     print(f"  two_level_margin = {report.two_level_margin:.4g}")
     print(f"  single_particle_margin = {report.single_particle_margin:.4g}")

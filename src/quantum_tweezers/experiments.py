@@ -488,6 +488,8 @@ def _evaluate_task(task: tuple) -> dict:
     preset, protocol, point, target = task
     try:
         return evaluate_point(preset, protocol, point, target)
+    except ConfigError:
+        raise  # a fault of the whole run, not of this point
     except (TweezersError, ValueError, FloatingPointError) as exc:
         return {"p": math.nan, "p_lz": math.nan,
                 "error": f"{type(exc).__name__}: {exc}"}
@@ -563,15 +565,13 @@ def pipulse_contour(preset: Preset, omega_hats, t_omegas, target: int = 1,
                   target, threads)
 
 
-def sequential_pi(preset: Preset, t_omegas=None, omit_second: bool = False,
+def sequential_pi(preset: Preset, t_omegas, omit_second: bool = False,
                   threads: int = 1) -> SweepResult:
     """Two chained resonant pi pulses (0->1 then 1->2), reporting P_{0->2}.
 
     Each pulse's peak is solved for effective area pi at its own
     transition; the second pulse starts from the state the first one left.
     """
-    if t_omegas is None:
-        t_omegas = preset.pi.t_omega * np.array([0.75, 1.0, 1.5])
     return _sweep(preset, "sequential_pi", {"t_omega_s": t_omegas}, 2, threads,
                   fixed={"omit_second": omit_second})
 

@@ -28,7 +28,6 @@ __all__ = [
     "TanhPlateau",
     "OffsetSum",
     "PulseSchedule",
-    "pulse_area",
     "build_scrap_schedule",
     "build_two_atom_scrap_schedule",
     "build_pi_pulse",
@@ -160,17 +159,6 @@ class PulseSchedule:
     @property
     def duration(self) -> float:
         return self.t_end - self.t_start
-
-
-def pulse_area(envelope: Envelope, t_start: float, t_end: float) -> float:
-    """Integral of the envelope over [t_start, t_end] (adaptive, rel 1e-10)."""
-    from scipy.integrate import quad  # per call, so importing the package skips it
-
-    probe = envelope(np.linspace(t_start, t_end, 97))
-    if not np.all(np.isfinite(probe)):
-        raise ValueError("envelope is not finite on the integration window")
-    value, _ = quad(envelope, t_start, t_end, epsabs=0.0, epsrel=1e-10, limit=400)
-    return value
 
 
 def build_scrap_schedule(omega_hat: float, t_omega: float, delta_hat: float,

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from quantum_tweezers import (
     HBAR,
@@ -35,7 +36,6 @@ from quantum_tweezers.pulses import (
     Gaussian,
     PulseSchedule,
     build_pi_pulse,
-    pulse_area,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -220,8 +220,9 @@ def test_criterion_8_pi_pulse():
     schedule = build_pi_pulse(model, (0, 1), t_omega)
     trajectory = propagate(model, schedule)
     p1 = transfer_probability(trajectory, 1)
-    area = pulse_area(schedule.rabi, schedule.t_start, schedule.t_end) \
-        * model.rabi_units[0]
+    area, _ = quad(schedule.rabi, schedule.t_start, schedule.t_end, epsabs=0.0,
+                   epsrel=1e-10, limit=400)
+    area *= model.rabi_units[0]
     oracle = math.sin(area / 2.0) ** 2
     seq = sequential_pi(preset, t_omegas=np.array([t_omega, 4e-3]))
     p2 = float(np.min(seq.p))

@@ -18,7 +18,8 @@ from quantum_tweezers import (
     sequential_lz,
     validity_check,
 )
-from quantum_tweezers.analytics import adiabaticity_parameter, report_to_json
+from quantum_tweezers.analytics import adiabaticity_parameter
+from quantum_tweezers.cli import main
 from quantum_tweezers.levels import rabi_coupling
 
 TWO_PI = 2.0 * math.pi
@@ -234,17 +235,17 @@ class TestValidityCheck:
     def test_fig_system_two_level_margin(self, fig3a_model, fig3a):
         report = validity_check(fig3a_model, fig3a.omega_l)
         assert report.two_level_margin == pytest.approx(5.5, rel=0.1)
-        assert report.two_level_flag == "weak"
+        assert report.flags["two_level"] == "weak"
 
     def test_single_particle_margin_larger(self, fig3a_model, fig3a):
         report = validity_check(fig3a_model, fig3a.omega_l)
         assert report.single_particle_margin > report.two_level_margin
-        assert report.single_particle_flag == "strong"
+        assert report.flags["single_particle"] == "strong"
 
     def test_huge_drive_fails(self, fig3a_model):
         report = validity_check(fig3a_model, 1e6)
         assert report.two_level_margin < 1
-        assert report.two_level_flag == "fail"
+        assert report.flags["two_level"] == "fail"
         assert report.any_fail
 
     def test_scrap_flags_present_with_schedule(self, fig3a_model, fig3a):
@@ -261,9 +262,10 @@ class TestValidityCheck:
             "two_level", "single_particle", "scrap_adiabatic",
             "scrap_pump_width", "scrap_diabatic"}
 
-    def test_report_json_stable_fields(self, fig3a_model, fig3a):
-        report = validity_check(fig3a_model, fig3a.omega_l)
-        payload = json.loads(report_to_json(report))
+    def test_report_json_stable_fields(self, tmp_path):
+        # check.json is the report's serialization
+        main(["check", "--preset", "fig3a", "--out", str(tmp_path)])
+        payload = json.loads((tmp_path / "check.json").read_text())
         expected = {
             "omega01_rad_s", "two_level_margin", "two_level_flag",
             "single_particle_margin", "single_particle_flag",
@@ -274,7 +276,9 @@ class TestValidityCheck:
             "flags", "all_strong", "any_fail"}
         assert set(payload) == expected
 
-    def test_infinite_margins_serialize(self, fig3a_model):
-        report = validity_check(fig3a_model, 0.0)
-        payload = json.loads(report_to_json(report))
+    def test_infinite_margins_serialize(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"omega_l": 0.0}))
+        main(["check", "--config", str(config), "--out", str(tmp_path)])
+        payload = json.loads((tmp_path / "check.json").read_text())
         assert payload["two_level_margin"] == "inf"

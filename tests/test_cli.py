@@ -596,6 +596,39 @@ def test_malformed_values_exit_2(tmp_path, capsys, command, config):
     assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
 
 
+# a_aa_m = 1e-300 makes E2 - 2 E1 exactly 0: no crossing selects an atom number
+_NO_ANHARMONICITY = {"system": {"a_aa_m": 1e-300}}
+
+
+@pytest.mark.parametrize("command, section", [
+    ("check", {}),
+    ("sweep", {"sweep": {"protocol": "pi_pulse",
+                         "axes": [_axis("t_omega_s", 1.5e-3, 2e-3)]}}),
+    ("optimize", {"optimize": {"protocol": "pi_pulse", "budget": 10,
+                               "bounds": {"omega_hat_rad_s": [500.0, 5000.0]}}}),
+], ids=["check", "sweep", "optimize"])
+def test_zero_anharmonicity_exits_2(tmp_path, capsys, command, section):
+    # one config error, no traceback and no output file
+    path = write_config(tmp_path, {**_NO_ANHARMONICITY, **section})
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "anharmonicity" in err
+    assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
+    # the derived parameters stay reportable
+    assert main(["params", "--config", path, "--out", str(tmp_path)]) == 0
+
+
+def test_negative_infinite_margin_serializes(tmp_path):
+    # a negative anharmonicity over a subnormal coupling overflows the
+    # margin to -inf, which must keep its sign
+    path = write_config(tmp_path, {"system": {"a_aa_m": -1e-9}, "omega_l": 1e-320})
+    assert main(["check", "--config", path, "--out", str(tmp_path)]) == 1
+    payload = json.loads((tmp_path / "check.json").read_text())
+    assert payload["two_level_margin"] == "-inf"
+    assert payload["two_level_flag"] == "fail"
+
+
 # a typical value of each number parameter; random runs scale it by 0,
 # negative and positive factors
 _TYPICAL = {"ramp_rate_rad_s2": 2e6, "omega_l_rad_s": 4e3, "omega_hat_rad_s": 1.5e4,
