@@ -130,12 +130,12 @@ def ramp_rate_bound(splitting: float, p0: float, hbar: float = HBAR) -> float:
 def min_transfer_time(delta_e2: float, p0: float, hbar: float = HBAR) -> float:
     """Minimum single-atom sweep duration (s) for threshold probability p0.
 
-    (2/pi) |ln(1 - p0)| / (dE2/hbar); equivalently (dE2/hbar) divided by
-    the ramp-rate bound, taking the swept detuning span ~ dE2/hbar.
+    (2/pi) |ln(1 - p0)| / (|dE2|/hbar); equivalently (|dE2|/hbar) divided
+    by the ramp-rate bound, taking the swept detuning span ~ |dE2|/hbar.
     """
     if not 0.0 < p0 < 1.0:
         raise ValueError("threshold probability must lie strictly in (0, 1)")
-    return (2.0 / math.pi) * abs(math.log1p(-p0)) / (delta_e2 / hbar)
+    return (2.0 / math.pi) * abs(math.log1p(-p0)) / (abs(delta_e2) / hbar)
 
 
 def scrap_crossing_slope(delta_hat: float, t_delta: float, tau: float) -> float:
@@ -242,6 +242,15 @@ class AdiabaticityReport:
         return any(v == "fail" for v in self.flags.values())
 
 
+def _anharmonicity(model: LevelModel) -> float:
+    """(E2 - 2 E1) / hbar in rad/s; ConfigError if it is zero."""
+    delta_e2_over_hbar = (model.derived.e2 - 2.0 * model.derived.e1) / model.hbar
+    if delta_e2_over_hbar == 0.0:
+        raise ConfigError("the anharmonicity E2 - 2 E1 is zero: no crossing "
+                          "selects an atom number")
+    return delta_e2_over_hbar
+
+
 def validity_check(model: LevelModel, omega_l: float,
                    scrap: ScrapPulseParams | None = None) -> AdiabaticityReport:
     """Evaluate every analytic validity condition for a drive strength.
@@ -256,10 +265,7 @@ def validity_check(model: LevelModel, omega_l: float,
     """
     hbar = model.hbar
     omega01 = abs(rabi_coupling(model, 0, omega_l))
-    delta_e2_over_hbar = (model.derived.e2 - 2.0 * model.derived.e1) / hbar
-    if delta_e2_over_hbar == 0.0:
-        raise ConfigError("the anharmonicity E2 - 2 E1 is zero: no crossing "
-                          "selects an atom number")
+    delta_e2_over_hbar = _anharmonicity(model)
     delta_e2 = hbar * delta_e2_over_hbar
     report = AdiabaticityReport(
         omega01=omega01,

@@ -127,7 +127,8 @@ def cmd_propagate(config: dict, preset: Preset, out_dir: str) -> int:
         entry = PROTOCOLS[kind]
         point = _protocol_point(config)
         if entry.chain_level is not None:
-            out = evaluate_point(preset, kind, point, entry.chain_level)
+            # a propagate takes the fourth order, as below
+            out = evaluate_point(preset, kind, point, entry.chain_level, order=4)
             finals = {f"p{entry.chain_level}" if k == "p" else k: v
                       for k, v in out.items()}
             _atomic_write(os.path.join(out_dir, "final.json"), _json_text(finals))

@@ -10,13 +10,11 @@ frequencies quoted as "2pi x 30 kHz" are written unambiguously.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
 from dataclasses import replace
-
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from .exceptions import ConfigError
 from .experiments import PROTOCOLS, TRANSITIONS
@@ -192,14 +190,24 @@ def _parse_freq_or_vec(value, convention: str):
     return parse_frequency(value, convention)
 
 
-# the class jsonschema.validate picks, built once: the schema is a constant,
-# so the metaschema check validate repeats per call is a test instead
-_VALIDATOR = validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+@functools.cache
+def _validator():
+    """The class jsonschema.validate picks, built once, on first use.
+
+    The schema is a constant, so the metaschema check validate repeats per
+    call is a test instead.  jsonschema is imported here, not at module
+    level: it would be about a third of the CLI's import time.
+    """
+    from jsonschema.validators import validator_for
+
+    return validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
 def validate_config(config: dict) -> dict:
     """Schema-validate a raw config dict; unknown keys are rejected."""
-    error = best_match(_VALIDATOR.iter_errors(config))
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_validator().iter_errors(config))
     if error is not None:
         raise ConfigError(f"invalid config: {error.message}") from error
     return config

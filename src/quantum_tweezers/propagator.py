@@ -1,33 +1,41 @@
 """Time-dependent Schroedinger propagation of the truncated level system.
 
-The integrator is a fixed-step fourth-order Magnus scheme (two-point
-Gauss-Legendre quadrature with its commutator correction; Blanes, Casas,
-Oteo & Ros, Phys. Rep. 470, 151 (2009)).  Each step is the exponential of
-an anti-Hermitian generator, computed for a block of steps at once by
-scaling and squaring a degree-12 Taylor polynomial, exact to double
-precision, so the evolution is unitary to rounding regardless of step size
-and a constant Hamiltonian is propagated exactly.  Matrices are held
-component-major, (dim, dim, N), and multiplied by accumulating the rows of
-the inner index, one array operation per term.  The steps between two
-stored samples are multiplied into one matrix per sample (a pairwise
-reduction).  These are scanned in groups of a fixed length: each group is
-reduced to one matrix, which carries the state from group to group, and
-the samples inside all groups are then reached at once, so no Python loop
-runs once per step or once per stored sample.  Every block-sized array of
-the kernel is a view of a per-thread workspace (seven flat arrays, about
-2.2 MB for three levels), lent and given back stage by stage and kept
-between calls, so a warm propagation allocates no block-sized memory and
-takes no page faults for it.  The arithmetic is the same whichever memory
-holds it, so the results do not depend on the workspace or the block size.
+The integrator is a fixed-step Magnus scheme of order 4 or 6, chosen by
+StepControl.order (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).
+The fourth order, the default, samples H at two Gauss-Legendre nodes per
+step and adds one commutator; the sixth samples three nodes and nests its
+commutators, in three real and one complex 3x3 product per step.  Sweeps
+and the optimizer use the sixth order; single propagations the fourth.
+
+Each step is the exponential of an anti-Hermitian generator, computed for a
+block of steps at once by scaling and squaring a degree-12 Taylor
+polynomial, exact to double precision, so the evolution is unitary to
+rounding regardless of step size and a constant Hamiltonian is propagated
+exactly.  Matrices are held component-major, (dim, dim, N), and multiplied
+by accumulating the rows of the inner index, one array operation per term.
+The steps between two stored samples are multiplied into one matrix per
+sample (a pairwise reduction).  These are scanned in groups of a fixed
+length: each group is reduced to one matrix, which carries the state from
+group to group, and the samples inside all groups are then reached at once,
+so no Python loop runs once per step or once per stored sample.  Every
+block-sized array of the kernel is a view of a per-thread workspace (seven
+flat arrays, about 2.2 MB for three levels at the fourth order), lent and
+given back stage by stage and kept between calls, so a warm propagation
+allocates no block-sized memory and takes no page faults for it.  The
+arithmetic is the same whichever memory holds it, so the results do not
+depend on the workspace or the block size.
+
 Step size follows
 
-    h = min(window / _MIN_STEPS,  2 pi / (_POINTS_PER_PERIOD * omega_max))
+    h = min(window / min_steps,  2 pi / (points_per_period * omega_max))
 
-with _MIN_STEPS = 1000, _POINTS_PER_PERIOD = 50 and omega_max the largest
-instantaneous spectral scale of H/hbar at _N_PROBE = 257 times across the
-window (plus the drive strength), so fast detuning excursions are resolved
-with ~50 steps per oscillation period.  A schedule that is not finite at
-those times raises IntegrationError.
+with omega_max the largest instantaneous spectral scale of H/hbar at
+_N_PROBE = 257 times across the window (plus the drive strength).  The
+fourth order takes 50 points per period and at least 1000 steps.  The sixth
+takes 20 points per period and no floor: the least count that keeps every
+calibration point (the fig4 chirp plane, ramps and every other protocol)
+within 1e-11 of a fourth-order run at a quarter of its step.  A schedule
+that is not finite at the probe times raises IntegrationError.
 """
 
 from __future__ import annotations
@@ -53,26 +61,33 @@ __all__ = [
 NORM_TOLERANCE = 1e-9
 _GL_NODE_1 = 0.5 - math.sqrt(3.0) / 6.0
 _GL_NODE_2 = 0.5 + math.sqrt(3.0) / 6.0
+_GL3_NODES = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 _BLOCK = 2048  # steps per vectorized block (bounds memory); a multiple of the group
 _GROUP = 32  # steps per group of the sample scan, rounded down to whole strides
 _THETA = 0.25  # 1-norm below which the Taylor polynomial is used unscaled
 _CSV_ROWS = 1024  # trajectory rows formatted at a time
 _TAYLOR = tuple(1.0 / math.factorial(k) for k in range(13))
-_POINTS_PER_PERIOD = 50  # steps per 2 pi / omega_max oscillation
-_MIN_STEPS = 1000  # lower bound on the step count
+# per order: steps per 2 pi / omega_max oscillation, and the least step count
+_STEP_RULE = {4: (50, 1000), 6: (20, 1)}
 _N_PROBE = 257  # window samples that estimate omega_max
 
 
 @dataclass(frozen=True)
 class StepControl:
-    """Output decimation and an optional fixed step.
+    """Output decimation, an optional fixed step and the order of the scheme.
 
     sample_cap : maximum number of stored trajectory samples
     h_override : fixed step size in seconds, bypassing the step rule
+    order      : 4 or 6, the order of the Magnus scheme and of its step rule
     """
 
     sample_cap: int = 10_000
     h_override: float | None = None
+    order: int = 4
+
+    def __post_init__(self):
+        if self.order not in _STEP_RULE:
+            raise ValueError(f"order must be 4 or 6, not {self.order!r}")
 
 
 @dataclass(frozen=True)
@@ -126,10 +141,11 @@ def _choose_step(model: LevelModel, schedule: PulseSchedule,
         n = max(1, math.ceil(window / control.h_override))
         return window / n, n
     omega_max = _spectral_scale(model, schedule)
-    h = window / _MIN_STEPS
+    points_per_period, min_steps = _STEP_RULE[control.order]
+    h = window / min_steps
     if omega_max > 0:
-        h = min(h, 2.0 * math.pi / (_POINTS_PER_PERIOD * omega_max))
-    n = max(_MIN_STEPS, math.ceil(window / h))
+        h = min(h, 2.0 * math.pi / (points_per_period * omega_max))
+    n = max(min_steps, math.ceil(window / h))
     return window / n, n
 
 
@@ -300,10 +316,12 @@ def _scan(runs: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 def _hamiltonians(model: LevelModel, schedule: PulseSchedule,
                   times: np.ndarray) -> np.ndarray:
-    """H at `times` as a component-major (dim, dim, N) workspace array."""
-    stack = hamiltonian_stack(model, schedule.detuning(times), schedule.rabi(times))
-    out = _WORK.take(stack.shape[1:] + stack.shape[:1], float)
-    np.copyto(out, stack.transpose(1, 2, 0))
+    """H at `times`, (..., N), as a component-major (..., dim, dim, N) workspace."""
+    flat = times.reshape(-1)
+    stack = hamiltonian_stack(model, schedule.detuning(flat), schedule.rabi(flat))
+    dim = stack.shape[-1]
+    out = _WORK.take(times.shape[:-1] + (dim, dim, times.shape[-1]), float)
+    np.copyto(out, np.moveaxis(stack.reshape(times.shape + (dim, dim)), -3, -1))
     return out
 
 
@@ -326,6 +344,67 @@ def _generator(model: LevelModel, schedule: PulseSchedule, times: np.ndarray,
                 out=generator.real)
     _WORK.give(h1, h2, product)
     return generator
+
+
+def _generator6(model: LevelModel, schedule: PulseSchedule, times: np.ndarray,
+                h: float) -> np.ndarray:
+    """The sixth-order Magnus exponent of the steps starting at `times`.
+
+    With H1, H2, H3 at the three Gauss-Legendre nodes of a step and
+    alpha_j = -i a_j, the real symmetric a_j are a1 = h H2 / hbar,
+    a2 = sqrt(15) h (H3 - H1) / 3 hbar and a3 = 10 h (H3 - 2 H2 + H1) / 3 hbar.
+    Then C1 = [alpha1, alpha2], C2 = -[alpha1, 2 alpha3 + C1] / 60 and
+    Omega = alpha1 + alpha3 / 12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2] / 240
+    (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).  In real
+    arithmetic, with P = a1 a2, Q = a1 a3 and R = a1 C1: C1 = P^T - P, and
+    F = alpha2 + C2 = (Q - Q^T) / 30 + i ((R + R^T) / 60 - a2).  E =
+    -20 alpha1 - alpha3 + C1 = C1 + i (20 a1 + a3) and F are anti-Hermitian,
+    so [E, F] = EF - (EF)^H, and Omega comes from the one complex product EF:
+    Re Omega = (X - X^T) / 240 with X = Re EF, and Im Omega = -a1 - a3 / 12
+    + (Y + Y^T) / 240 with Y = Im EF.  Omega is anti-Hermitian to the bit.
+    """
+    scale = h / model.hbar
+    stack = _hamiltonians(model, schedule, np.add.outer(_GL3_NODES * h, times))
+    h1, h2, h3 = stack
+    a3 = np.add(h1, h3, out=_WORK.take(h1.shape, float))
+    a3 -= h2
+    a3 -= h2
+    a3 *= 10.0 * scale / 3.0
+    a2 = np.subtract(h3, h1, out=h3)
+    a2 *= math.sqrt(15.0) * scale / 3.0
+    a1 = np.multiply(h2, scale, out=h2)
+    product = _mul(a1, a2)
+    c1 = np.subtract(product.transpose(1, 0, 2), product, out=h1)
+    _WORK.give(product)
+    e = _WORK.take(h1.shape)
+    f = _WORK.take(h1.shape)
+    product = _mul(a1, a3)
+    np.subtract(product, product.transpose(1, 0, 2), out=f.real)
+    f.real /= 30.0
+    _WORK.give(product)
+    product = _mul(a1, c1)
+    np.add(product, product.transpose(1, 0, 2), out=f.imag)
+    f.imag /= 60.0
+    f.imag -= a2
+    _WORK.give(product)
+    e.real = c1
+    np.multiply(a1, 20.0, out=e.imag)
+    e.imag += a3
+    product = _mul(e, f)
+    _WORK.give(e, f)
+    generator = _WORK.take(h1.shape)
+    np.subtract(product.real, product.real.transpose(1, 0, 2), out=generator.real)
+    generator.real /= 240.0
+    np.add(product.imag, product.imag.transpose(1, 0, 2), out=generator.imag)
+    generator.imag /= 240.0
+    generator.imag -= a1
+    a3 /= 12.0
+    generator.imag -= a3
+    _WORK.give(stack, a3, product)
+    return generator
+
+
+_GENERATORS = {4: _generator, 6: _generator6}
 
 
 def propagate(model: LevelModel, schedule: PulseSchedule,
@@ -363,7 +442,7 @@ def propagate(model: LevelModel, schedule: PulseSchedule,
     sample = 1
     for start in range(0, n_steps, block):
         times = t0 + (start + np.arange(min(block, n_steps - start))) * h
-        generator = _generator(model, schedule, times, h)
+        generator = _GENERATORS[control.order](model, schedule, times, h)
         steps = _expm(generator)
         _WORK.give(generator)
         runs = _reduce(_split(steps, stride))

@@ -168,6 +168,11 @@ class TestMinTransferTime:
         two = min_transfer_time(HBAR * 2e4, 0.99)
         assert two == pytest.approx(one / 2, rel=1e-12)
 
+    def test_negative_anharmonicity_gives_the_same_positive_time(self):
+        # the bound depends on |dE2|, as ramp_rate_bound does through its square
+        for de2 in (HBAR * 1e4, HBAR * TWO_PI * 2e3):
+            assert min_transfer_time(-de2, 0.99) == min_transfer_time(de2, 0.99) > 0
+
     def test_identity_with_rate_bound(self):
         # tau_min * rate_max = dE2/hbar with the span normalization used here
         de2 = HBAR * TWO_PI * 2e3

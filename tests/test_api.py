@@ -60,3 +60,14 @@ def test_importing_the_package_leaves_optimizer_integrator_and_pool_unloaded():
                          env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+def test_importing_the_cli_leaves_jsonschema_unloaded():
+    # config imports jsonschema when it first validates a config
+    src = Path(quantum_tweezers.__file__).parents[1]
+    code = ("import sys, quantum_tweezers.cli; "
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'jsonschema']")
+    run = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

@@ -619,6 +619,35 @@ def test_zero_anharmonicity_exits_2(tmp_path, capsys, command, section):
     assert main(["params", "--config", path, "--out", str(tmp_path)]) == 0
 
 
+def _no_anharmonicity_runs():
+    runs = [(f"sweep-{name}", "sweep", {"sweep": {"protocol": name, "axes": [axis]}})
+            for name, axis in sorted(PROTOCOL_AXES.items())]
+    runs += [(f"propagate-{name}", "propagate",
+              {"protocol": {"type": name, axis["name"]: axis["min"]}})
+             for name, axis in sorted(PROTOCOL_AXES.items())]
+    runs.append(("propagate-schedule", "propagate", {"protocol": {
+        "type": "schedule", "schedule": {"detuning": {"type": "constant", "value": 0.0},
+                                         "rabi": {"type": "constant", "value": 1e3},
+                                         "window": [0.0, 1e-4]}}}))
+    runs.append(("optimize-ramp", "optimize", {"optimize": {
+        "protocol": "ramp", "budget": 10,
+        "bounds": {"ramp_rate_rad_s2": [1e6, 2e6]}}}))
+    return [pytest.param(command, section, id=name) for name, command, section in runs]
+
+
+@pytest.mark.parametrize("command, section", _no_anharmonicity_runs())
+def test_zero_anharmonicity_exits_2_from_every_command(tmp_path, capsys, command,
+                                                       section):
+    # a ramp or scrap_2atom sweep exited 3, a ramp optimize exited 0 with
+    # P = 0, and propagates exited 3 or 0
+    path = write_config(tmp_path, {**_NO_ANHARMONICITY, **section})
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: the anharmonicity E2 - 2 E1 is zero: "
+                   "no crossing selects an atom number\n")
+    assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_negative_infinite_margin_serializes(tmp_path):
     # a negative anharmonicity over a subnormal coupling overflows the
     # margin to -inf, which must keep its sign

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from quantum_tweezers import (
+    StepControl,
     delay_scan,
+    get_preset,
     optimize_pulse,
     pipulse_contour,
     ramp_rate_sweep,
@@ -21,9 +23,11 @@ from quantum_tweezers.experiments import (
     SweepSpec,
     evaluate_point,
     contiguous_intervals,
+    preset_model,
     region_area_fraction,
     threshold_contours,
 )
+from quantum_tweezers.propagator import propagate
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +301,41 @@ class TestRegionExtraction:
         for x1, y1, x2, y2 in segments:
             assert math.hypot(x1, y1) == pytest.approx(0.5, abs=0.05)
             assert math.hypot(x2, y2) == pytest.approx(0.5, abs=0.05)
+
+
+# every protocol, with the calibration's worst points of the fig4 chirp
+# (its shortest pump) and of the pi pulse (its shortest width) among them
+_SWEEP_POINTS = [
+    ("fig4", "scrap_1atom", {"omega_hat_rad_s": 1.78e4, "t_omega_s": 2.5e-4}, 1),
+    ("fig4", "scrap_1atom", {"omega_hat_rad_s": 1e3, "t_omega_s": 3.25e-3}, 1),
+    ("fig4", "delay_scan", {"delta_tau_s": -1.8e-3}, 1),
+    ("fig3a", "ramp", {"ramp_rate_rad_s2": 3e5}, 1),
+    ("fig3a", "ramp", {"ramp_rate_rad_s2": 1e6}, 2),
+    ("fig6", "scrap_2atom", {}, 2),
+    ("fig7", "pi_pulse", {"t_omega_s": 5e-4}, 1),
+    ("fig7", "pi_pulse", {"omega_hat_rad_s": 2e3, "t_omega_s": 2.3e-3}, 1),
+    ("fig7", "sequential_pi", {"t_omega_s": 1e-3}, 2),
+]
+
+
+@pytest.mark.parametrize("name, protocol, point, target", _SWEEP_POINTS)
+def test_sweep_point_matches_fourth_order_reference(name, protocol, point, target):
+    # sweeps take the sixth order; the reference is the fourth order at a
+    # quarter of the step its own rule picks, chained as the sweep chains
+    preset = get_preset(name)
+    p = evaluate_point(preset, protocol, point, target)["p"]
+    entry = PROTOCOLS[protocol]
+    model = preset_model(preset)
+    schedules = entry.schedules(model=model, preset=preset,
+                                params=entry.params(preset, point),
+                                target=entry.target or target)
+    state = None
+    for schedule in schedules:
+        step = propagate(model, schedule, step_control=StepControl(sample_cap=2)).step
+        control = StepControl(sample_cap=2, h_override=step / 4)
+        state = propagate(model, schedule, initial_state=state,
+                          step_control=control).final_state
+    assert abs(p - abs(state[entry.target or target]) ** 2) < 1e-11
 
 
 class TestOptimizer:

@@ -15,6 +15,7 @@ from quantum_tweezers import (
     Gaussian,
     IntegrationError,
     LinearRamp,
+    OffsetSum,
     PulseSchedule,
     StepControl,
     Trajectory,
@@ -27,7 +28,11 @@ from quantum_tweezers import (
     transfer_probability,
 )
 from quantum_tweezers import propagator
-from quantum_tweezers.levels import rabi_coupling, resonance_detunings
+from quantum_tweezers.levels import (
+    hamiltonian_stack,
+    rabi_coupling,
+    resonance_detunings,
+)
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +138,25 @@ class TestConvergence:
         orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
         for order in orders:
             assert 3.5 <= order <= 4.5, f"orders: {orders}, errors: {errors}"
+
+    def test_step_halving_sixth_order(self, fig3a_model):
+        """Halving the step divides the sixth-order error by about 64."""
+        res = resonance_detunings(fig3a_model)
+        schedule = PulseSchedule(
+            Constant(res.d01),
+            Gaussian(peak=8e3, center=2.0e-3, width=6e-4), 0.0, 4e-3)
+
+        def final_pops(n_steps):
+            control = StepControl(h_override=schedule.duration / n_steps, order=6)
+            traj = propagate(fig3a_model, schedule, step_control=control)
+            return traj.populations[-1]
+
+        reference = final_pops(8192)
+        errors = [np.max(np.abs(final_pops(n) - reference))
+                  for n in (32, 64, 128)]
+        orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
+        for order in orders:
+            assert 5.5 <= order <= 6.5, f"orders: {orders}, errors: {errors}"
 
     def test_step_halving_tolerance(self, fig3a_model):
         """Halving the automatically chosen step moves populations < 1e-8."""
@@ -493,3 +517,114 @@ class TestWorkspace:
             tracemalloc.stop()
         assert trajectory.n_steps == 8763
         assert peak < 2 * model.dim ** 2 * propagator._BLOCK * 16
+
+
+class TestSixthOrder:
+    def test_order_is_4_or_6(self):
+        assert StepControl().order == 4
+        for order in (0, 2, 5, 8, 6.5, "6"):
+            with pytest.raises(ValueError):
+                StepControl(order=order)
+
+    def test_generator_matches_the_commutator_formula(self):
+        # Blanes, Casas, Oteo & Ros (2009): three Gauss-Legendre nodes, with
+        # the commutators written out in complex arithmetic
+        model, schedule = _fig4_chirp(1.0e-3)
+        count = 300
+        h = schedule.duration / count
+        times = schedule.t_start + np.arange(count) * h
+        omega = propagator._generator6(model, schedule, times, h).transpose(2, 0, 1)
+        nodes = 0.5 + np.array([-1.0, 0.0, 1.0]) * math.sqrt(15.0) / 10.0
+        stacks = [hamiltonian_stack(model, schedule.detuning(times + c * h),
+                                    schedule.rabi(times + c * h)) for c in nodes]
+        a1, a2, a3 = (-1j * h / model.hbar * s for s in stacks)
+
+        def comm(x, y):
+            return x @ y - y @ x
+
+        alpha1 = a2
+        alpha2 = math.sqrt(15.0) / 3.0 * (a3 - a1)
+        alpha3 = 10.0 / 3.0 * (a3 - 2.0 * a2 + a1)
+        c1 = comm(alpha1, alpha2)
+        c2 = -comm(alpha1, 2.0 * alpha3 + c1) / 60.0
+        expected = (alpha1 + alpha3 / 12.0
+                    + comm(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0)
+        scale = np.max(np.abs(expected), axis=(1, 2))
+        assert np.all(np.max(np.abs(omega - expected), axis=(1, 2)) <= 1e-15 * scale)
+        np.testing.assert_array_equal(omega, -omega.conj().transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("sample_cap", [10_000, 256, 20])
+    def test_block_size_does_not_change_a_bit(self, fig3a_model, monkeypatch,
+                                              sample_cap):
+        schedule, control = _stepped(fig3a_model, 1001, sample_cap)
+        control = StepControl(sample_cap=sample_cap, h_override=control.h_override,
+                              order=6)
+        reference = propagate(fig3a_model, schedule, step_control=control)
+        for block in (1, 97):
+            monkeypatch.setattr(propagator, "_BLOCK", block)
+            _assert_same_bits(propagate(fig3a_model, schedule, step_control=control),
+                              reference)
+
+    def test_step_rule_has_no_floor(self):
+        # a fig4 chirp at t_omega = 0.25 ms: the fourth-order floor of 1000
+        # steps decides there, the sixth-order rule does not have one
+        model, schedule = _fig4_chirp(2.5e-4)
+        fourth = propagate(model, schedule, step_control=StepControl(sample_cap=2))
+        sixth = propagate(model, schedule,
+                          step_control=StepControl(sample_cap=2, order=6))
+        assert fourth.n_steps in (1000, 1001)  # window / (window / 1000), rounded up
+        assert sixth.n_steps < fourth.n_steps / 2
+        assert np.max(np.abs(sixth.populations[-1] - fourth.populations[-1])) < 1e-9
+
+
+def _mirrored(envelope, end):
+    """The envelope of t, as a function of end - t."""
+    if isinstance(envelope, Gaussian):
+        return Gaussian(peak=envelope.peak, center=end - envelope.center,
+                        width=envelope.width)
+    return LinearRamp(envelope.start, -envelope.rate, end - envelope.t_ref)
+
+
+@st.composite
+def _smooth_runs(draw):
+    # a linear chirp or a Gaussian detuning excursion around the 0-1
+    # resonance, a Gaussian drive, a random start state and step count
+    duration = draw(st.floats(2e-4, 4e-3))
+    center = st.floats(0.2, 0.8).map(lambda u: u * duration)
+    width = st.floats(0.1, 0.4).map(lambda u: u * duration)
+    if draw(st.booleans()):
+        detuning = LinearRamp(draw(st.floats(-3e4, 3e4)), draw(st.floats(-5e7, 5e7)),
+                              draw(center))
+    else:
+        detuning = Gaussian(peak=draw(st.floats(-4e4, 4e4)), center=draw(center),
+                            width=draw(width))
+    rabi = Gaussian(peak=draw(st.floats(0.0, 2e4)), center=draw(center),
+                    width=draw(width))
+    state = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6)))
+    state = state[:3] + 1j * state[3:]
+    state = state / np.linalg.norm(state) if np.linalg.norm(state) > 0.1 else None
+    return detuning, rabi, duration, state, draw(st.integers(16, 600))
+
+
+class TestSmoothScheduleProperties:
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(run=_smooth_runs(), order=st.sampled_from([4, 6]))
+    def test_unitary_and_time_reversible(self, fig3a_model, run, order):
+        # a real symmetric H(t): the run over the time-mirrored schedule,
+        # started from the conjugated final state, returns the conjugated
+        # start state.  Both schemes are symmetric, so this holds to rounding
+        # at any step
+        detuning, rabi, duration, state, n_steps = run
+        d01 = resonance_detunings(fig3a_model).d01
+        control = StepControl(h_override=duration / n_steps, order=order)
+        forward = PulseSchedule(OffsetSum(d01, detuning), rabi, 0.0, duration)
+        traj = propagate(fig3a_model, forward, initial_state=state,
+                         step_control=control)
+        assert traj.norm_drift < 1e-12
+        start = traj.states[0]
+        backward = PulseSchedule(OffsetSum(d01, _mirrored(detuning, duration)),
+                                 _mirrored(rabi, duration), 0.0, duration)
+        back = propagate(fig3a_model, backward, initial_state=np.conj(traj.final_state),
+                         step_control=control)
+        assert back.norm_drift < 1e-12
+        assert np.max(np.abs(back.final_state - np.conj(start))) < 1e-12
