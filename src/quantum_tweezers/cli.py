@@ -109,8 +109,26 @@ def cmd_params(config: dict, preset: Preset, out_dir: str) -> int:
 
 
 def _target(section: dict, protocol: str) -> int:
-    """The section's target level, else the level a chained protocol reports."""
-    return section.get("target", PROTOCOLS[protocol].chain_level or 1)
+    """The section's target level, else the level a chained protocol reports.
+
+    A target other than the one level a protocol reports raises ConfigError.
+    """
+    entry = PROTOCOLS[protocol]
+    if "target" in section and entry.target not in (None, section["target"]):
+        raise ConfigError(f"protocol {protocol!r} reports level {entry.target}; "
+                          f"it cannot report target {section['target']}")
+    return section.get("target", entry.chain_level or 1)
+
+
+def _checked(call, *args, **kwargs):
+    """call(*args, **kwargs), with the ValueError of a protocol value out of
+    range reported as a ConfigError."""
+    try:
+        return call(*args, **kwargs)
+    except (ConfigError, TweezersError):
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_propagate(config: dict, preset: Preset, out_dir: str) -> int:
@@ -126,17 +144,17 @@ def cmd_propagate(config: dict, preset: Preset, out_dir: str) -> int:
     else:
         entry = PROTOCOLS[kind]
         point = _protocol_point(config)
+        target = _target(protocol, kind)
         if entry.chain_level is not None:
             # a propagate takes the fourth order, as below
-            out = evaluate_point(preset, kind, point, entry.chain_level, order=4)
-            finals = {f"p{entry.chain_level}" if k == "p" else k: v
-                      for k, v in out.items()}
+            out = evaluate_point(preset, kind, point, target, order=4)
+            finals = {f"p{target}" if k == "p" else k: v for k, v in out.items()}
             _atomic_write(os.path.join(out_dir, "final.json"), _json_text(finals))
-            print(f"{kind}: P_0->{entry.chain_level} = {out['p']:.6f}")
+            print(f"{kind}: P_0->{target} = {out['p']:.6f}")
             return EXIT_OK
-        (schedule,) = entry.schedules(
-            model=model, preset=preset, params=entry.params(preset, point),
-            target=entry.target or protocol.get("target", 1))
+        (schedule,) = _checked(
+            entry.schedules, model=model, preset=preset,
+            params=entry.params(preset, point), target=entry.target or target)
     trajectory = propagate(model, schedule)
     csv_text = trajectory_to_csv(trajectory)
     _atomic_write(os.path.join(out_dir, "trajectory.csv"), csv_text)
@@ -197,7 +215,7 @@ def cmd_check(config: dict, preset: Preset, out_dir: str) -> int:
     # attached only for the protocols that drive one
     if entry is not None and entry.chirp is not None:
         scrap = entry.chirp(preset, entry.params(preset, _protocol_point(config)))
-    report = validity_check(model, preset.omega_l, scrap=scrap)
+    report = _checked(validity_check, model, preset.omega_l, scrap=scrap)
     flags = report.flags
     payload = {"threshold_probability": THRESHOLD_PROBABILITY, "flags": flags,
                "all_strong": report.all_strong, "any_fail": report.any_fail}
@@ -279,10 +297,6 @@ def main(argv=None) -> int:
         if threads > (os.cpu_count() or 1):
             raise ConfigError(f"threads = {threads} exceeds the "
                               f"{os.cpu_count()} CPUs of this machine")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         if args.command == "params":
             return cmd_params(config, preset, out_dir)
         if args.command == "propagate":
@@ -291,8 +305,7 @@ def main(argv=None) -> int:
             return cmd_sweep(config, preset, out_dir, threads)
         if args.command == "check":
             return cmd_check(config, preset, out_dir)
-        if args.command == "optimize":
-            return cmd_optimize(config, preset, out_dir, seed)
+        return cmd_optimize(config, preset, out_dir, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -302,7 +315,6 @@ def main(argv=None) -> int:
     except TweezersError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ from .exceptions import ConfigError, InfeasibleScheduleError, TweezersError
 from .levels import LevelModel, build_level_model, rabi_coupling, resonance_detunings
 from .params import derive_all
 from .presets import Preset, RampGeometry
-from .propagator import StepControl, propagate, transfer_probability
+from .propagator import StepControl, _csv_text, propagate, transfer_probability
 from .pulses import (
     LinearRamp,
     PulseSchedule,
@@ -153,21 +153,13 @@ class SweepResult:
     metadata: dict = field(default_factory=dict)
 
     def to_csv_text(self) -> str:
-        names = [axis.name for axis in self.spec.axes]
+        """One row per grid point in C order: axis values, p, p_lz, extras."""
         extra_names = sorted(self.extras)
-        header = names + ["p_target", "p_lz"] + extra_names
-        lines = [",".join(header)]
-        flat_p = self.p.reshape(-1)
-        flat_lz = self.p_lz.reshape(-1)
-        flat_extras = [self.extras[k].reshape(-1) for k in extra_names]
-        for flat, idx in enumerate(np.ndindex(self.spec.shape)):
-            row = [repr(float(self.axis_values[d][idx[d]]))
-                   for d in range(len(idx))]
-            row.append(_csv_float(flat_p[flat]))
-            row.append(_csv_float(flat_lz[flat]))
-            row += [_csv_float(col[flat]) for col in flat_extras]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        header = [axis.name for axis in self.spec.axes] + ["p_target", "p_lz"]
+        grids = np.meshgrid(*self.axis_values, indexing="ij")
+        columns = [*grids, self.p, self.p_lz, *(self.extras[k] for k in extra_names)]
+        return _csv_text(header + extra_names,
+                         [np.reshape(column, -1) for column in columns])
 
     def metadata_dict(self) -> dict:
         return {
@@ -175,12 +167,6 @@ class SweepResult:
             "failures": [{"index": i, "message": m} for i, m in self.failures],
             **self.metadata,
         }
-
-
-def _csv_float(value: float) -> str:
-    if math.isnan(value):
-        return ""
-    return repr(float(value))
 
 
 # --- protocol schedule assembly ---------------------------------------------
@@ -669,52 +655,39 @@ def region_area_fraction(p: np.ndarray, threshold: float) -> float:
     return float(np.mean(np.nan_to_num(p, nan=-1.0) > threshold))
 
 
+# a cell's edges in the order bottom, left, right, top, each as the (i, j)
+# offsets of its two corners, the lower one first
+_CELL_EDGES = (((0, 0), (1, 0)), ((0, 0), (0, 1)), ((1, 0), (1, 1)), ((0, 1), (1, 1)))
+
+
 def threshold_contours(result: SweepResult, level: float) -> list[list[float]]:
     """Marching-squares contour segments [x1, y1, x2, y2] at one level.
 
     x runs along the first axis, y along the second.  NaN cells are skipped.
+    A cell's level crossings are taken along its edges in _CELL_EDGES order
+    and joined in pairs; a saddle cell's four are joined 0-1 and 3-2.
     """
     p = result.p
     if p.ndim != 2:
         raise ValueError("contour extraction needs a 2-D sweep")
-    xs, ys = result.axis_values
+    axes = [np.asarray(values, dtype=float).tolist() for values in result.axis_values]
+    values = p.tolist()
+    nan = np.isnan(p)
+    cells = ~(nan[:-1, :-1] | nan[1:, :-1] | nan[:-1, 1:] | nan[1:, 1:])
     segments: list[list[float]] = []
-
-    def interp(va, vb, a, b):
-        # linear interpolation of the level crossing between grid values
-        return a + (level - va) / (vb - va) * (b - a)
-
-    for i in range(p.shape[0] - 1):
-        for j in range(p.shape[1] - 1):
-            corners = np.array([p[i, j], p[i + 1, j], p[i + 1, j + 1], p[i, j + 1]])
-            if np.any(np.isnan(corners)):
-                continue
-            code = sum(1 << k for k, v in enumerate(corners) if v > level)
-            if code in (0, 15):
-                continue
-            x0, x1 = xs[i], xs[i + 1]
-            y0, y1 = ys[j], ys[j + 1]
-            # edge midpoints by interpolation: bottom(0-1), right(1-2),
-            # top(3-2), left(0-3); corners ordered (i,j),(i+1,j),(i+1,j+1),(i,j+1)
-            pts = {}
-            if (corners[0] > level) != (corners[1] > level):
-                pts["b"] = (interp(corners[0], corners[1], x0, x1), y0)
-            if (corners[1] > level) != (corners[2] > level):
-                pts["r"] = (x1, interp(corners[1], corners[2], y0, y1))
-            if (corners[3] > level) != (corners[2] > level):
-                pts["t"] = (interp(corners[3], corners[2], x0, x1), y1)
-            if (corners[0] > level) != (corners[3] > level):
-                pts["l"] = (x0, interp(corners[0], corners[3], y0, y1))
-            keys = sorted(pts)
-            if len(keys) == 2:
-                (xa, ya), (xb, yb) = pts[keys[0]], pts[keys[1]]
-                segments.append([float(xa), float(ya), float(xb), float(yb)])
-            elif len(keys) == 4:
-                # saddle cell: pair bottom-left and top-right
-                segments.append([float(pts["b"][0]), float(pts["b"][1]),
-                                 float(pts["l"][0]), float(pts["l"][1])])
-                segments.append([float(pts["t"][0]), float(pts["t"][1]),
-                                 float(pts["r"][0]), float(pts["r"][1])])
+    for i, j in np.argwhere(cells).tolist():
+        crossings = []
+        for (ai, aj), (bi, bj) in _CELL_EDGES:
+            va, vb = values[i + ai][j + aj], values[i + bi][j + bj]
+            if (va > level) != (vb > level):
+                a = [axes[0][i + ai], axes[1][j + aj]]
+                b = [axes[0][i + bi], axes[1][j + bj]]
+                k = 0 if ai != bi else 1  # the coordinate that varies
+                # linear interpolation of the level crossing along the edge
+                a[k] += (level - va) / (vb - va) * (b[k] - a[k])
+                crossings.append(a)
+        segments += [crossings[m] + crossings[n]
+                     for m, n in ((0, 1), (3, 2))[:len(crossings) // 2]]
     return segments
 
 

@@ -36,6 +36,9 @@ takes 20 points per period and no floor: the least count that keeps every
 calibration point (the fig4 chirp plane, ramps and every other protocol)
 within 1e-11 of a fourth-order run at a quarter of its step.  A schedule
 that is not finite at the probe times raises IntegrationError.
+
+The CSV writer of trajectories, _csv_text, also writes the sweep CSVs of
+experiments.SweepResult.
 """
 
 from __future__ import annotations
@@ -59,13 +62,12 @@ __all__ = [
 ]
 
 NORM_TOLERANCE = 1e-9
-_GL_NODE_1 = 0.5 - math.sqrt(3.0) / 6.0
-_GL_NODE_2 = 0.5 + math.sqrt(3.0) / 6.0
+_GL2_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 _GL3_NODES = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 _BLOCK = 2048  # steps per vectorized block (bounds memory); a multiple of the group
 _GROUP = 32  # steps per group of the sample scan, rounded down to whole strides
 _THETA = 0.25  # 1-norm below which the Taylor polynomial is used unscaled
-_CSV_ROWS = 1024  # trajectory rows formatted at a time
+_CSV_ROWS = 1024  # CSV rows formatted at a time
 _TAYLOR = tuple(1.0 / math.factorial(k) for k in range(13))
 # per order: steps per 2 pi / omega_max oscillation, and the least step count
 _STEP_RULE = {4: (50, 1000), 6: (20, 1)}
@@ -330,19 +332,19 @@ def _generator(model: LevelModel, schedule: PulseSchedule, times: np.ndarray,
     """-i Omega for the steps starting at `times`, a component-major workspace array.
 
     Omega = h (H1 + H2) / 2 hbar - i sqrt(3) h^2 [H2, H1] / 12 hbar^2, with H1
-    and H2 at the two Gauss-Legendre nodes of each step.  H2 H1 is the
-    transpose of H1 H2, as both are real symmetric.
+    and H2 at the two Gauss-Legendre nodes of each step, sampled in one
+    call.  H2 H1 is the transpose of H1 H2, as both are real symmetric.
     """
     hbar = model.hbar
-    h1 = _hamiltonians(model, schedule, times + _GL_NODE_1 * h)
-    h2 = _hamiltonians(model, schedule, times + _GL_NODE_2 * h)
+    stack = _hamiltonians(model, schedule, np.add.outer(_GL2_NODES * h, times))
+    h1, h2 = stack
     product = _mul(h1, h2)
     generator = _WORK.take(h1.shape)
     np.multiply(-(h / (2.0 * hbar)), np.add(h1, h2, out=h1), out=generator.imag)
     np.multiply(math.sqrt(3.0) * h * h / (12.0 * hbar * hbar),
                 np.subtract(product, product.transpose(1, 0, 2), out=h2),
                 out=generator.real)
-    _WORK.give(h1, h2, product)
+    _WORK.give(stack, product)
     return generator
 
 
@@ -483,20 +485,29 @@ def trajectory_to_csv(trajectory: Trajectory) -> str:
     """Render the trajectory as CSV text with a mandatory header.
 
     Columns: time_s, p0..p{d-1}, then re_c{n}, im_c{n} for each level.
-    Floats are written with shortest round-trip formatting, so identical
-    trajectories serialize to identical bytes.  Rows are formatted a column
-    at a time, in chunks of _CSV_ROWS rows.
+    Identical trajectories serialize to identical bytes.
     """
     dim = trajectory.dim
     header = (["time_s"] + [f"p{n}" for n in range(dim)]
               + [item for n in range(dim) for item in (f"re_c{n}", f"im_c{n}")])
+    states = np.ascontiguousarray(trajectory.states, dtype=complex)
+    return _csv_text(header, [trajectory.times, *trajectory.populations.T,
+                              *states.view(float).T])  # re_c0, im_c0, re_c1, ...
+
+
+def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
+    """CSV text of equal-length float columns under a header line.
+
+    Floats are written with shortest round-trip formatting and NaN as an
+    empty field.  Rows are formatted a column at a time, in chunks of
+    _CSV_ROWS rows.
+    """
     parts = [",".join(header)]
-    for start in range(0, trajectory.times.size, _CSV_ROWS):
-        rows = slice(start, start + _CSV_ROWS)
-        states = np.ascontiguousarray(trajectory.states[rows], dtype=complex)
-        columns = [np.asarray(trajectory.times[rows], dtype=float),
-                   *np.asarray(trajectory.populations[rows], dtype=float).T,
-                   *states.view(float).T]  # re_c0, im_c0, re_c1, ...
-        text = zip(*(map(repr, column.tolist()) for column in columns))
+    for start in range(0, len(columns[0]), _CSV_ROWS):
+        chunks = [np.asarray(column[start:start + _CSV_ROWS], dtype=float)
+                  for column in columns]
+        text = zip(*(["" if math.isnan(v) else repr(v) for v in chunk.tolist()]
+                     if np.isnan(chunk).any() else map(repr, chunk.tolist())
+                     for chunk in chunks))
         parts.append("\n".join(map(",".join, text)))
     return "\n".join(parts) + "\n"

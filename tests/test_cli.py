@@ -713,3 +713,81 @@ def test_random_sweep_and_optimize_exit_codes(random_run_dir, run):
             contextlib.redirect_stderr(io.StringIO()):
         code = main([command, "--config", path, "--out", str(random_run_dir)])
     assert code in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("command, protocol", [
+    ("propagate", {"type": "scrap_1atom", "delta_hat": 0}),
+    ("check", {"type": "scrap_1atom", "delta_hat": 0}),
+    ("propagate", {"type": "ramp", "ramp_rate_rad_s2": 0}),
+], ids=["propagate_zero_chirp", "check_zero_chirp", "propagate_zero_rate"])
+def test_out_of_range_protocol_values_exit_2(tmp_path, capsys, command, protocol):
+    # each ended in a ValueError traceback, exit 1
+    path = write_config(tmp_path, {"protocol": protocol})
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert ("delta_hat" if "delta_hat" in protocol else "ramp rate") in err
+    assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("command, section, level", [
+    ("sweep", {"sweep": {"protocol": "scrap_1atom", "target": 2,
+                         "axes": [_axis("t_omega_s", 0.9e-3, 1e-3)]}}, 1),
+    ("optimize", {"optimize": {"protocol": "delay_scan", "target": 2, "budget": 10,
+                               "bounds": {"delta_tau_s": [-1e-4, 0.0]}}}, 1),
+    ("propagate", {"protocol": {"type": "scrap_2atom", "target": 1}}, 2),
+], ids=["sweep", "optimize", "propagate"])
+def test_target_a_fixed_level_protocol_cannot_report_exits_2(tmp_path, capsys,
+                                                              command, section, level):
+    # these ran to exit 0 and reported the protocol's own level as the target
+    path = write_config(tmp_path, {"preset": "fig4", **section})
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f"level {level}" in err
+    assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
+
+
+# the propagate and check sections name two frequencies without the unit
+_SECTION_NAMES = {"omega_hat_rad_s": "omega_hat", "delta_hat_rad_s": "delta_hat"}
+
+
+@st.composite
+def _random_protocol_section(draw):
+    protocol = draw(st.sampled_from(sorted(PROTOCOLS)))
+    entry = PROTOCOLS[protocol]
+    one_in_four = st.integers(0, 3).map(lambda k: k == 3)
+
+    def value(name):
+        default = entry.defaults.get(name, 0.0)
+        if draw(one_in_four):
+            return draw(st.sampled_from(_WRONG_TYPES))
+        if isinstance(default, bool):
+            return draw(st.booleans())
+        if isinstance(default, str):
+            return draw(st.sampled_from(["0-1", "1-2"]))
+        return draw(st.sampled_from(_SCALES)) * _TYPICAL[name]
+
+    names = draw(st.lists(st.sampled_from([*entry.required, *entry.defaults]),
+                          unique=True, max_size=2))
+    section = {"type": protocol, **{_SECTION_NAMES.get(n, n): value(n) for n in names},
+               **draw(st.sampled_from([{}, {"target": 1}, {"target": 2}]))}
+    return draw(st.sampled_from(["propagate", "check"])), section
+
+
+@pytest.fixture(scope="module")
+def random_section_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("random_section")
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(run=_random_protocol_section())
+def test_random_propagate_and_check_exit_codes(random_section_dir, run):
+    # every protocol; zero, negative and wrong-typed values and every target:
+    # a documented exit code, never a traceback
+    command, section = run
+    path = write_config(random_section_dir, {"preset": "fig4", "protocol": section})
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, "--config", path, "--out", str(random_section_dir)])
+    assert code in (0, 1, 2, 3)

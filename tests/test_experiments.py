@@ -20,6 +20,7 @@ from quantum_tweezers.exceptions import ConfigError
 from quantum_tweezers.experiments import (
     PROTOCOLS,
     AxisSpec,
+    SweepResult,
     SweepSpec,
     evaluate_point,
     contiguous_intervals,
@@ -301,6 +302,67 @@ class TestRegionExtraction:
         for x1, y1, x2, y2 in segments:
             assert math.hypot(x1, y1) == pytest.approx(0.5, abs=0.05)
             assert math.hypot(x2, y2) == pytest.approx(0.5, abs=0.05)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_contours_match_the_four_edge_reference(self, seed):
+        # the per-edge marching-squares loop threshold_contours replaced,
+        # kept as the reference
+        def by_edges(p, xs, ys, level):
+            segments, saddles = [], 0
+
+            def interp(va, vb, a, b):
+                return a + (level - va) / (vb - va) * (b - a)
+
+            for i in range(p.shape[0] - 1):
+                for j in range(p.shape[1] - 1):
+                    c = np.array([p[i, j], p[i + 1, j], p[i + 1, j + 1], p[i, j + 1]])
+                    if np.any(np.isnan(c)):
+                        continue
+                    if sum(1 << k for k, v in enumerate(c) if v > level) in (0, 15):
+                        continue
+                    x0, x1, y0, y1 = xs[i], xs[i + 1], ys[j], ys[j + 1]
+                    pts = {}
+                    if (c[0] > level) != (c[1] > level):
+                        pts["b"] = (interp(c[0], c[1], x0, x1), y0)
+                    if (c[1] > level) != (c[2] > level):
+                        pts["r"] = (x1, interp(c[1], c[2], y0, y1))
+                    if (c[3] > level) != (c[2] > level):
+                        pts["t"] = (interp(c[3], c[2], x0, x1), y1)
+                    if (c[0] > level) != (c[3] > level):
+                        pts["l"] = (x0, interp(c[0], c[3], y0, y1))
+                    keys = sorted(pts)
+                    if len(keys) == 2:
+                        segments.append([float(v) for key in keys for v in pts[key]])
+                    elif len(keys) == 4:
+                        saddles += 1
+                        segments.append([float(v) for key in "bl" for v in pts[key]])
+                        segments.append([float(v) for key in "tr" for v in pts[key]])
+            return segments, saddles
+
+        rng = np.random.default_rng(seed)
+        levels = (0.99, 0.8, 0.5)
+        counts = {"segments": 0, "saddles": 0}
+        for _ in range(150):
+            shape = tuple(rng.integers(2, 8, size=2))
+            # uniform values, some exactly at a level, one in ten NaN
+            p = rng.random(shape)
+            at_level = rng.random(shape) < 0.15
+            p[at_level] = rng.choice(levels, size=int(at_level.sum()))
+            p[rng.random(shape) < 0.1] = math.nan
+            xs, ys = (np.cumsum(rng.random(n) + 0.1) - 1.0 for n in shape)
+            result = SweepResult(
+                spec=SweepSpec(protocol="ramp", axes=(AxisSpec("x", 0, 1, shape[0]),
+                                                      AxisSpec("y", 0, 1, shape[1]))),
+                axis_values=(xs, ys), p=p, p_lz=np.full(shape, math.nan),
+                extras={}, failures=())
+            for level in levels:
+                expected, saddles = by_edges(p, xs, ys, level)
+                got = threshold_contours(result, level)
+                assert got == expected
+                assert all(type(v) is float for segment in got for v in segment)
+                counts["segments"] += len(got)
+                counts["saddles"] += saddles
+        assert counts["segments"] > 1000 and counts["saddles"] > 10
 
 
 # every protocol, with the calibration's worst points of the fig4 chirp
