@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, fields, replace
 
 from .constants import HBAR
-from .exceptions import ConfigError
+from .exceptions import ConfigError, InfeasibleScheduleError
 from .levels import LevelModel, rabi_coupling
 
 __all__ = [
@@ -157,7 +157,7 @@ def scrap_adiabatic_condition(delta_hat: float, t_delta: float, tau: float,
     tau is the time from the first crossing to the detuning-pulse peak.
     """
     if not (t_delta > 0 and tau > 0):
-        raise ValueError("t_delta and tau must be strictly positive")
+        raise InfeasibleScheduleError("t_delta and tau must be strictly positive")
     lhs = math.pi * (delta_e2 / hbar) ** 2 / 4.0
     rhs = scrap_crossing_slope(delta_hat, t_delta, tau) / 2.0
     if rhs == 0.0:
@@ -178,7 +178,7 @@ def scrap_pump_width_bound(omega_hat_eff: float, delta_hat: float,
     crossing to complete while the pump is on.
     """
     if not (t_delta > 0 and tau > 0 and delta_hat != 0):
-        raise ValueError("t_delta and tau must be positive, delta_hat non-zero")
+        raise InfeasibleScheduleError("t_delta and tau must be positive, delta_hat non-zero")
     exponent = (tau / t_delta) ** 2
     t_min = abs(omega_hat_eff) * t_delta**2 / (tau * abs(delta_hat)) * math.exp(exponent)
     slope = scrap_crossing_slope(delta_hat, t_delta, tau)

@@ -5,8 +5,8 @@ is a pure function of its resolved configuration: identical inputs produce
 identical outputs and exit codes.  File outputs are written to a temporary
 file and renamed, so an interrupted run never leaves a partial artifact.
 
-Exit codes: 0 success, 1 validity warning, 2 configuration error,
-3 numerical failure.
+Exit codes: 0 success, 1 validity warning, 2 configuration error or a
+pulse that cannot be built, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -25,26 +25,27 @@ import numpy as np
 from . import __version__
 from .analytics import THRESHOLD_PROBABILITY, validity_check
 from .config import ConfigError, load_config, parse_frequency, resolve_preset, validate_config
-from .exceptions import IntegrationError, TweezersError
-# The schedule builders and build_level_model are not called here; they stay
-# bound because perfbench/tracer.py wraps them in this module's namespace.
-from .experiments import (  # noqa: F401
+from .exceptions import InfeasibleScheduleError, IntegrationError
+from .experiments import (
     PROTOCOLS,
     AxisSpec,
     SweepSpec,
     evaluate_point,
-    gated_ramp_schedule,
     optimize_pulse,
     preset_model,
     region_area_fraction,
-    resonant_gaussian_schedule,
     run_sweep,
 )
-from .levels import build_level_model  # noqa: F401
 from .params import derive_all
 from .presets import Preset
 from .propagator import propagate, trajectory_to_csv, transfer_probability
-from .pulses import build_pi_pulse, build_scrap_schedule, schedule_from_dict  # noqa: F401
+from .pulses import schedule_from_dict
+
+# The schedule builders and build_level_model are not called here; they stay
+# bound because perfbench/tracer.py wraps them in this module's namespace.
+from .experiments import gated_ramp_schedule, resonant_gaussian_schedule  # noqa: F401
+from .levels import build_level_model  # noqa: F401
+from .pulses import build_pi_pulse, build_scrap_schedule  # noqa: F401
 
 EXIT_OK = 0
 EXIT_VALIDITY = 1
@@ -109,7 +110,7 @@ def cmd_params(config: dict, preset: Preset, out_dir: str) -> int:
 
 
 def _target(section: dict, protocol: str) -> int:
-    """The section's target level, else the level a chained protocol reports.
+    """The section's target level, else the level the protocol reports, else 1.
 
     A target other than the one level a protocol reports raises ConfigError.
     """
@@ -117,18 +118,7 @@ def _target(section: dict, protocol: str) -> int:
     if "target" in section and entry.target not in (None, section["target"]):
         raise ConfigError(f"protocol {protocol!r} reports level {entry.target}; "
                           f"it cannot report target {section['target']}")
-    return section.get("target", entry.chain_level or 1)
-
-
-def _checked(call, *args, **kwargs):
-    """call(*args, **kwargs), with the ValueError of a protocol value out of
-    range reported as a ConfigError."""
-    try:
-        return call(*args, **kwargs)
-    except (ConfigError, TweezersError):
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return section.get("target", entry.target or entry.chain_level or 1)
 
 
 def cmd_propagate(config: dict, preset: Preset, out_dir: str) -> int:
@@ -152,9 +142,8 @@ def cmd_propagate(config: dict, preset: Preset, out_dir: str) -> int:
             _atomic_write(os.path.join(out_dir, "final.json"), _json_text(finals))
             print(f"{kind}: P_0->{target} = {out['p']:.6f}")
             return EXIT_OK
-        (schedule,) = _checked(
-            entry.schedules, model=model, preset=preset,
-            params=entry.params(preset, point), target=entry.target or target)
+        (schedule,) = entry.schedules(model=model, preset=preset,
+                                      params=entry.params(preset, point), target=target)
     trajectory = propagate(model, schedule)
     csv_text = trajectory_to_csv(trajectory)
     _atomic_write(os.path.join(out_dir, "trajectory.csv"), csv_text)
@@ -215,7 +204,7 @@ def cmd_check(config: dict, preset: Preset, out_dir: str) -> int:
     # attached only for the protocols that drive one
     if entry is not None and entry.chirp is not None:
         scrap = entry.chirp(preset, entry.params(preset, _protocol_point(config)))
-    report = _checked(validity_check, model, preset.omega_l, scrap=scrap)
+    report = validity_check(model, preset.omega_l, scrap=scrap)
     flags = report.flags
     payload = {"threshold_probability": THRESHOLD_PROBABILITY, "flags": flags,
                "all_strong": report.all_strong, "any_fail": report.any_fail}
@@ -276,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", help="path to a JSON run configuration")
         cmd.add_argument("--preset", help="named preset (fig3a, fig3b, fig4, "
                                           "fig6, fig7)")
-        cmd.add_argument("--out", default=".", help="output directory")
+        cmd.add_argument("--out", help="output directory (default: output_dir, else .)")
         cmd.add_argument("--threads", type=int, default=None,
                          help="worker processes for sweeps (default 1)")
         cmd.add_argument("--seed", type=int, default=None,
@@ -289,7 +278,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config) if args.config else validate_config({})
         preset = resolve_preset(config, args.preset)
-        out_dir = args.out if args.out != "." else config.get("output_dir", ".")
+        out_dir = args.out if args.out is not None else config.get("output_dir", ".")
         threads = args.threads if args.threads is not None \
             else config.get("threads", 1)
         seed = args.seed if args.seed is not None else config.get("seed", 0)
@@ -306,14 +295,11 @@ def main(argv=None) -> int:
         if args.command == "check":
             return cmd_check(config, preset, out_dir)
         return cmd_optimize(config, preset, out_dir, seed)
-    except ConfigError as exc:
+    except (ConfigError, InfeasibleScheduleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IntegrationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except TweezersError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -1,12 +1,14 @@
-"""Exception hierarchy."""
+"""Exception hierarchy.  The CLI exits 2 on a ConfigError or an
+InfeasibleScheduleError and 3 on an IntegrationError."""
 
 
 class TweezersError(Exception):
-    """Base class for package-specific failures."""
+    """A failure of one point: a sweep records it as a NaN point."""
 
 
 class InfeasibleScheduleError(TweezersError, ValueError):
-    """A pulse schedule cannot satisfy its resonance-crossing constraints."""
+    """A pulse schedule cannot be built from its values; raised by the range
+    check that finds it.  The CLI reports it as a config error."""
 
 
 class IntegrationError(TweezersError, RuntimeError):
@@ -14,4 +16,5 @@ class IntegrationError(TweezersError, RuntimeError):
 
 
 class ConfigError(ValueError):
-    """Configuration file is malformed or inconsistent."""
+    """Configuration file is malformed or inconsistent; a fault of the whole
+    run, so it stops a sweep or optimize run too."""

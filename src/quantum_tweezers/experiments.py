@@ -183,7 +183,7 @@ def gated_ramp_schedule(model: LevelModel, omega_l: float, rate: float,
     ramp, sets where the sweep starts and ends and how the gate is shaped.
     """
     if rate == 0:
-        raise ValueError("ramp rate must be non-zero")
+        raise InfeasibleScheduleError("ramp rate must be non-zero")
     rate = abs(rate)
     if target not in (1, 2) or target > model.n_max:
         raise ValueError(f"unsupported ramp target {target}")
@@ -486,9 +486,7 @@ def _evaluate_task(task: tuple) -> dict:
     preset, protocol, point, target = task
     try:
         return evaluate_point(preset, protocol, point, target)
-    except ConfigError:
-        raise  # a fault of the whole run, not of this point
-    except (TweezersError, ValueError, FloatingPointError) as exc:
+    except TweezersError as exc:
         return {"p": math.nan, "p_lz": math.nan,
                 "error": f"{type(exc).__name__}: {exc}"}
 
@@ -579,6 +577,8 @@ def run_sweep(spec: SweepSpec, preset: Preset, threads: int = 1) -> SweepResult:
 
     A 1-D ramp sweep records the intervals of its axis with P > 0.99;
     a 2-D sweep records the 0.99 and 0.80 contours and the P > 0.99 area.
+    A point that raises a TweezersError fails alone; any other error
+    leaves the sweep.
     """
     PROTOCOLS[spec.protocol].check_run([axis.name for axis in spec.axes],
                                        spec.fixed)

@@ -86,7 +86,7 @@ class Gaussian(Envelope):
 
     def __post_init__(self):
         if not self.width > 0:
-            raise ValueError("gaussian width must be strictly positive")
+            raise InfeasibleScheduleError("gaussian width must be strictly positive")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -119,9 +119,9 @@ class TanhPlateau(Envelope):
 
     def __post_init__(self):
         if not self.ramp_time > 0:
-            raise ValueError("ramp_time must be strictly positive")
+            raise InfeasibleScheduleError("ramp_time must be strictly positive")
         if not self.plateau_width > 0:
-            raise ValueError("plateau_width must be strictly positive")
+            raise InfeasibleScheduleError("plateau_width must be strictly positive")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -154,7 +154,7 @@ class PulseSchedule:
 
     def __post_init__(self):
         if not self.t_end > self.t_start:
-            raise ValueError("schedule window must satisfy t_start < t_end")
+            raise InfeasibleScheduleError("schedule window must satisfy t_start < t_end")
 
     @property
     def duration(self) -> float:
@@ -175,9 +175,9 @@ def build_scrap_schedule(omega_hat: float, t_omega: float, delta_hat: float,
     passage order.
     """
     if not (t_omega > 0 and t_delta > 0 and tau > 0):
-        raise ValueError("t_omega, t_delta and tau must be strictly positive")
+        raise InfeasibleScheduleError("t_omega, t_delta and tau must be strictly positive")
     if delta_hat == 0:
-        raise ValueError("delta_hat must be non-zero")
+        raise InfeasibleScheduleError("delta_hat must be non-zero")
     delta_offset = e1 / hbar - delta_hat * math.exp(-(tau / t_delta) ** 2)
     t1, t2 = 0.0, 2.0 * tau
     pump_center = t1 - delta_tau
@@ -206,7 +206,7 @@ def build_two_atom_scrap_schedule(omega_hat: float, t_omega: float,
     between pulses.
     """
     if not (t_omega > 0 and t_delta > 0 and baseline_depth > 0):
-        raise ValueError("t_omega, t_delta and baseline_depth must be positive")
+        raise InfeasibleScheduleError("t_omega, t_delta and baseline_depth must be positive")
     d01 = e1 / hbar
     d12 = e12 / hbar
     gap = d12 - d01
@@ -246,13 +246,13 @@ def build_pi_pulse(model: LevelModel, transition: tuple[int, int] | str,
     at the transition's resonance (d01 for 0->1, d12 for 1->2).
     """
     if not t_omega > 0:
-        raise ValueError("t_omega must be strictly positive")
+        raise InfeasibleScheduleError("t_omega must be strictly positive")
     if isinstance(transition, str):
         parts = transition.split("-")
         transition = (int(parts[0]), int(parts[1]))
     lower, upper = transition
     if upper != lower + 1 or not 0 <= lower < model.n_max:
-        raise ValueError(f"unsupported transition {transition}")
+        raise InfeasibleScheduleError(f"unsupported transition {transition}")
     res = resonance_detunings(model)
     detuning = res.d01 if lower == 0 else res.d12
     peak = math.sqrt(math.pi) / (model.rabi_units[lower] * t_omega)
@@ -317,7 +317,7 @@ def envelope_from_dict(data: dict) -> Envelope:
     args = [value(f) for f in fields(cls)]
     try:
         return cls(*args)
-    except ValueError as exc:
+    except InfeasibleScheduleError as exc:
         raise ConfigError(f"{owner}: {exc}") from exc
 
 
@@ -342,5 +342,5 @@ def schedule_from_dict(data: dict) -> PulseSchedule:
     t_end = _finite(window[1], "a schedule's 'window'")
     try:
         return PulseSchedule(detuning=detuning, rabi=rabi, t_start=t_start, t_end=t_end)
-    except ValueError as exc:
+    except InfeasibleScheduleError as exc:
         raise ConfigError(f"a schedule's 'window' {[t_start, t_end]}: {exc}") from exc

@@ -71,3 +71,37 @@ def test_importing_the_cli_leaves_jsonschema_unloaded():
                          env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names a module imports and never reads.
+
+    A name in the module's __all__ is read; an alias on a line marked
+    `# noqa: F401` and `from __future__` imports are exempt.
+    """
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__" for target in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                unused.append(f"{path.name}:{alias.lineno}: {name}")
+    return unused
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    # MODULES leaves out the package __init__, whose imports are re-exports
+    path = Path(quantum_tweezers.__file__).with_name(f"{name}.py")
+    assert _unused_imports(path) == []

@@ -748,6 +748,49 @@ def test_target_a_fixed_level_protocol_cannot_report_exits_2(tmp_path, capsys,
     assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
 
 
+@pytest.mark.parametrize("config, reason", [
+    ({"preset": "fig3b", "protocol": {"type": "scrap_2atom"}},
+     "never reaches the 1->2 resonance"),
+    ({"system": {"a_aa_m": -5e-9}, "protocol": {"type": "ramp",
+                                                "ramp_rate_rad_s2": 2e6}},
+     "no level anharmonicity"),
+    ({"system": {"a_aa_m": -5e-9}, "protocol": {"type": "scrap_2atom"}},
+     "not anharmonic"),
+    ({"protocol": {"type": "ramp", "ramp_rate_rad_s2": math.nan}},
+     "ramp_time must be strictly positive"),
+], ids=["fig3b_two_atom_chirp", "negative_anharmonicity_ramp",
+        "negative_anharmonicity_two_atom_chirp", "nan_ramp_rate"])
+def test_pulse_that_cannot_be_built_exits_2(tmp_path, capsys, config, reason):
+    # the first three exited 3 with an "error:" line; a NaN rate passes the
+    # ramp's own check and is caught by its gate envelope's
+    path = write_config(tmp_path, config)
+    assert main(["propagate", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert reason in err
+    assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_fixed_level_sweep_records_its_level(tmp_path):
+    # sweep_meta.json recorded target 1 while p_target held P2
+    path = write_config(tmp_path, {"preset": "fig6", "sweep": {
+        "protocol": "scrap_2atom", "axes": [_axis("t_omega_s", 1e-3, 2e-3)]}})
+    assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "sweep_meta.json").read_text())
+    assert meta["spec"]["target"] == 2
+
+
+def test_explicit_out_dot_overrides_output_dir(tmp_path, monkeypatch):
+    # an explicit "--out ." was taken for the default and lost to output_dir
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, {"output_dir": "elsewhere"})
+    assert main(["params", "--config", path, "--out", "."]) == 0
+    assert (tmp_path / "params.json").exists()
+    assert not (tmp_path / "elsewhere").exists()
+    assert main(["params", "--config", path]) == 0
+    assert (tmp_path / "elsewhere" / "params.json").exists()
+
+
 # the propagate and check sections name two frequencies without the unit
 _SECTION_NAMES = {"omega_hat_rad_s": "omega_hat", "delta_hat_rad_s": "delta_hat"}
 

@@ -122,6 +122,15 @@ class TestScrapContour:
         text = result.to_csv_text()
         assert len(text.strip().split("\n")) == 5  # header + full grid
 
+    def test_programming_error_stops_the_sweep(self, fig3a, monkeypatch):
+        # only a TweezersError fails a point alone; this was a NaN point
+        def broken(*args, **kwargs):
+            raise ValueError("not a pulse failure")
+
+        monkeypatch.setattr("quantum_tweezers.experiments.build_scrap_schedule", broken)
+        with pytest.raises(ValueError, match="not a pulse failure"):
+            scrap_contour(fig3a, np.array([1.4e4, 1.5e4]), np.array([1.0e-3, 1.2e-3]))
+
     def test_margins_reported(self, fig3a):
         result = scrap_contour(fig3a, np.array([1.4e4, 1.5e4]),
                                np.array([1.0e-3, 1.2e-3]))
