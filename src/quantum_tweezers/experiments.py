@@ -68,10 +68,13 @@ __all__ = [
 # the pi_pulse transitions a sweep or optimize config may name
 TRANSITIONS = ("0-1", "1-2")
 
-# trajectory storage is decimated hard during sweeps; only the final state
-# matters for the transfer probability.  The sixth order needs 2-3 times
-# fewer steps than the fourth for the same accuracy.
-_SWEEP_STEP_CONTROL = StepControl(sample_cap=256, order=6)
+# a sweep point reads only final states: two samples, the two ends, and the
+# sixth order with its step count from the error estimate (see propagator)
+_SWEEP_STEP_CONTROL = StepControl(sample_cap=2, order=6)
+# the optimizer keeps the spectral rule and the sampling it had before the
+# estimate: with faster evaluations, perfbench's chirp_optimize workload
+# exits in its speed probe (ROADMAP.md, item 1), so this waits for that fix
+_OPTIMIZER_STEP_CONTROL = StepControl(sample_cap=256, order=6, spectral=True)
 
 
 @dataclass(frozen=True)
@@ -463,13 +466,18 @@ def evaluate_point(preset: Preset, protocol: str, point: dict,
 
     order is the Magnus order of the propagations (see StepControl).
     """
+    return _evaluate(preset, protocol, point, target,
+                     replace(_SWEEP_STEP_CONTROL, order=order))
+
+
+def _evaluate(preset: Preset, protocol: str, point: dict, target: int,
+              control: StepControl) -> dict:
     entry = PROTOCOLS[protocol]
     params = entry.params(preset, point)
     target = entry.target or target
     model = preset_model(preset)
     schedules = entry.schedules(model=model, preset=preset, params=params,
                                 target=target)
-    control = replace(_SWEEP_STEP_CONTROL, order=order)
     trajectories = []
     for schedule in schedules:
         state = trajectories[-1].final_state if trajectories else None
@@ -483,9 +491,8 @@ def evaluate_point(preset: Preset, protocol: str, point: dict,
 
 
 def _evaluate_task(task: tuple) -> dict:
-    preset, protocol, point, target = task
     try:
-        return evaluate_point(preset, protocol, point, target)
+        return _evaluate(*task)
     except TweezersError as exc:
         return {"p": math.nan, "p_lz": math.nan,
                 "error": f"{type(exc).__name__}: {exc}"}
@@ -588,7 +595,7 @@ def run_sweep(spec: SweepSpec, preset: Preset, threads: int = 1) -> SweepResult:
         point = dict(spec.fixed)
         for d, axis in enumerate(spec.axes):
             point[axis.name] = float(axis_values[d][idx[d]])
-        tasks.append((preset, spec.protocol, point, spec.target))
+        tasks.append((preset, spec.protocol, point, spec.target, _SWEEP_STEP_CONTROL))
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -747,7 +754,8 @@ def optimize_pulse(protocol, bounds: dict[str, tuple[float, float]],
         def evaluate_params(params: dict) -> float:
             point = dict(base)
             point.update(params)
-            result = _evaluate_task((preset, protocol, point, target))
+            result = _evaluate_task((preset, protocol, point, target,
+                                     _OPTIMIZER_STEP_CONTROL))
             p = result.get("p", math.nan)
             return 0.0 if math.isnan(p) else p
 

@@ -25,17 +25,33 @@ allocates no block-sized memory and takes no page faults for it.  The
 arithmetic is the same whichever memory holds it, so the results do not
 depend on the workspace or the block size.
 
-Step size follows
+A final state alone (sample_cap = 2) is computed without the scan: the steps
+of one or several uniform grids over the window share each block, every
+grid's steps are multiplied into one matrix by the same pairwise tree
+whatever the block size or the other grids (_finals), and that matrix is
+applied to the start state.
+
+The fourth order takes its step from the spectral rule
 
     h = min(window / min_steps,  2 pi / (points_per_period * omega_max))
 
 with omega_max the largest instantaneous spectral scale of H/hbar at
-_N_PROBE = 257 times across the window (plus the drive strength).  The
-fourth order takes 50 points per period and at least 1000 steps.  The sixth
-takes 20 points per period and no floor: the least count that keeps every
-calibration point (the fig4 chirp plane, ramps and every other protocol)
-within 1e-11 of a fourth-order run at a quarter of its step.  A schedule
-that is not finite at the probe times raises IntegrationError.
+_N_PROBE = 257 times across the window (plus the drive strength), 50
+points per period and at least 1000 steps; a schedule that is not finite
+at the probe times raises IntegrationError.  The sixth order takes its step
+count from an error estimate: grids of 64, 128 and 256 steps run in one
+_finals call, and the finest is accepted when its final populations differ
+from the next coarser grid's by at most 63 x 1e-11, which bounds its own
+error by about 1e-11 (step doubling: at the sixth order, halving the step
+divides the error by 64; Hairer, Norsett & Wanner, Solving ODEs I, II.4).
+The coarsest grid checks that fall: where the changes fall by less than 64,
+the divisor is the ratio seen, less one.  Otherwise the grid of twice the
+steps runs and is tested the same way; past 2^24 steps the run raises
+IntegrationError.  A sampled sixth-order trajectory re-runs the accepted
+count.  Each grid's final state is checked for non-finite amplitudes and
+norm drift.  StepControl.spectral keeps the sixth order on the spectral
+rule instead, at 20 points per period and no floor; the optimizer runs
+that way (see experiments).
 
 The CSV writer of trajectories, _csv_text, also writes the sweep CSVs of
 experiments.SweepResult.
@@ -69,27 +85,38 @@ _GROUP = 32  # steps per group of the sample scan, rounded down to whole strides
 _THETA = 0.25  # 1-norm below which the Taylor polynomial is used unscaled
 _CSV_ROWS = 1024  # CSV rows formatted at a time
 _TAYLOR = tuple(1.0 / math.factorial(k) for k in range(13))
-# per order: steps per 2 pi / omega_max oscillation, and the least step count
+# order -> (steps per 2 pi / omega_max oscillation, least count) of the spectral rule
 _STEP_RULE = {4: (50, 1000), 6: (20, 1)}
 _N_PROBE = 257  # window samples that estimate omega_max
+# the sixth-order estimate: the coarsest pilot grid, the error target of the
+# final populations and the most steps a grid may take
+_START = 64
+_TOLERANCE = 1e-11
+_MAX_STEPS = 1 << 24
 
 
 @dataclass(frozen=True)
 class StepControl:
     """Output decimation, an optional fixed step and the order of the scheme.
 
-    sample_cap : maximum number of stored trajectory samples
+    sample_cap : maximum number of stored trajectory samples, at least 2
+                 (the two ends of the window)
     h_override : fixed step size in seconds, bypassing the step rule
     order      : 4 or 6, the order of the Magnus scheme and of its step rule
+    spectral   : at order 6, take the step from the spectral rule (20 points
+                 per period) instead of the error estimate
     """
 
     sample_cap: int = 10_000
     h_override: float | None = None
     order: int = 4
+    spectral: bool = False
 
     def __post_init__(self):
-        if self.order not in _STEP_RULE:
+        if self.order not in _GENERATORS:
             raise ValueError(f"order must be 4 or 6, not {self.order!r}")
+        if not self.sample_cap >= 2:
+            raise ValueError(f"sample_cap must be at least 2, not {self.sample_cap!r}")
 
 
 @dataclass(frozen=True)
@@ -120,12 +147,8 @@ class Trajectory:
 def _spectral_scale(model: LevelModel, schedule: PulseSchedule) -> float:
     """Largest instantaneous eigenfrequency scale of H/hbar over the window."""
     ts = np.linspace(schedule.t_start, schedule.t_end, _N_PROBE)
-    # the check below reports an envelope that overflows on the window, so
-    # numpy's warning is silenced, here once per propagation: an errstate on
-    # every envelope call made envelope evaluation about 40% slower
-    with np.errstate(over="ignore", invalid="ignore"):
-        deltas = np.asarray(schedule.detuning(ts), dtype=float)
-        omegas = np.asarray(schedule.rabi(ts), dtype=float)
+    deltas = np.asarray(schedule.detuning(ts), dtype=float)
+    omegas = np.asarray(schedule.rabi(ts), dtype=float)
     if not (np.all(np.isfinite(deltas)) and np.all(np.isfinite(omegas))):
         raise IntegrationError("schedule is not finite on its window")
     h_stack = hamiltonian_stack(model, deltas, omegas)
@@ -135,20 +158,19 @@ def _spectral_scale(model: LevelModel, schedule: PulseSchedule) -> float:
 
 
 def _choose_step(model: LevelModel, schedule: PulseSchedule,
-                 control: StepControl) -> tuple[float, int]:
+                 control: StepControl) -> int:
+    """The step count of h_override, or of the order's spectral rule."""
     window = schedule.duration
     if control.h_override is not None:
         if not control.h_override > 0:
             raise ValueError("h_override must be positive")
-        n = max(1, math.ceil(window / control.h_override))
-        return window / n, n
+        return max(1, math.ceil(window / control.h_override))
     omega_max = _spectral_scale(model, schedule)
     points_per_period, min_steps = _STEP_RULE[control.order]
     h = window / min_steps
     if omega_max > 0:
         h = min(h, 2.0 * math.pi / (points_per_period * omega_max))
-    n = max(min_steps, math.ceil(window / h))
-    return window / n, n
+    return max(min_steps, math.ceil(window / h))
 
 
 class _Workspace(threading.local):
@@ -328,15 +350,16 @@ def _hamiltonians(model: LevelModel, schedule: PulseSchedule,
 
 
 def _generator(model: LevelModel, schedule: PulseSchedule, times: np.ndarray,
-               h: float) -> np.ndarray:
+               h: float | np.ndarray) -> np.ndarray:
     """-i Omega for the steps starting at `times`, a component-major workspace array.
 
     Omega = h (H1 + H2) / 2 hbar - i sqrt(3) h^2 [H2, H1] / 12 hbar^2, with H1
     and H2 at the two Gauss-Legendre nodes of each step, sampled in one
     call.  H2 H1 is the transpose of H1 H2, as both are real symmetric.
+    h is one step for all, or one per step.
     """
     hbar = model.hbar
-    stack = _hamiltonians(model, schedule, np.add.outer(_GL2_NODES * h, times))
+    stack = _hamiltonians(model, schedule, _GL2_NODES[:, None] * h + times)
     h1, h2 = stack
     product = _mul(h1, h2)
     generator = _WORK.take(h1.shape)
@@ -349,7 +372,7 @@ def _generator(model: LevelModel, schedule: PulseSchedule, times: np.ndarray,
 
 
 def _generator6(model: LevelModel, schedule: PulseSchedule, times: np.ndarray,
-                h: float) -> np.ndarray:
+                h: float | np.ndarray) -> np.ndarray:
     """The sixth-order Magnus exponent of the steps starting at `times`.
 
     With H1, H2, H3 at the three Gauss-Legendre nodes of a step and
@@ -364,9 +387,10 @@ def _generator6(model: LevelModel, schedule: PulseSchedule, times: np.ndarray,
     so [E, F] = EF - (EF)^H, and Omega comes from the one complex product EF:
     Re Omega = (X - X^T) / 240 with X = Re EF, and Im Omega = -a1 - a3 / 12
     + (Y + Y^T) / 240 with Y = Im EF.  Omega is anti-Hermitian to the bit.
+    h is one step for all, or one per step.
     """
     scale = h / model.hbar
-    stack = _hamiltonians(model, schedule, np.add.outer(_GL3_NODES * h, times))
+    stack = _hamiltonians(model, schedule, _GL3_NODES[:, None] * h + times)
     h1, h2, h3 = stack
     a3 = np.add(h1, h3, out=_WORK.take(h1.shape, float))
     a3 -= h2
@@ -409,6 +433,171 @@ def _generator6(model: LevelModel, schedule: PulseSchedule, times: np.ndarray,
 _GENERATORS = {4: _generator, 6: _generator6}
 
 
+def _reduce_runs(stack: np.ndarray, lengths: list[int]) -> np.ndarray:
+    """Product of each run of a (dim, dim, N) workspace stack, later factors left.
+
+    The runs lie one after another, longest first.  Each is padded with
+    identities to a power of two; then each level multiplies the
+    neighbouring pairs of every run at once, and a run that is down to one
+    matrix sits at the end and leaves.  So every run is reduced by its own
+    pairwise tree.  Returns (dim, dim, runs), a new array; stack is given back.
+    """
+    widths = [1 << (length - 1).bit_length() for length in lengths]
+    dim = stack.shape[0]
+    if sum(widths) > stack.shape[-1]:
+        padded = _WORK.take((dim, dim, sum(widths)))
+        padded[...] = np.eye(dim)[..., None]
+        source = target = 0
+        for length, width in zip(lengths, widths):
+            padded[..., target:target + length] = stack[..., source:source + length]
+            source += length
+            target += width
+        _WORK.give(stack)
+        stack = padded
+    out = np.empty((dim, dim, len(widths)), dtype=complex)
+    live, level = len(widths), 0
+    while live:
+        done = live
+        while done and widths[done - 1] >> level == 1:
+            done -= 1
+        width = stack.shape[-1] - (live - done)
+        out[..., done:live] = stack[..., width:]
+        live = done
+        if live:
+            pairs = _mul(stack[..., 1:width:2], stack[..., 0:width:2])
+            _WORK.give(stack)
+            stack, level = pairs, level + 1
+    _WORK.give(stack)
+    return out
+
+
+def _finals(model: LevelModel, schedule: PulseSchedule, psi: np.ndarray,
+            counts: list[int], order: int) -> np.ndarray:
+    """The states, (len(counts), dim), at the end of uniform grids of counts[k] steps.
+
+    A grid is cut into aligned pieces of the largest power of two of steps
+    not above _BLOCK.  The pieces of all grids, longest first, fill blocks of
+    at most _BLOCK steps, each one generator and one exponential stack; each
+    piece is reduced by its own pairwise tree (padded with identities to a
+    power of two), and so are a grid's piece products.  Together this is the
+    pairwise tree of the whole grid, so a grid's state does not depend on
+    _BLOCK or on the grids it shares blocks with.  No state inside the window
+    is formed.  Each final state is checked as propagate checks its samples.
+    """
+    dim = model.dim
+    t0, window = schedule.t_start, schedule.duration
+    size = 1 << (_BLOCK.bit_length() - 1)
+    # (grid, first step, steps); the sort is stable and only a grid's last
+    # piece is shorter, so each grid's pieces stay in step order
+    pieces = sorted(((k, first, min(size, n - first))
+                     for k, n in enumerate(counts) for first in range(0, n, size)),
+                    key=lambda piece: -piece[2])
+    blocks, filled = [[]], 0
+    for piece in pieces:
+        if filled + piece[2] > _BLOCK:
+            blocks.append([])
+            filled = 0
+        blocks[-1].append(piece)
+        filled += piece[2]
+    products: list[list] = [[] for _ in counts]
+    for block in blocks:
+        steps = np.concatenate([first + np.arange(length) for _, first, length in block])
+        h = np.concatenate([np.full(length, window / counts[k]) for k, _, length in block])
+        generator = _GENERATORS[order](model, schedule, t0 + steps * h, h)
+        exponentials = _expm(generator)
+        _WORK.give(generator)
+        reduced = _reduce_runs(exponentials, [length for *_, length in block])
+        for j, (k, _, _) in enumerate(block):
+            products[k].append(reduced[..., j])
+    # each grid's piece products, reduced the same way
+    grids = sorted(range(len(counts)), key=lambda k: -len(products[k]))
+    lengths = [len(products[k]) for k in grids]
+    stack = _WORK.take((dim, dim, sum(lengths)))
+    np.stack([product for k in grids for product in products[k]], axis=-1, out=stack)
+    reduced = _reduce_runs(stack, lengths)
+    ends = np.ascontiguousarray(reduced.transpose(2, 0, 1))
+    finals = np.empty((len(counts), dim), dtype=complex)
+    for k, end in zip(grids, ends):
+        finals[k] = end @ psi
+        _norm_drift(finals[k:k + 1], counts[k], window / counts[k])
+    return finals
+
+
+def _controlled(model: LevelModel, schedule: PulseSchedule,
+                psi: np.ndarray) -> tuple[int, np.ndarray]:
+    """The sixth-order step count that meets _TOLERANCE, and its final state.
+
+    Grids of _START, 2 _START and 4 _START steps run in one _finals call.
+    The error of the finest, n steps, is estimated from the largest changes
+    of the final populations, d from n / 2 to n steps and d' from n / 4 to
+    n / 2: at the sixth order d' / d is about 64 and the error about d / 63.
+    Below that ratio the grids are not yet in the sixth-order regime, and
+    the divisor is d' / d - 1, at least 1.  Above it (the n / 4 grid does not
+    yet resolve the drive, and the error collapses once a grid does) the
+    divisor stays 63.  The grid is accepted when the estimate is at most
+    _TOLERANCE; otherwise the grid of 2 n steps runs and is tested in turn,
+    up to _MAX_STEPS.
+    """
+    counts = [_START, 2 * _START, 4 * _START]
+    finals = list(_finals(model, schedule, psi, counts, 6))
+    while True:
+        coarse_gap, gap = np.max(np.abs(np.diff(np.abs(finals[-3:]) ** 2, axis=0)), axis=1)
+        estimate = gap / (min(64.0, max(2.0, coarse_gap / gap)) - 1.0) if gap else 0.0
+        if estimate <= _TOLERANCE:
+            return counts[-1], finals[-1]
+        if 2 * counts[-1] > _MAX_STEPS:
+            raise IntegrationError(
+                f"no sixth-order grid of up to {_MAX_STEPS} steps meets the "
+                f"{_TOLERANCE:.0e} target: error estimate {estimate:.3e} "
+                f"at {counts[-1]} steps")
+        counts.append(2 * counts[-1])
+        finals.append(_finals(model, schedule, psi, counts[-1:], 6)[0])
+
+
+def _sampled(model: LevelModel, schedule: PulseSchedule, psi: np.ndarray,
+             n_steps: int, control: StepControl) -> tuple[np.ndarray, np.ndarray]:
+    """Sample step indices and states of an n_steps grid, at most sample_cap of them."""
+    dim = model.dim
+    h = schedule.duration / n_steps
+    stride = math.ceil(n_steps / (control.sample_cap - 1))
+    runs_per_group = max(1, _GROUP // stride)
+    group = runs_per_group * stride
+    block = max(group, _BLOCK // group * group)
+    sample_steps = np.append(np.arange(0, n_steps, stride), n_steps)
+    states = np.empty((sample_steps.size, dim), dtype=complex)
+    states[0] = psi
+
+    t0 = schedule.t_start
+    sample = 1
+    for start in range(0, n_steps, block):
+        times = t0 + (start + np.arange(min(block, n_steps - start))) * h
+        generator = _GENERATORS[control.order](model, schedule, times, h)
+        steps = _expm(generator)
+        _WORK.give(generator)
+        runs = _reduce(_split(steps, stride))
+        count = runs.shape[-1]
+        scanned = _scan(_split(runs, runs_per_group), psi)
+        states[sample:sample + count] = scanned[:count]
+        _WORK.give(scanned)
+        sample += count
+        psi = states[sample - 1]
+    return sample_steps, states
+
+
+def _norm_drift(states: np.ndarray, n_steps: int, h: float) -> float:
+    """The largest |<psi|psi> - 1| of states; IntegrationError past NORM_TOLERANCE."""
+    if not np.all(np.isfinite(states)):
+        raise IntegrationError(
+            f"propagation produced non-finite amplitudes (steps={n_steps}, h={h:.3e})")
+    norms = np.linalg.norm(states, axis=1)
+    drift = float(np.max(np.abs(norms**2 - 1.0)))
+    if drift > NORM_TOLERANCE:
+        raise IntegrationError(
+            f"norm drift {drift:.3e} exceeds {NORM_TOLERANCE:.0e} "
+            f"(steps={n_steps}, h={h:.3e})")
+    return drift
+
+
 def propagate(model: LevelModel, schedule: PulseSchedule,
               initial_state: np.ndarray | None = None,
               step_control: StepControl | None = None) -> Trajectory:
@@ -431,41 +620,25 @@ def propagate(model: LevelModel, schedule: PulseSchedule,
         if abs(norm - 1.0) > 1e-6:
             raise ValueError(f"initial state norm {norm} is not 1")
 
-    h, n_steps = _choose_step(model, schedule, control)
-    stride = max(1, math.ceil((n_steps + 1) / control.sample_cap))
-    runs_per_group = max(1, _GROUP // stride)
-    group = runs_per_group * stride
-    block = max(group, _BLOCK // group * group)
-    sample_steps = np.append(np.arange(0, n_steps, stride), n_steps)
-    states = np.empty((sample_steps.size, dim), dtype=complex)
-    states[0] = psi
-
-    t0 = schedule.t_start
-    sample = 1
-    for start in range(0, n_steps, block):
-        times = t0 + (start + np.arange(min(block, n_steps - start))) * h
-        generator = _GENERATORS[control.order](model, schedule, times, h)
-        steps = _expm(generator)
-        _WORK.give(generator)
-        runs = _reduce(_split(steps, stride))
-        count = runs.shape[-1]
-        scanned = _scan(_split(runs, runs_per_group), psi)
-        states[sample:sample + count] = scanned[:count]
-        _WORK.give(scanned)
-        sample += count
-        psi = states[sample - 1]
-
-    if not np.all(np.isfinite(states)):
-        raise IntegrationError(
-            f"propagation produced non-finite amplitudes (steps={n_steps}, h={h:.3e})")
-    norms = np.linalg.norm(states, axis=1)
-    drift = float(np.max(np.abs(norms**2 - 1.0)))
-    if drift > NORM_TOLERANCE:
-        raise IntegrationError(
-            f"norm drift {drift:.3e} exceeds {NORM_TOLERANCE:.0e} "
-            f"(steps={n_steps}, h={h:.3e})")
+    # non-finite amplitudes and envelopes are reported below and by
+    # _spectral_scale, so numpy's warnings are silenced, once per propagation:
+    # an errstate on every envelope call made envelope evaluation about 40% slower
+    with np.errstate(over="ignore", invalid="ignore"):
+        final = None
+        if control.order == 6 and control.h_override is None and not control.spectral:
+            n_steps, final = _controlled(model, schedule, psi)
+        else:
+            n_steps = _choose_step(model, schedule, control)
+        if control.sample_cap == 2:
+            if final is None:
+                (final,) = _finals(model, schedule, psi, [n_steps], control.order)
+            sample_steps, states = np.array([0, n_steps]), np.stack([psi, final])
+        else:
+            sample_steps, states = _sampled(model, schedule, psi, n_steps, control)
+    h = schedule.duration / n_steps
+    drift = _norm_drift(states, n_steps, h)
     return Trajectory(
-        times=t0 + sample_steps * h,
+        times=schedule.t_start + sample_steps * h,
         states=states,
         populations=np.abs(states) ** 2,
         n_steps=n_steps,

@@ -541,6 +541,18 @@ def test_overflowing_schedule_exits_3(tmp_path, capsys):
         "numerical failure: schedule is not finite on its window\n")
 
 
+# a pulse width of 1e-300 s drives at about 1e300 rad/s: the fourth-order
+# generator overflows, and the failure is one line with no numpy warning
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_drive_exits_3(tmp_path, capsys):
+    path = write_config(tmp_path, {"preset": "fig3a", "protocol": {
+        "type": "pi_pulse", "t_omega_s": 1e-300}})
+    assert main(["propagate", "--config", path, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: propagation produced non-finite amplitudes")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command, section, name", [
     ("sweep", {"sweep": {"protocol": "pi_pulse",
                          "axes": [_axis("transition", 0.0, 1.0)]}}, "transition"),

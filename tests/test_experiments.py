@@ -409,6 +409,36 @@ def test_sweep_point_matches_fourth_order_reference(name, protocol, point, targe
     assert abs(p - abs(state[entry.target or target]) ** 2) < 1e-11
 
 
+@pytest.mark.parametrize("omega_hat, t_omega", [
+    (2.9e4, 2e-4), (1.6e4, 2e-4), (2.9e4, 3e-4), (1e4, 4e-4)])
+def test_two_atom_chirp_at_short_pump_widths(omega_hat, t_omega):
+    # the fig6 two-atom chirp at pump widths of 0.2-0.5 ms and a strong
+    # pump: the sweep point's error-estimated step count lands within 1e-11
+    # of a fourth-order run at a sixteenth of its rule's step
+    preset = get_preset("fig6")
+    point = {"omega_hat_rad_s": omega_hat, "t_omega_s": t_omega}
+    p = evaluate_point(preset, "scrap_2atom", point, 2)["p"]
+    entry = PROTOCOLS["scrap_2atom"]
+    model = preset_model(preset)
+    (schedule,) = entry.schedules(model=model, preset=preset,
+                                  params=entry.params(preset, point), target=2)
+    step = propagate(model, schedule, step_control=StepControl(sample_cap=2)).step
+    reference = propagate(model, schedule,
+                          step_control=StepControl(sample_cap=2, h_override=step / 16))
+    assert abs(p - reference.populations[-1, 2]) < 1e-11
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_drive_fails_its_points_alone(fig3a):
+    # a pump peak of 1e300 rad/s overflows the sixth-order exponent: those
+    # two points fail with the reason, silently, and the others stand
+    result = pipulse_contour(fig3a, np.array([8e3, 1e300]), np.array([1e-3, 2e-3]))
+    assert np.all(np.isfinite(result.p[0])) and np.all(np.isnan(result.p[1]))
+    assert [index for index, _ in result.failures] == [2, 3]
+    assert all("IntegrationError: propagation produced non-finite amplitudes" in reason
+               for _, reason in result.failures)
+
+
 class TestOptimizer:
     def test_stationary_interior_start(self):
         def objective(params):

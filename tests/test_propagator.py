@@ -285,8 +285,28 @@ class TestOutput:
         sched = _resonant_schedule(fig3a_model, 4e3, 5e-3)
         traj = propagate(fig3a_model, sched,
                          step_control=StepControl(sample_cap=100))
-        assert traj.times.size <= 102
+        assert traj.times.size <= 100
         assert traj.times[-1] == pytest.approx(sched.t_end, rel=1e-12)
+
+    @pytest.mark.parametrize("sample_cap, n_steps", [
+        (2, 1), (2, 511), (3, 511), (3, 512), (20, 511), (256, 255), (256, 511),
+        (10_000, 9_999), (10_000, 19_999)])
+    def test_sample_cap_bounds_the_samples(self, fig3a_model, sample_cap, n_steps):
+        # both ends are stored and the count stays within the cap, also where
+        # n / (cap - 1) is just over a whole number (511 steps at cap 256)
+        schedule, _ = _stepped(fig3a_model, n_steps, sample_cap)
+        control = StepControl(sample_cap=sample_cap,
+                              h_override=schedule.duration / (n_steps - 0.5))
+        traj = propagate(fig3a_model, schedule, step_control=control)
+        assert traj.n_steps == n_steps
+        assert 2 <= traj.times.size <= sample_cap
+        assert traj.times[0] == schedule.t_start
+        assert traj.times[-1] == pytest.approx(schedule.t_end, rel=1e-12)
+
+    @pytest.mark.parametrize("sample_cap", [1, 0, -3])
+    def test_sample_cap_keeps_both_ends(self, sample_cap):
+        with pytest.raises(ValueError, match="sample_cap"):
+            StepControl(sample_cap=sample_cap)
 
     def test_csv_layout(self, fig3a_model):
         traj = propagate(fig3a_model, _resonant_schedule(fig3a_model, 4e3, 1e-4),
@@ -336,7 +356,7 @@ class TestScan:
         # 1001 steps end in a partial group (and a partial run when stride > 1)
         schedule, control = _stepped(fig3a_model, 1001, sample_cap)
         reference = propagate(fig3a_model, schedule, step_control=control)
-        stride = math.ceil((reference.n_steps + 1) / sample_cap)
+        stride = math.ceil(reference.n_steps / (sample_cap - 1))
         group = max(1, propagator._GROUP // stride) * stride
         assert reference.n_steps == 1001 and reference.n_steps % group
         for block in (1, 97):
@@ -567,7 +587,8 @@ class TestSixthOrder:
 
     def test_step_rule_has_no_floor(self):
         # a fig4 chirp at t_omega = 0.25 ms: the fourth-order floor of 1000
-        # steps decides there, the sixth-order rule does not have one
+        # steps decides there; the sixth-order error estimate has no floor
+        # and accepts its 256-step pilot grid
         model, schedule = _fig4_chirp(2.5e-4)
         fourth = propagate(model, schedule, step_control=StepControl(sample_cap=2))
         sixth = propagate(model, schedule,
@@ -575,6 +596,83 @@ class TestSixthOrder:
         assert fourth.n_steps in (1000, 1001)  # window / (window / 1000), rounded up
         assert sixth.n_steps < fourth.n_steps / 2
         assert np.max(np.abs(sixth.populations[-1] - fourth.populations[-1])) < 1e-9
+
+
+class TestFinalStates:
+    """The final-state core, _finals, and the sixth-order step controller."""
+
+    @pytest.mark.parametrize("order", [4, 6])
+    def test_grid_alone_or_stacked_at_any_block(self, fig3a_model, monkeypatch, order):
+        # the grids share blocks and the 1001-step grid ends in a partial
+        # piece; a grid's state must not change a bit for either
+        schedule, _ = _stepped(fig3a_model, 1001, 2)
+        psi = np.array([0.6, 0.48j, -0.64], dtype=complex)
+        counts = [64, 128, 256, 1001]
+        reference = propagator._finals(fig3a_model, schedule, psi, counts, order)
+        for block in (1, 97, propagator._BLOCK):
+            monkeypatch.setattr(propagator, "_BLOCK", block)
+            stacked = propagator._finals(fig3a_model, schedule, psi, counts[::-1], order)
+            assert stacked[::-1].tobytes() == reference.tobytes()
+            for n, state in zip(counts, reference):
+                alone = propagator._finals(fig3a_model, schedule, psi, [n], order)
+                assert alone[0].tobytes() == state.tobytes()
+
+    @pytest.mark.parametrize("order", [4, 6])
+    def test_final_state_matches_the_sampled_kernel(self, fig3a_model, order):
+        schedule, control = _stepped(fig3a_model, 1001, 10_000)
+        control = StepControl(h_override=control.h_override, order=order)
+        sampled = propagate(fig3a_model, schedule, step_control=control)
+        final = propagator._finals(fig3a_model, schedule, sampled.states[0], [1001], order)
+        assert np.max(np.abs(final[0] - sampled.final_state)) < 1e-13
+        two_ends = propagate(fig3a_model, schedule, step_control=StepControl(
+            sample_cap=2, h_override=control.h_override, order=order))
+        assert two_ends.final_state.tobytes() == final[0].tobytes()
+        assert two_ends.times.tobytes() == sampled.times[[0, -1]].tobytes()
+        assert (two_ends.n_steps, two_ends.step) == (sampled.n_steps, sampled.step)
+
+    def test_sampled_sixth_order_takes_the_accepted_count(self):
+        model, schedule = _fig4_chirp(1.0e-3)
+        two_ends = propagate(model, schedule,
+                             step_control=StepControl(sample_cap=2, order=6))
+        sampled = propagate(model, schedule,
+                            step_control=StepControl(sample_cap=256, order=6))
+        assert sampled.n_steps == two_ends.n_steps
+        assert sampled.step == two_ends.step
+        assert np.max(np.abs(sampled.final_state - two_ends.final_state)) < 1e-13
+
+    @pytest.mark.parametrize("power, accepted", [(6, 256), (2, 1024)])
+    def test_estimate_divides_by_63_only_at_a_sixth_order_fall(self, monkeypatch,
+                                                               power, accepted):
+        # final populations 0.5 -+ c n^-power, scaled so that they move by
+        # 63 x 0.5e-11 from 128 to 256 steps: a sixth-order fall accepts 256
+        # steps, a second-order one (each change a quarter of the one
+        # before) divides the change by 3 and doubles on until 1024 steps
+        c = 63 * 0.5e-11 / (128.0 ** -power - 256.0 ** -power)
+
+        def finals(model, schedule, psi, counts, order):
+            p = 0.5 + c * np.asarray(counts, dtype=float) ** -power
+            return np.stack([np.sqrt(1.0 - p), np.sqrt(p), 0.0 * p], axis=1) + 0j
+
+        monkeypatch.setattr(propagator, "_finals", finals)
+        assert propagator._controlled(None, None, None)[0] == accepted
+
+    def test_spectral_sixth_order_keeps_the_rule(self):
+        # 20 points per period of the largest spectral scale, no floor
+        model, schedule = _fig4_chirp(1.0e-3)
+        omega_max = propagator._spectral_scale(model, schedule)
+        control = StepControl(sample_cap=2, order=6, spectral=True)
+        traj = propagate(model, schedule, step_control=control)
+        assert traj.n_steps == math.ceil(schedule.duration / (2 * math.pi / (20 * omega_max)))
+        estimated = propagate(model, schedule, step_control=StepControl(sample_cap=2, order=6))
+        assert traj.n_steps != estimated.n_steps
+        assert np.max(np.abs(traj.populations[-1] - estimated.populations[-1])) < 1e-10
+
+    def test_step_limit_raises(self, monkeypatch):
+        # the 1 ms fig4 chirp needs more than the 256-step pilot grid
+        model, schedule = _fig4_chirp(1.0e-3)
+        monkeypatch.setattr(propagator, "_MAX_STEPS", 256)
+        with pytest.raises(IntegrationError, match="error estimate .* at 256 steps"):
+            propagate(model, schedule, step_control=StepControl(sample_cap=2, order=6))
 
 
 def _mirrored(envelope, end):
