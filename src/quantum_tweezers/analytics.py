@@ -81,10 +81,18 @@ def dressed(model: LevelModel, detuning: float, omega_l: float) -> DressedPair:
 
 def adiabaticity_parameter(splitting: float, ramp_rate: float,
                            hbar: float = HBAR) -> float:
-    """alpha = pi delta^2 / (2 hbar^2 |rate|) for splitting delta (J)."""
+    """alpha = pi delta^2 / (2 hbar^2 |rate|) for splitting delta (J).
+
+    A non-zero rate whose denominator underflows to 0 raises
+    InfeasibleScheduleError.
+    """
     if ramp_rate == 0:
         return math.inf
-    return math.pi * splitting**2 / (2.0 * hbar**2 * abs(ramp_rate))
+    denominator = 2.0 * hbar**2 * abs(ramp_rate)
+    if denominator == 0:
+        raise InfeasibleScheduleError(
+            f"ramp rate {ramp_rate!r} rad/s^2 underflows the adiabaticity parameter")
+    return math.pi * splitting**2 / denominator
 
 
 def lz_probability(splitting: float, ramp_rate: float,
@@ -142,9 +150,14 @@ def scrap_crossing_slope(delta_hat: float, t_delta: float, tau: float) -> float:
     """|d detuning/dt| (rad/s^2) at the crossings of a Stark-chirp detuning pulse.
 
     2 |delta_hat| tau / T_d^2 * exp(-tau^2/T_d^2), for crossings tau before
-    and after the pulse peak.
+    and after the pulse peak.  A width whose square underflows to 0 raises
+    InfeasibleScheduleError.
     """
-    return 2.0 * abs(delta_hat) * tau / t_delta**2 * math.exp(-(tau / t_delta) ** 2)
+    width_squared = t_delta**2
+    if width_squared == 0:
+        raise InfeasibleScheduleError(
+            f"detuning-pulse width {t_delta!r} s underflows the crossing slope")
+    return 2.0 * abs(delta_hat) * tau / width_squared * math.exp(-(tau / t_delta) ** 2)
 
 
 def scrap_adiabatic_condition(delta_hat: float, t_delta: float, tau: float,

@@ -73,6 +73,19 @@ _SCHEDULE_SCHEMA = {
     },
 }
 
+# each "system" config key: the PhysicalSystem field it sets, and its schema
+_SYSTEM_KEYS = {
+    "atom_mass_kg": ("atom_mass", {"type": "number", "exclusiveMinimum": 0}),
+    "nu_a": ("nu_a", _FREQ_OR_VEC),
+    "nu_b": ("nu_b", _FREQ_OR_VEC),
+    "atom_number": ("atom_number", {"type": "integer", "exclusiveMinimum": 0}),
+    "peak_density_m3": ("peak_density", {"type": "number", "exclusiveMinimum": 0}),
+    "a_aa_m": ("a_aa", {"type": "number"}),
+    "a_bb_m": ("a_bb", {"type": "number"}),
+    "a_ab_m": ("a_ab", {"type": "number"}),
+    "mu_override_J": ("mu_override", {"type": ["number", "null"]}),
+}
+
 CONFIG_SCHEMA = {
     "$defs": {"envelope": _ENVELOPE_SCHEMA},
     "type": "object",
@@ -83,17 +96,7 @@ CONFIG_SCHEMA = {
         "system": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {
-                "atom_mass_kg": {"type": "number", "exclusiveMinimum": 0},
-                "nu_a": _FREQ_OR_VEC,
-                "nu_b": _FREQ_OR_VEC,
-                "atom_number": {"type": "integer", "exclusiveMinimum": 0},
-                "peak_density_m3": {"type": "number", "exclusiveMinimum": 0},
-                "a_aa_m": {"type": "number"},
-                "a_bb_m": {"type": "number"},
-                "a_ab_m": {"type": "number"},
-                "mu_override_J": {"type": ["number", "null"]},
-            },
+            "properties": {key: schema for key, (_, schema) in _SYSTEM_KEYS.items()},
         },
         "omega_l": _FREQ,
         "protocol": {
@@ -226,13 +229,6 @@ def load_config(path: str) -> dict:
     return validate_config(config)
 
 
-# each "system" config key and the PhysicalSystem field it sets
-_SYSTEM_FIELDS = {"atom_mass_kg": "atom_mass", "nu_a": "nu_a", "nu_b": "nu_b",
-                  "atom_number": "atom_number", "peak_density_m3": "peak_density",
-                  "a_aa_m": "a_aa", "a_bb_m": "a_bb", "a_ab_m": "a_ab",
-                  "mu_override_J": "mu_override"}
-
-
 def resolve_preset(config: dict, preset_name: str | None = None) -> Preset:
     """Build the working Preset from a validated config and CLI override.
 
@@ -249,9 +245,11 @@ def resolve_preset(config: dict, preset_name: str | None = None) -> Preset:
     convention = config.get("frequency_units", "angular_khz")
     system_cfg = config.get("system")
     if system_cfg:
-        changes = {_SYSTEM_FIELDS[key]: (_parse_freq_or_vec(value, convention)
-                                         if key in ("nu_a", "nu_b") else value)
-                   for key, value in system_cfg.items()}
+        changes = {}
+        for key, value in system_cfg.items():
+            name, schema = _SYSTEM_KEYS[key]
+            changes[name] = (_parse_freq_or_vec(value, convention)
+                             if schema is _FREQ_OR_VEC else value)
         try:
             system = replace(preset.system, **changes)
             derive_all(system)

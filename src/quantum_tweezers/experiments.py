@@ -71,10 +71,11 @@ TRANSITIONS = ("0-1", "1-2")
 # a sweep point reads only final states: two samples, the two ends, and the
 # sixth order with its step count from the error estimate (see propagator)
 _SWEEP_STEP_CONTROL = StepControl(sample_cap=2, order=6)
-# the optimizer keeps the spectral rule and the sampling it had before the
-# estimate: with faster evaluations, perfbench's chirp_optimize workload
-# exits in its speed probe (ROADMAP.md, item 1), so this waits for that fix
-_OPTIMIZER_STEP_CONTROL = StepControl(sample_cap=256, order=6, spectral=True)
+# an optimizer evaluation reads its final state the same way, but keeps the
+# sixth order's spectral step rule: with the estimate's faster evaluations,
+# perfbench's chirp_optimize workload exits in its speed probe (ROADMAP.md,
+# item 1); once that is mended, spectral=True goes and the two are one
+_OPTIMIZER_STEP_CONTROL = replace(_SWEEP_STEP_CONTROL, spectral=True)
 
 
 @dataclass(frozen=True)
@@ -494,8 +495,7 @@ def _evaluate_task(task: tuple) -> dict:
     try:
         return _evaluate(*task)
     except TweezersError as exc:
-        return {"p": math.nan, "p_lz": math.nan,
-                "error": f"{type(exc).__name__}: {exc}"}
+        return {"error": f"{type(exc).__name__}: {exc}"}
 
 
 # --- public sweep operations --------------------------------------------------
@@ -605,29 +605,17 @@ def run_sweep(spec: SweepSpec, preset: Preset, threads: int = 1) -> SweepResult:
     else:
         results = [_evaluate_task(task) for task in tasks]
 
-    n = len(tasks)
-    p = np.full(n, math.nan)
-    p_lz = np.full(n, math.nan)
-    extra_names = sorted({k for r in results for k in r
-                          if k not in ("p", "p_lz", "error")})
-    extras = {k: np.full(n, math.nan) for k in extra_names}
-    failures: list[tuple[int, str]] = []
-    for i, r in enumerate(results):
-        p[i] = r.get("p", math.nan)
-        p_lz[i] = r.get("p_lz", math.nan)
-        for k in extra_names:
-            if k in r:
-                extras[k][i] = r[k]
-        if "error" in r:
-            failures.append((i, r["error"]))
-    shape = spec.shape
+    # one column per result key, NaN where a point lacks it
+    names = sorted({"p", "p_lz"}.union(*results) - {"error"})
+    columns = {k: np.array([r.get(k, math.nan) for r in results],
+                           dtype=float).reshape(spec.shape) for k in names}
     result = SweepResult(
         spec=spec,
         axis_values=axis_values,
-        p=p.reshape(shape),
-        p_lz=p_lz.reshape(shape),
-        extras={k: v.reshape(shape) for k, v in extras.items()},
-        failures=tuple(failures),
+        p=columns.pop("p"),
+        p_lz=columns.pop("p_lz"),
+        extras=columns,
+        failures=tuple((i, r["error"]) for i, r in enumerate(results) if "error" in r),
     )
     if spec.protocol == "ramp" and result.p.ndim == 1:
         result.metadata["intervals_p_gt_0.99"] = contiguous_intervals(

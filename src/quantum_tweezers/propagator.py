@@ -38,7 +38,9 @@ The fourth order takes its step from the spectral rule
 with omega_max the largest instantaneous spectral scale of H/hbar at
 _N_PROBE = 257 times across the window (plus the drive strength), 50
 points per period and at least 1000 steps; a schedule that is not finite
-at the probe times raises IntegrationError.  The sixth order takes its step
+at the probe times raises IntegrationError, and so does a step, of the rule
+or of h_override, that rounds to 0 or needs more than 2^24 steps
+(_MAX_STEPS).  The sixth order takes its step
 count from an error estimate: grids of 64, 128 and 256 steps run in one
 _finals call, and the finest is accepted when its final populations differ
 from the next coarser grid's by at most 63 x 1e-11, which bounds its own
@@ -117,6 +119,8 @@ class StepControl:
             raise ValueError(f"order must be 4 or 6, not {self.order!r}")
         if not self.sample_cap >= 2:
             raise ValueError(f"sample_cap must be at least 2, not {self.sample_cap!r}")
+        if self.h_override is not None and not self.h_override > 0:
+            raise ValueError(f"h_override must be positive, not {self.h_override!r}")
 
 
 @dataclass(frozen=True)
@@ -159,17 +163,23 @@ def _spectral_scale(model: LevelModel, schedule: PulseSchedule) -> float:
 
 def _choose_step(model: LevelModel, schedule: PulseSchedule,
                  control: StepControl) -> int:
-    """The step count of h_override, or of the order's spectral rule."""
+    """The step count of h_override, or of the order's spectral rule.
+
+    A step that rounds to 0, or more than _MAX_STEPS of them, raises
+    IntegrationError.
+    """
     window = schedule.duration
     if control.h_override is not None:
-        if not control.h_override > 0:
-            raise ValueError("h_override must be positive")
-        return max(1, math.ceil(window / control.h_override))
-    omega_max = _spectral_scale(model, schedule)
-    points_per_period, min_steps = _STEP_RULE[control.order]
-    h = window / min_steps
-    if omega_max > 0:
-        h = min(h, 2.0 * math.pi / (points_per_period * omega_max))
+        h, min_steps = control.h_override, 1
+    else:
+        omega_max = _spectral_scale(model, schedule)
+        points_per_period, min_steps = _STEP_RULE[control.order]
+        h = window / min_steps
+        if omega_max > 0:
+            h = min(h, 2.0 * math.pi / (points_per_period * omega_max))
+    if not (h > 0 and window / h <= _MAX_STEPS):
+        raise IntegrationError(f"no grid of up to {_MAX_STEPS} steps spans the "
+                               f"{window:.3e} s window at the {h:.3e} s step")
     return max(min_steps, math.ceil(window / h))
 
 
@@ -584,13 +594,17 @@ def _sampled(model: LevelModel, schedule: PulseSchedule, psi: np.ndarray,
     return sample_steps, states
 
 
+def _drift(states: np.ndarray) -> float:
+    """The largest |<psi|psi> - 1| of a (S, dim) stack of states."""
+    return float(np.max(np.abs(np.linalg.norm(states, axis=1) ** 2 - 1.0)))
+
+
 def _norm_drift(states: np.ndarray, n_steps: int, h: float) -> float:
     """The largest |<psi|psi> - 1| of states; IntegrationError past NORM_TOLERANCE."""
     if not np.all(np.isfinite(states)):
         raise IntegrationError(
             f"propagation produced non-finite amplitudes (steps={n_steps}, h={h:.3e})")
-    norms = np.linalg.norm(states, axis=1)
-    drift = float(np.max(np.abs(norms**2 - 1.0)))
+    drift = _drift(states)
     if drift > NORM_TOLERANCE:
         raise IntegrationError(
             f"norm drift {drift:.3e} exceeds {NORM_TOLERANCE:.0e} "
@@ -603,9 +617,10 @@ def propagate(model: LevelModel, schedule: PulseSchedule,
               step_control: StepControl | None = None) -> Trajectory:
     """Solve i hbar dpsi/dt = H(t) psi over the schedule window.
 
-    The initial state defaults to |0> (everything in the reservoir) and
-    must be normalized.  Raises IntegrationError if the state leaves the
-    unit sphere by more than 1e-9 or becomes non-finite.
+    The initial state defaults to |0> (everything in the reservoir); one
+    given must have |<psi|psi> - 1| at most NORM_TOLERANCE (1e-9), else
+    ValueError.  Raises IntegrationError if the state leaves the unit
+    sphere by more than that or becomes non-finite.
     """
     control = step_control or StepControl()
     dim = model.dim
@@ -616,9 +631,10 @@ def propagate(model: LevelModel, schedule: PulseSchedule,
         psi = np.asarray(initial_state, dtype=complex).copy()
         if psi.shape != (dim,):
             raise ValueError(f"initial state must have shape ({dim},)")
-        norm = float(np.linalg.norm(psi))
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"initial state norm {norm} is not 1")
+        drift = _drift(psi[None])
+        if not drift <= NORM_TOLERANCE:  # NaN fails too
+            raise ValueError(f"initial state: |<psi|psi> - 1| = {drift:.3e} "
+                             f"exceeds {NORM_TOLERANCE:.0e}")
 
     # non-finite amplitudes and envelopes are reported below and by
     # _spectral_scale, so numpy's warnings are silenced, once per propagation:

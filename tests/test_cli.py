@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -846,3 +847,66 @@ def test_random_propagate_and_check_exit_codes(random_section_dir, run):
             contextlib.redirect_stderr(io.StringIO()):
         code = main([command, "--config", path, "--out", str(random_section_dir)])
     assert code in (0, 1, 2, 3)
+
+
+# the step rule asked for 1.2e299 and 1.2e11 steps (a ValueError traceback
+# from np.arange, and a run killed for its memory) and, on a 4e-323 s
+# window, a step of 0 (a ZeroDivisionError traceback); each now stops at the
+# step count, with one line and no numpy warning
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("config, reason", [
+    ({"preset": "fig3a", "protocol": {"type": "pi_pulse", "omega_hat": 1e300}},
+     "no grid of up to 16777216 steps"),
+    ({"preset": "fig3a", "protocol": {"type": "pi_pulse", "omega_hat": 1e12}},
+     "no grid of up to 16777216 steps"),
+    ({"preset": "fig4", "protocol": {"type": "scrap_1atom", "t_omega_s": 5e-324}},
+     "at the 0.000e+00 s step"),
+], ids=["omega_hat_1e300", "omega_hat_1e12", "t_omega_5e-324"])
+def test_step_count_out_of_range_exits_3(tmp_path, capsys, config, reason):
+    path = write_config(tmp_path, config)
+    started = time.perf_counter()
+    assert main(["propagate", "--config", path, "--out", str(tmp_path)]) == 3
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert reason in err
+
+
+# 2 hbar^2 |rate| and t_delta^2 underflowed to 0 in a quotient: a
+# ZeroDivisionError traceback from check, and out of a sweep
+_UNDERFLOWS = [("delta_hat", "delta_hat_rad_s", "underflows the adiabaticity parameter"),
+               ("t_omega_s", "t_omega_s", "underflows the crossing slope")]
+
+
+@pytest.mark.parametrize("key, name, reason", _UNDERFLOWS, ids=["delta_hat", "t_omega"])
+def test_underflowing_chirp_check_exits_2(tmp_path, capsys, key, name, reason):
+    path = write_config(tmp_path, {"preset": "fig4", "protocol": {
+        "type": "scrap_1atom", key: 1e-300}})
+    assert main(["check", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert reason in err
+
+
+@pytest.mark.parametrize("key, name, reason", _UNDERFLOWS, ids=["delta_hat", "t_omega"])
+def test_underflowing_chirp_sweep_point_fails_alone(tmp_path, key, name, reason):
+    high = {"delta_hat_rad_s": 2e4, "t_omega_s": 1e-3}[name]
+    path = write_config(tmp_path, {"preset": "fig4", "sweep": {
+        "protocol": "scrap_1atom",
+        "axes": [{"name": name, "min": 1e-300, "max": high, "points": 2, "scale": "log"}]}})
+    assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "sweep_meta.json").read_text())
+    [failure] = meta["failures"]
+    assert failure["index"] == 0 and reason in failure["message"]
+    rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")[1:]
+    assert rows[0].split(",")[1] == "" and float(rows[1].split(",")[1]) > 0.99
+
+
+def test_each_system_key_sets_a_physical_system_field():
+    from dataclasses import fields
+
+    from quantum_tweezers.config import _SYSTEM_KEYS
+    from quantum_tweezers.params import PhysicalSystem
+
+    assert ({name for name, _ in _SYSTEM_KEYS.values()}
+            <= {f.name for f in fields(PhysicalSystem)})

@@ -26,6 +26,7 @@ from quantum_tweezers.experiments import (
     contiguous_intervals,
     preset_model,
     region_area_fraction,
+    run_sweep,
     threshold_contours,
 )
 from quantum_tweezers.propagator import propagate
@@ -517,3 +518,18 @@ class TestOptimizer:
     def test_rejects_tiny_budget(self):
         with pytest.raises(ValueError):
             optimize_pulse(lambda p: 0.0, {"x": (0, 1)}, budget=5)
+
+
+def test_sweep_columns_one_per_result_key(fig3a):
+    # pi_pulse gives p and two_level_margin: p_lz is a NaN column, and the
+    # failed first point (t_omega = -1 ms) is NaN in every column
+    spec = SweepSpec(protocol="pi_pulse",
+                     axes=(AxisSpec("t_omega_s", -1e-3, 3e-3, 3),))
+    result = run_sweep(spec, fig3a)
+    assert [i for i, _ in result.failures] == [0]
+    assert "t_omega must be strictly positive" in result.failures[0][1]
+    assert np.all(np.isnan(result.p_lz))
+    assert set(result.extras) == {"two_level_margin"}
+    for column in (result.p, result.extras["two_level_margin"]):
+        assert column.shape == (3,) and column.dtype == float
+        assert np.isnan(column[0]) and np.all(np.isfinite(column[1:]))

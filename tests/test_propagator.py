@@ -726,3 +726,37 @@ class TestSmoothScheduleProperties:
                          step_control=control)
         assert back.norm_drift < 1e-12
         assert np.max(np.abs(back.final_state - np.conj(start))) < 1e-12
+
+
+class TestOneContract:
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan])
+    def test_step_override_must_be_positive(self, h):
+        with pytest.raises(ValueError, match="h_override must be positive"):
+            StepControl(h_override=h)
+
+    # the start state is held to the tolerance every propagated state is:
+    # [1 + 1e-7, 0, 0] was taken, then failed as a norm drift of 2e-7, and a
+    # NaN amplitude passed, to fail as non-finite amplitudes
+    @pytest.mark.parametrize("state", [[1.0 + 1e-7, 0.0, 0.0], [1.0, math.nan, 0.0]],
+                             ids=["off_by_1e-7", "nan"])
+    def test_initial_state_outside_the_norm_tolerance(self, fig3a_model, state):
+        schedule = _resonant_schedule(fig3a_model, 4e3, 1e-4)
+        with pytest.raises(ValueError, match="initial state"):
+            propagate(fig3a_model, schedule, initial_state=np.array(state))
+
+    def test_initial_state_inside_the_norm_tolerance(self, fig3a_model):
+        schedule = _resonant_schedule(fig3a_model, 4e3, 1e-4)
+        traj = propagate(fig3a_model, schedule,
+                         initial_state=np.array([1.0 + 2e-10, 0.0, 0.0]))
+        assert traj.norm_drift <= propagator.NORM_TOLERANCE
+
+    @pytest.mark.parametrize("h_override, reason", [
+        (1e-20, "no grid of up to 16777216 steps"), (None, r"at the 0\.000e\+00 s step")])
+    def test_step_count_out_of_range(self, fig3a_model, h_override, reason):
+        # a 1e-4 s window at a 1e-20 s step; a 1e-322 s window at a
+        # thousandth of it, which rounds to 0
+        duration = 1e-4 if h_override else 1e-322
+        schedule = _resonant_schedule(fig3a_model, 4e3, duration)
+        with pytest.raises(IntegrationError, match=reason):
+            propagate(fig3a_model, schedule,
+                      step_control=StepControl(h_override=h_override))
