@@ -5,6 +5,7 @@ import io
 import json
 import math
 import time
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +14,14 @@ from jsonschema.validators import validator_for
 
 from quantum_tweezers.cli import main
 from quantum_tweezers.config import (
+    _SYSTEM_KEYS,
     CONFIG_SCHEMA,
     ConfigError,
     parse_frequency,
     validate_config,
 )
 from quantum_tweezers.experiments import PROTOCOLS
+from quantum_tweezers.params import PhysicalSystem
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -874,12 +877,14 @@ def test_step_count_out_of_range_exits_3(tmp_path, capsys, config, reason):
 
 # 2 hbar^2 |rate| and t_delta^2 underflowed to 0 in a quotient: a
 # ZeroDivisionError traceback from check, and out of a sweep
-_UNDERFLOWS = [("delta_hat", "delta_hat_rad_s", "underflows the adiabaticity parameter"),
-               ("t_omega_s", "t_omega_s", "underflows the crossing slope")]
+# (propagate key, sweep name, a value that does not underflow, the reason)
+_UNDERFLOWS = [
+    ("delta_hat", "delta_hat_rad_s", 2e4, "underflows the adiabaticity parameter"),
+    ("t_omega_s", "t_omega_s", 1e-3, "underflows the crossing slope")]
 
 
-@pytest.mark.parametrize("key, name, reason", _UNDERFLOWS, ids=["delta_hat", "t_omega"])
-def test_underflowing_chirp_check_exits_2(tmp_path, capsys, key, name, reason):
+@pytest.mark.parametrize("key, name, high, reason", _UNDERFLOWS, ids=["delta_hat", "t_omega"])
+def test_underflowing_chirp_check_exits_2(tmp_path, capsys, key, name, high, reason):
     path = write_config(tmp_path, {"preset": "fig4", "protocol": {
         "type": "scrap_1atom", key: 1e-300}})
     assert main(["check", "--config", path, "--out", str(tmp_path)]) == 2
@@ -888,9 +893,8 @@ def test_underflowing_chirp_check_exits_2(tmp_path, capsys, key, name, reason):
     assert reason in err
 
 
-@pytest.mark.parametrize("key, name, reason", _UNDERFLOWS, ids=["delta_hat", "t_omega"])
-def test_underflowing_chirp_sweep_point_fails_alone(tmp_path, key, name, reason):
-    high = {"delta_hat_rad_s": 2e4, "t_omega_s": 1e-3}[name]
+@pytest.mark.parametrize("key, name, high, reason", _UNDERFLOWS, ids=["delta_hat", "t_omega"])
+def test_underflowing_chirp_sweep_point_fails_alone(tmp_path, key, name, high, reason):
     path = write_config(tmp_path, {"preset": "fig4", "sweep": {
         "protocol": "scrap_1atom",
         "axes": [{"name": name, "min": 1e-300, "max": high, "points": 2, "scale": "log"}]}})
@@ -903,10 +907,5 @@ def test_underflowing_chirp_sweep_point_fails_alone(tmp_path, key, name, reason)
 
 
 def test_each_system_key_sets_a_physical_system_field():
-    from dataclasses import fields
-
-    from quantum_tweezers.config import _SYSTEM_KEYS
-    from quantum_tweezers.params import PhysicalSystem
-
     assert ({name for name, _ in _SYSTEM_KEYS.values()}
             <= {f.name for f in fields(PhysicalSystem)})
