@@ -6,7 +6,9 @@ identical outputs and exit codes.  File outputs are written to a temporary
 file and renamed, so an interrupted run never leaves a partial artifact.
 
 Exit codes: 0 success, 1 validity warning, 2 configuration error or a
-pulse that cannot be built, 3 numerical failure.
+pulse that cannot be built, 3 numerical failure.  A Python warning, such
+as a steep trap that does not dominate the reservoir, is printed to
+standard error as one "warning: " line, without its source location.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import os
 import sys
 import tempfile
 import time
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -273,34 +276,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """A warning as one stderr line, without the source location."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        config = load_config(args.config) if args.config else validate_config({})
-        preset = resolve_preset(config, args.preset)
-        out_dir = args.out if args.out is not None else config.get("output_dir", ".")
-        threads = args.threads if args.threads is not None \
-            else config.get("threads", 1)
-        seed = args.seed if args.seed is not None else config.get("seed", 0)
-        # a process pool forks all its workers at once
-        if threads > (os.cpu_count() or 1):
-            raise ConfigError(f"threads = {threads} exceeds the "
-                              f"{os.cpu_count()} CPUs of this machine")
-        if args.command == "params":
-            return cmd_params(config, preset, out_dir)
-        if args.command == "propagate":
-            return cmd_propagate(config, preset, out_dir)
-        if args.command == "sweep":
-            return cmd_sweep(config, preset, out_dir, threads)
-        if args.command == "check":
-            return cmd_check(config, preset, out_dir)
-        return cmd_optimize(config, preset, out_dir, seed)
-    except (ConfigError, InfeasibleScheduleError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except IntegrationError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    # a warning (a steep trap that does not dominate) as one line
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            config = load_config(args.config) if args.config else validate_config({})
+            preset = resolve_preset(config, args.preset)
+            out_dir = args.out if args.out is not None else config.get("output_dir", ".")
+            threads = args.threads if args.threads is not None \
+                else config.get("threads", 1)
+            seed = args.seed if args.seed is not None else config.get("seed", 0)
+            # a process pool forks all its workers at once
+            if threads > (os.cpu_count() or 1):
+                raise ConfigError(f"threads = {threads} exceeds the "
+                                  f"{os.cpu_count()} CPUs of this machine")
+            if args.command == "params":
+                return cmd_params(config, preset, out_dir)
+            if args.command == "propagate":
+                return cmd_propagate(config, preset, out_dir)
+            if args.command == "sweep":
+                return cmd_sweep(config, preset, out_dir, threads)
+            if args.command == "check":
+                return cmd_check(config, preset, out_dir)
+            return cmd_optimize(config, preset, out_dir, seed)
+        except (ConfigError, InfeasibleScheduleError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except IntegrationError as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -41,19 +41,21 @@ points per period and at least 1000 steps; a schedule that is not finite
 at the probe times raises IntegrationError, and so does a step, of the rule
 or of h_override, that rounds to 0 or needs more than 2^24 steps
 (_MAX_STEPS).  The sixth order takes its step
-count from an error estimate: grids of 64, 128 and 256 steps run in one
-_finals call, and the finest is accepted when its final populations differ
-from the next coarser grid's by at most 63 x 1e-11, which bounds its own
-error by about 1e-11 (step doubling: at the sixth order, halving the step
-divides the error by 64; Hairer, Norsett & Wanner, Solving ODEs I, II.4).
-The coarsest grid checks that fall: where the changes fall by less than 64,
-the divisor is the ratio seen, less one.  Otherwise the grid of twice the
-steps runs and is tested the same way; past 2^24 steps the run raises
-IntegrationError.  A sampled sixth-order trajectory re-runs the accepted
-count.  Each grid's final state is checked for non-finite amplitudes and
-norm drift.  StepControl.spectral keeps the sixth order on the spectral
-rule instead, at 20 points per period and no floor; the optimizer runs
-that way (see experiments).
+count from an error estimate: grids of 64, 128, 256 and 512 steps run in
+one _finals call, and 256 is accepted when its final populations differ
+from the 128-step grid's by at most 63 x 1e-11, which bounds its own error
+by about 1e-11 (step doubling: at the sixth order, halving the step divides
+the error by 64; Hairer, Norsett & Wanner, Solving ODEs I, II.4).  The
+64-step grid checks that fall: where the changes fall by less than 64, the
+divisor is the ratio seen, less one.  Otherwise 512 is tested the same way,
+from the same call, and past it each grid of twice the steps runs in a call
+of its own; past 2^24 steps the run raises IntegrationError.  A sampled
+sixth-order trajectory re-runs the accepted count.  The final states of a
+call are checked at once for non-finite amplitudes and norm drift; only
+when one fails are they checked grid by grid, to name the first that
+fails.  StepControl.spectral keeps the sixth order on the spectral rule
+instead, at 20 points per period and no floor; the optimizer runs that
+way (see experiments).
 
 The CSV writer of trajectories, _csv_text, also writes the sweep CSVs of
 experiments.SweepResult.
@@ -529,7 +531,9 @@ def _finals(model: LevelModel, schedule: PulseSchedule, psi: np.ndarray,
     finals = np.empty((len(counts), dim), dtype=complex)
     for k, end in zip(grids, ends):
         finals[k] = end @ psi
-        _norm_drift(finals[k:k + 1], counts[k], window / counts[k])
+    if not _drift(finals) <= NORM_TOLERANCE:  # a non-finite amplitude fails too
+        for k in grids:  # name the first grid that fails
+            _norm_drift(finals[k:k + 1], counts[k], window / counts[k])
     return finals
 
 
@@ -537,31 +541,39 @@ def _controlled(model: LevelModel, schedule: PulseSchedule,
                 psi: np.ndarray) -> tuple[int, np.ndarray]:
     """The sixth-order step count that meets _TOLERANCE, and its final state.
 
-    Grids of _START, 2 _START and 4 _START steps run in one _finals call.
-    The error of the finest, n steps, is estimated from the largest changes
-    of the final populations, d from n / 2 to n steps and d' from n / 4 to
-    n / 2: at the sixth order d' / d is about 64 and the error about d / 63.
+    Grids of _START, 2 _START, 4 _START and 8 _START steps (the last only if
+    at most _MAX_STEPS) run in one _finals call; each has the state it would
+    have alone.  The first three are tested first.  The error of the finest,
+    n steps, is estimated from the largest changes of the final populations,
+    d from n / 2 to n steps and d' from n / 4 to n / 2: at the sixth order
+    d' / d is about 64 and the error about d / 63.
     Below that ratio the grids are not yet in the sixth-order regime, and
     the divisor is d' / d - 1, at least 1.  Above it (the n / 4 grid does not
     yet resolve the drive, and the error collapses once a grid does) the
     divisor stays 63.  The grid is accepted when the estimate is at most
-    _TOLERANCE; otherwise the grid of 2 n steps runs and is tested in turn,
-    up to _MAX_STEPS.
+    _TOLERANCE; otherwise the grid of 2 n steps is tested in turn, run in a
+    call of its own past 8 _START, up to _MAX_STEPS.
     """
     counts = [_START, 2 * _START, 4 * _START]
+    if 8 * _START <= _MAX_STEPS:
+        counts.append(8 * _START)
     finals = list(_finals(model, schedule, psi, counts, 6))
+    k = 2  # the finest grid of the three tested
     while True:
-        coarse_gap, gap = np.max(np.abs(np.diff(np.abs(finals[-3:]) ** 2, axis=0)), axis=1)
+        coarse_gap, gap = np.max(np.abs(np.diff(np.abs(finals[k - 2:k + 1]) ** 2, axis=0)),
+                                 axis=1)
         estimate = gap / (min(64.0, max(2.0, coarse_gap / gap)) - 1.0) if gap else 0.0
         if estimate <= _TOLERANCE:
-            return counts[-1], finals[-1]
-        if 2 * counts[-1] > _MAX_STEPS:
+            return counts[k], finals[k]
+        if 2 * counts[k] > _MAX_STEPS:
             raise IntegrationError(
                 f"no sixth-order grid of up to {_MAX_STEPS} steps meets the "
                 f"{_TOLERANCE:.0e} target: error estimate {estimate:.3e} "
-                f"at {counts[-1]} steps")
-        counts.append(2 * counts[-1])
-        finals.append(_finals(model, schedule, psi, counts[-1:], 6)[0])
+                f"at {counts[k]} steps")
+        k += 1
+        if k == len(counts):
+            counts.append(2 * counts[-1])
+            finals.append(_finals(model, schedule, psi, counts[-1:], 6)[0])
 
 
 def _sampled(model: LevelModel, schedule: PulseSchedule, psi: np.ndarray,

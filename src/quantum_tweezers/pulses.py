@@ -243,7 +243,9 @@ def build_pi_pulse(model: LevelModel, transition: tuple[int, int] | str,
     The transition is a (lower, upper) pair or its "0-1" / "1-2" spelling.
     The drive peak is solved so that the collective coupling integrates to
     pi: Omega_hat = sqrt(pi) / (kappa sqrt(n+1) T), with the detuning held
-    at the transition's resonance (d01 for 0->1, d12 for 1->2).
+    at the transition's resonance (d01 for 0->1, d12 for 1->2).  A width
+    whose product with the coupling underflows, so that the peak is not
+    finite, raises InfeasibleScheduleError.
     """
     if not t_omega > 0:
         raise InfeasibleScheduleError("t_omega must be strictly positive")
@@ -255,7 +257,11 @@ def build_pi_pulse(model: LevelModel, transition: tuple[int, int] | str,
         raise InfeasibleScheduleError(f"unsupported transition {transition}")
     res = resonance_detunings(model)
     detuning = res.d01 if lower == 0 else res.d12
-    peak = math.sqrt(math.pi) / (model.rabi_units[lower] * t_omega)
+    coupled_width = model.rabi_units[lower] * t_omega
+    peak = math.sqrt(math.pi) / coupled_width if coupled_width else math.inf
+    if peak == math.inf:
+        raise InfeasibleScheduleError(
+            f"pi-pulse width {t_omega!r} s underflows the drive peak")
     return PulseSchedule(
         detuning=Constant(detuning),
         rabi=Gaussian(peak=peak, center=0.0, width=t_omega),

@@ -909,3 +909,12 @@ def test_underflowing_chirp_sweep_point_fails_alone(tmp_path, key, name, high, r
 def test_each_system_key_sets_a_physical_system_field():
     assert ({name for name, _ in _SYSTEM_KEYS.values()}
             <= {f.name for f in fields(PhysicalSystem)})
+
+
+def test_steep_trap_warning_is_one_line(tmp_path, capsys):
+    # the warning named the dataclass's generated __init__ ("<string>:12")
+    path = write_config(tmp_path, {"system": {"nu_b": "2pi*25 kHz"}})
+    assert main(["params", "--config", path, "--out", str(tmp_path)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: steep-trap frequencies do not dominate")
+    assert err.count("\n") == 1

@@ -420,11 +420,12 @@ class TestCsv:
         assert trajectory_to_csv(trajectory) == _csv_by_rows(trajectory)
 
 
-def _fig4_chirp(t_omega=3.25e-3):
+def _fig4_chirp(t_omega=3.25e-3, omega_hat=None):
     fig4 = get_preset("fig4")
     model = build_level_model(derive_all(fig4.system), n_max=2)
     cfg = fig4.scrap
-    schedule = build_scrap_schedule(cfg.omega_hat, t_omega, cfg.delta_hat,
+    omega_hat = cfg.omega_hat if omega_hat is None else omega_hat
+    schedule = build_scrap_schedule(omega_hat, t_omega, cfg.delta_hat,
                                     cfg.t_delta(t_omega), cfg.tau(t_omega), 0.0,
                                     model.derived.e1, hbar=model.hbar)
     return model, schedule
@@ -673,6 +674,58 @@ class TestFinalStates:
         monkeypatch.setattr(propagator, "_MAX_STEPS", 256)
         with pytest.raises(IntegrationError, match="error estimate .* at 256 steps"):
             propagate(model, schedule, step_control=StepControl(sample_cap=2, order=6))
+
+
+def _counted_finals(monkeypatch):
+    """Wrap _finals; returns the list of the counts of each call."""
+    requests = []
+    finals = propagator._finals
+
+    def counted(model, schedule, psi, counts, order):
+        requests.append(list(counts))
+        return finals(model, schedule, psi, counts, order)
+
+    monkeypatch.setattr(propagator, "_finals", counted)
+    return requests
+
+
+class TestFirstCall:
+    """The controller's first _finals call runs the 64- to 512-step grids."""
+
+    @pytest.mark.parametrize("omega_hat, t_omega, accepted, calls", [
+        (1.5e4, 0.5e-3, 256, 1), (1.5e4, 1.0e-3, 512, 1), (1e4 / 3, 3.25e-3, 1024, 2)])
+    def test_calls_per_accepted_count(self, monkeypatch, omega_hat, t_omega,
+                                      accepted, calls):
+        model, schedule = _fig4_chirp(t_omega, omega_hat)
+        requests = _counted_finals(monkeypatch)
+        traj = propagate(model, schedule, step_control=StepControl(sample_cap=2, order=6))
+        assert traj.n_steps == accepted
+        assert requests[0] == [64, 128, 256, 512] and len(requests) == calls
+        # the accepted grid's state is the one it has alone
+        (alone,) = propagator._finals(model, schedule, traj.states[0], [accepted], 6)
+        assert traj.final_state.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("limit", [256, 512])
+    def test_no_grid_above_the_step_limit(self, monkeypatch, limit):
+        # the point needs 1024 steps
+        model, schedule = _fig4_chirp(3.25e-3, 1e4 / 3)
+        monkeypatch.setattr(propagator, "_MAX_STEPS", limit)
+        requests = _counted_finals(monkeypatch)
+        with pytest.raises(IntegrationError, match=f"at {limit} steps"):
+            propagate(model, schedule, step_control=StepControl(sample_cap=2, order=6))
+        assert max(max(counts) for counts in requests) == limit
+
+    @pytest.mark.parametrize("counts, named", [
+        ([64, 128, 256, 512], 64), ([512, 256, 128, 64], 512), ([64, 4096], 4096)])
+    def test_non_finite_grids_name_the_first_in_grid_order(self, fig3a_model,
+                                                           counts, named):
+        # every grid goes non-finite; the one named is the first of the grids
+        # ordered by piece count, most first, then as given
+        schedule = PulseSchedule(Constant(0.0), Constant(math.nan), 0.0, 1e-3)
+        psi = np.array([1.0, 0.0, 0.0], dtype=complex)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                IntegrationError, match=rf"non-finite amplitudes \(steps={named},"):
+            propagator._finals(fig3a_model, schedule, psi, counts, 6)
 
 
 def _mirrored(envelope, end):

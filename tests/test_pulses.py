@@ -206,6 +206,13 @@ class TestPiPulse:
         with pytest.raises(ValueError):
             build_pi_pulse(fig3a_model, (0, 2), 1e-3)
 
+    @pytest.mark.parametrize("t_omega", [5e-324, 1e-310])
+    def test_width_that_underflows_the_peak(self, fig3a_model, t_omega):
+        # the width times the coupling underflows to 0 (a ZeroDivisionError
+        # before), or leaves a peak that overflows
+        with pytest.raises(InfeasibleScheduleError, match="underflows the drive peak"):
+            build_pi_pulse(fig3a_model, (0, 1), t_omega)
+
 
 class TestSerialization:
     def test_round_trip(self, fig3a_model):
