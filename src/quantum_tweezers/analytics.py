@@ -83,8 +83,8 @@ def adiabaticity_parameter(splitting: float, ramp_rate: float,
                            hbar: float = HBAR) -> float:
     """alpha = pi delta^2 / (2 hbar^2 |rate|) for splitting delta (J).
 
-    A non-zero rate whose denominator underflows to 0 raises
-    InfeasibleScheduleError.
+    A non-zero rate whose denominator underflows to 0, or a splitting whose
+    square overflows, raises InfeasibleScheduleError.
     """
     if ramp_rate == 0:
         return math.inf
@@ -92,7 +92,12 @@ def adiabaticity_parameter(splitting: float, ramp_rate: float,
     if denominator == 0:
         raise InfeasibleScheduleError(
             f"ramp rate {ramp_rate!r} rad/s^2 underflows the adiabaticity parameter")
-    return math.pi * splitting**2 / denominator
+    try:
+        splitting_squared = splitting**2
+    except OverflowError:
+        raise InfeasibleScheduleError(
+            f"splitting {splitting!r} J overflows the adiabaticity parameter") from None
+    return math.pi * splitting_squared / denominator
 
 
 def lz_probability(splitting: float, ramp_rate: float,
@@ -150,13 +155,17 @@ def scrap_crossing_slope(delta_hat: float, t_delta: float, tau: float) -> float:
     """|d detuning/dt| (rad/s^2) at the crossings of a Stark-chirp detuning pulse.
 
     2 |delta_hat| tau / T_d^2 * exp(-tau^2/T_d^2), for crossings tau before
-    and after the pulse peak.  A width whose square underflows to 0 raises
-    InfeasibleScheduleError.
+    and after the pulse peak.  A width whose square underflows to 0 or
+    overflows raises InfeasibleScheduleError.
     """
-    width_squared = t_delta**2
-    if width_squared == 0:
+    try:
+        width_squared = t_delta**2
+    except OverflowError:
+        width_squared = math.inf
+    if width_squared == 0 or math.isinf(width_squared):
+        flow = "underflows" if width_squared == 0 else "overflows"
         raise InfeasibleScheduleError(
-            f"detuning-pulse width {t_delta!r} s underflows the crossing slope")
+            f"detuning-pulse width {t_delta!r} s {flow} the crossing slope")
     return 2.0 * abs(delta_hat) * tau / width_squared * math.exp(-(tau / t_delta) ** 2)
 
 
@@ -188,13 +197,19 @@ def scrap_pump_width_bound(omega_hat_eff: float, delta_hat: float,
         t_jump      = 2 Omega_eff / |ddelta/dt at the first crossing|.
 
     The pump must be at least this wide for the passage at the first
-    crossing to complete while the pump is on.
+    crossing to complete while the pump is on.  Where tau delta_hat
+    underflows to 0, or T_d^2 to 0 or past the largest float, it raises
+    InfeasibleScheduleError.
     """
     if not (t_delta > 0 and tau > 0 and delta_hat != 0):
         raise InfeasibleScheduleError("t_delta and tau must be positive, delta_hat non-zero")
+    slope = scrap_crossing_slope(delta_hat, t_delta, tau)  # checks T_d^2
+    sweep = tau * abs(delta_hat)
+    if sweep == 0:
+        raise InfeasibleScheduleError(
+            f"detuning amplitude {delta_hat!r} rad/s underflows the pump-width bound")
     exponent = (tau / t_delta) ** 2
-    t_min = abs(omega_hat_eff) * t_delta**2 / (tau * abs(delta_hat)) * math.exp(exponent)
-    slope = scrap_crossing_slope(delta_hat, t_delta, tau)
+    t_min = abs(omega_hat_eff) * t_delta**2 / sweep * math.exp(exponent)
     t_jump = math.inf if slope == 0.0 else 2.0 * abs(omega_hat_eff) / slope
     return t_min, t_jump
 

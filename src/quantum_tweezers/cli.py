@@ -27,9 +27,17 @@ import numpy as np
 
 from . import __version__
 from .analytics import THRESHOLD_PROBABILITY, validity_check
-from .config import ConfigError, load_config, parse_frequency, resolve_preset, validate_config
+from .config import (
+    _FREQUENCY_PARAMS,
+    ConfigError,
+    load_config,
+    parse_frequency,
+    resolve_preset,
+    validate_config,
+)
 from .exceptions import InfeasibleScheduleError, IntegrationError
 from .experiments import (
+    _PROPAGATE_STEP_CONTROL,
     PROTOCOLS,
     AxisSpec,
     SweepSpec,
@@ -87,11 +95,6 @@ def _json_text(payload) -> str:
     return json.dumps(clean(payload), indent=2, sort_keys=True) + "\n"
 
 
-# the propagate section's frequency strings and the protocol parameters
-# they set
-_FREQUENCY_PARAMS = {"omega_hat": "omega_hat_rad_s", "delta_hat": "delta_hat_rad_s"}
-
-
 def _protocol_point(config: dict) -> dict:
     """The config's protocol section as parameters of its PROTOCOLS entry."""
     convention = config.get("frequency_units", "angular_khz")
@@ -139,15 +142,14 @@ def cmd_propagate(config: dict, preset: Preset, out_dir: str) -> int:
         point = _protocol_point(config)
         target = _target(protocol, kind)
         if entry.chain_level is not None:
-            # a propagate takes the fourth order, as below
-            out = evaluate_point(preset, kind, point, target, order=4)
+            out = evaluate_point(preset, kind, point, target)
             finals = {f"p{target}" if k == "p" else k: v for k, v in out.items()}
             _atomic_write(os.path.join(out_dir, "final.json"), _json_text(finals))
             print(f"{kind}: P_0->{target} = {out['p']:.6f}")
             return EXIT_OK
         (schedule,) = entry.schedules(model=model, preset=preset,
                                       params=entry.params(preset, point), target=target)
-    trajectory = propagate(model, schedule)
+    trajectory = propagate(model, schedule, step_control=_PROPAGATE_STEP_CONTROL)
     csv_text = trajectory_to_csv(trajectory)
     _atomic_write(os.path.join(out_dir, "trajectory.csv"), csv_text)
     finals = {f"p{n}": transfer_probability(trajectory, n)
@@ -202,12 +204,15 @@ _CHECK_UNIT_KEYS = {"omega01": "omega01_rad_s",
 def cmd_check(config: dict, preset: Preset, out_dir: str) -> int:
     model = preset_model(preset)
     entry = PROTOCOLS.get(config.get("protocol", {}).get("type"))
+    point = _protocol_point(config) if entry is not None else {}
     scrap = None
     # the chirp bounds are derived for the Gaussian pulse pair, so they are
     # attached only for the protocols that drive one
     if entry is not None and entry.chirp is not None:
-        scrap = entry.chirp(preset, entry.params(preset, _protocol_point(config)))
-    report = validity_check(model, preset.omega_l, scrap=scrap)
+        scrap = entry.chirp(preset, entry.params(preset, point))
+    # a ramp drives at its omega_l_rad_s where the section gives one
+    omega_l = point.get("omega_l_rad_s", preset.omega_l)
+    report = validity_check(model, omega_l, scrap=scrap)
     flags = report.flags
     payload = {"threshold_probability": THRESHOLD_PROBABILITY, "flags": flags,
                "all_strong": report.all_strong, "any_fail": report.any_fail}
@@ -218,7 +223,7 @@ def cmd_check(config: dict, preset: Preset, out_dir: str) -> int:
             payload[f"{condition}_flag"] = flags.get(condition)
     _atomic_write(os.path.join(out_dir, "check.json"), _json_text(payload))
     print(f"validity report for preset {preset.name} "
-          f"(omega_l = {preset.omega_l!r} rad/s)")
+          f"(omega_l = {omega_l!r} rad/s)")
     for name, flag in sorted(flags.items()):
         print(f"  {name}: {flag}")
     print(f"  two_level_margin = {report.two_level_margin:.4g}")

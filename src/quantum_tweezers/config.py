@@ -86,6 +86,31 @@ _SYSTEM_KEYS = {
     "mu_override_J": ("mu_override", {"type": ["number", "null"]}),
 }
 
+# the propagate and check sections name two frequency parameters without
+# their unit, and take a number or a frequency string for each
+_FREQUENCY_PARAMS = {"omega_hat": "omega_hat_rad_s", "delta_hat": "delta_hat_rad_s"}
+_SECTION_KEYS = {name: key for key, name in _FREQUENCY_PARAMS.items()}
+
+
+def _parameter_schema(name: str, default) -> dict:
+    """A protocol parameter's schema: the type Protocol.check_run reads from its default."""
+    if name in _SECTION_KEYS:
+        return _FREQ
+    if isinstance(default, bool):
+        return {"type": "boolean"}
+    if isinstance(default, str):
+        return {"enum": list(TRANSITIONS)}
+    if name == "t_omega_s":
+        return {"type": "number", "exclusiveMinimum": 0}
+    return {"type": "number"}
+
+
+# every parameter of every protocol, under its propagate-section key
+_PROTOCOL_PARAMS = {_SECTION_KEYS.get(name, name):
+                    _parameter_schema(name, entry.defaults.get(name, 0.0))
+                    for entry in PROTOCOLS.values()
+                    for name in (*entry.required, *entry.defaults)}
+
 CONFIG_SCHEMA = {
     "$defs": {"envelope": _ENVELOPE_SCHEMA},
     "type": "object",
@@ -105,15 +130,9 @@ CONFIG_SCHEMA = {
             "required": ["type"],
             "properties": {
                 "type": {"enum": [*PROTOCOLS, "schedule"]},
-                "ramp_rate_rad_s2": {"type": "number"},
                 "target": {"type": "integer", "minimum": 1, "maximum": 2},
-                "omega_hat": _FREQ,
-                "t_omega_s": {"type": "number", "exclusiveMinimum": 0},
-                "delta_hat": _FREQ,
-                "delta_tau_s": {"type": "number"},
-                "transition": {"enum": list(TRANSITIONS)},
-                "omit_second": {"type": "boolean"},
                 "schedule": _SCHEDULE_SCHEMA,
+                **_PROTOCOL_PARAMS,
             },
         },
         "sweep": {

@@ -71,6 +71,9 @@ TRANSITIONS = ("0-1", "1-2")
 # a sweep point reads only final states: two samples, the two ends, and the
 # sixth order with its step count from the error estimate (see propagator)
 _SWEEP_STEP_CONTROL = StepControl(sample_cap=2, order=6)
+# qtweezers propagate takes the same rule, and stores every accepted step up
+# to the default sample cap
+_PROPAGATE_STEP_CONTROL = replace(_SWEEP_STEP_CONTROL, sample_cap=StepControl.sample_cap)
 # an optimizer evaluation reads its final state the same way, but keeps the
 # sixth order's spectral step rule: with the estimate's faster evaluations,
 # perfbench's chirp_optimize workload exits in its speed probe (ROADMAP.md,
@@ -461,14 +464,9 @@ def preset_model(preset: Preset) -> LevelModel:
     return model
 
 
-def evaluate_point(preset: Preset, protocol: str, point: dict,
-                   target: int, order: int = 6) -> dict:
-    """Propagate one parameter point: p plus its analytic companions.
-
-    order is the Magnus order of the propagations (see StepControl).
-    """
-    return _evaluate(preset, protocol, point, target,
-                     replace(_SWEEP_STEP_CONTROL, order=order))
+def evaluate_point(preset: Preset, protocol: str, point: dict, target: int) -> dict:
+    """Propagate one parameter point as a sweep does: p plus its analytic companions."""
+    return _evaluate(preset, protocol, point, target, _SWEEP_STEP_CONTROL)
 
 
 def _evaluate(preset: Preset, protocol: str, point: dict, target: int,

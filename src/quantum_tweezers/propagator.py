@@ -4,8 +4,9 @@ The integrator is a fixed-step Magnus scheme of order 4 or 6, chosen by
 StepControl.order (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)).
 The fourth order, the default, samples H at two Gauss-Legendre nodes per
 step and adds one commutator; the sixth samples three nodes and nests its
-commutators, in three real and one complex 3x3 product per step.  Sweeps
-and the optimizer use the sixth order; single propagations the fourth.
+commutators, in three real and one complex 3x3 product per step.  Sweeps,
+the optimizer and the CLI's propagate use the sixth order; the default
+StepControl() the fourth.
 
 Each step is the exponential of an anti-Hermitian generator, computed for a
 block of steps at once by scaling and squaring a degree-12 Taylor
@@ -38,9 +39,9 @@ The fourth order takes its step from the spectral rule
 with omega_max the largest instantaneous spectral scale of H/hbar at
 _N_PROBE = 257 times across the window (plus the drive strength), 50
 points per period and at least 1000 steps; a schedule that is not finite
-at the probe times raises IntegrationError, and so does a step, of the rule
-or of h_override, that rounds to 0 or needs more than 2^24 steps
-(_MAX_STEPS).  The sixth order takes its step
+at the probe times raises IntegrationError, and so does a step, of the rule,
+of h_override or of a grid of the estimate below, that rounds to 0 or needs
+more than 2^24 steps (_MAX_STEPS).  The sixth order takes its step
 count from an error estimate: grids of 64, 128, 256 and 512 steps run in
 one _finals call, and 256 is accepted when its final populations differ
 from the 128-step grid's by at most 63 x 1e-11, which bounds its own error
@@ -50,12 +51,19 @@ the error by 64; Hairer, Norsett & Wanner, Solving ODEs I, II.4).  The
 divisor is the ratio seen, less one.  Otherwise 512 is tested the same way,
 from the same call, and past it each grid of twice the steps runs in a call
 of its own; past 2^24 steps the run raises IntegrationError.  A sampled
-sixth-order trajectory re-runs the accepted count.  The final states of a
-call are checked at once for non-finite amplitudes and norm drift; only
-when one fails are they checked grid by grid, to name the first that
-fails.  StepControl.spectral keeps the sixth order on the spectral rule
-instead, at 20 points per period and no floor; the optimizer runs that
-way (see experiments).
+sixth-order trajectory re-runs the accepted count, and the grid of half
+of it, at the same sample times: where the populations inside the window
+are not within about 1e-10 by the same step-doubling estimate, the grid and
+the stride between samples double until they are (_dense).  The final
+states of a call are checked at once for non-finite amplitudes, and the
+finest grid's for norm drift too (a coarser pilot grid may leave the unit
+sphere where the finest does not); only when one fails are they checked
+grid by grid, to name the first that fails.  When a call of the estimate
+fails, the schedule is probed as the spectral rule probes it, so a
+schedule that is not finite on its window is named first, as it is there.
+StepControl.spectral keeps the sixth order on the spectral rule instead,
+at 20 points per period and no floor; the optimizer runs that way (see
+experiments).
 
 The CSV writer of trajectories, _csv_text, also writes the sweep CSVs of
 experiments.SweepResult.
@@ -92,10 +100,12 @@ _TAYLOR = tuple(1.0 / math.factorial(k) for k in range(13))
 # order -> (steps per 2 pi / omega_max oscillation, least count) of the spectral rule
 _STEP_RULE = {4: (50, 1000), 6: (20, 1)}
 _N_PROBE = 257  # window samples that estimate omega_max
-# the sixth-order estimate: the coarsest pilot grid, the error target of the
-# final populations and the most steps a grid may take
+# the sixth-order estimate: the coarsest pilot grid, the error targets of the
+# final populations and of the populations sampled inside the window, and
+# the most steps a grid may take
 _START = 64
 _TOLERANCE = 1e-11
+_SAMPLE_TOLERANCE = 1e-10
 _MAX_STEPS = 1 << 24
 
 
@@ -150,26 +160,38 @@ class Trajectory:
         return self.states[-1]
 
 
-def _spectral_scale(model: LevelModel, schedule: PulseSchedule) -> float:
-    """Largest instantaneous eigenfrequency scale of H/hbar over the window."""
+def _probe(schedule: PulseSchedule) -> tuple[np.ndarray, np.ndarray]:
+    """Detuning and drive at _N_PROBE times across the window.
+
+    A value that is not finite raises IntegrationError.
+    """
     ts = np.linspace(schedule.t_start, schedule.t_end, _N_PROBE)
     deltas = np.asarray(schedule.detuning(ts), dtype=float)
     omegas = np.asarray(schedule.rabi(ts), dtype=float)
     if not (np.all(np.isfinite(deltas)) and np.all(np.isfinite(omegas))):
         raise IntegrationError("schedule is not finite on its window")
+    return deltas, omegas
+
+
+def _spectral_scale(model: LevelModel, schedule: PulseSchedule) -> float:
+    """Largest instantaneous eigenfrequency scale of H/hbar over the window."""
+    deltas, omegas = _probe(schedule)
     h_stack = hamiltonian_stack(model, deltas, omegas)
     eigs = np.linalg.eigvalsh(h_stack)
     scale = float(np.max(np.abs(eigs))) / model.hbar
     return max(scale, float(np.max(np.abs(omegas))))
 
 
+def _check_step(window: float, h: float) -> None:
+    """IntegrationError for a step that rounds to 0 or needs over _MAX_STEPS steps."""
+    if not (h > 0 and window / h <= _MAX_STEPS):
+        raise IntegrationError(f"no grid of up to {_MAX_STEPS} steps spans the "
+                               f"{window:.3e} s window at the {h:.3e} s step")
+
+
 def _choose_step(model: LevelModel, schedule: PulseSchedule,
                  control: StepControl) -> int:
-    """The step count of h_override, or of the order's spectral rule.
-
-    A step that rounds to 0, or more than _MAX_STEPS of them, raises
-    IntegrationError.
-    """
+    """The step count of h_override, or of the order's spectral rule (_check_step)."""
     window = schedule.duration
     if control.h_override is not None:
         h, min_steps = control.h_override, 1
@@ -179,9 +201,7 @@ def _choose_step(model: LevelModel, schedule: PulseSchedule,
         h = window / min_steps
         if omega_max > 0:
             h = min(h, 2.0 * math.pi / (points_per_period * omega_max))
-    if not (h > 0 and window / h <= _MAX_STEPS):
-        raise IntegrationError(f"no grid of up to {_MAX_STEPS} steps spans the "
-                               f"{window:.3e} s window at the {h:.3e} s step")
+    _check_step(window, h)
     return max(min_steps, math.ceil(window / h))
 
 
@@ -494,10 +514,14 @@ def _finals(model: LevelModel, schedule: PulseSchedule, psi: np.ndarray,
     power of two), and so are a grid's piece products.  Together this is the
     pairwise tree of the whole grid, so a grid's state does not depend on
     _BLOCK or on the grids it shares blocks with.  No state inside the window
-    is formed.  Each final state is checked as propagate checks its samples.
+    is formed.  A step that rounds to 0 raises IntegrationError (_check_step),
+    and so does a final state that is not finite, or, of the finest grid, one
+    that drifts from the unit sphere as propagate checks its samples.  A
+    coarser grid, a pilot of the finest, may drift where that one does not.
     """
     dim = model.dim
     t0, window = schedule.t_start, schedule.duration
+    _check_step(window, window / max(counts))
     size = 1 << (_BLOCK.bit_length() - 1)
     # (grid, first step, steps); the sort is stable and only a grid's last
     # piece is shorter, so each grid's pieces stay in step order
@@ -531,9 +555,10 @@ def _finals(model: LevelModel, schedule: PulseSchedule, psi: np.ndarray,
     finals = np.empty((len(counts), dim), dtype=complex)
     for k, end in zip(grids, ends):
         finals[k] = end @ psi
-    if not _drift(finals) <= NORM_TOLERANCE:  # a non-finite amplitude fails too
+    limits = np.where(np.array(counts) == max(counts), NORM_TOLERANCE, np.inf)
+    if not np.all(_drifts(finals) <= limits):  # a non-finite amplitude fails too
         for k in grids:  # name the first grid that fails
-            _norm_drift(finals[k:k + 1], counts[k], window / counts[k])
+            _norm_drift(finals[k:k + 1], counts[k], window / counts[k], limits[k])
     return finals
 
 
@@ -552,12 +577,20 @@ def _controlled(model: LevelModel, schedule: PulseSchedule,
     yet resolve the drive, and the error collapses once a grid does) the
     divisor stays 63.  The grid is accepted when the estimate is at most
     _TOLERANCE; otherwise the grid of 2 n steps is tested in turn, run in a
-    call of its own past 8 _START, up to _MAX_STEPS.
+    call of its own past 8 _START, up to _MAX_STEPS.  A call that fails
+    probes the schedule first (_probe).
     """
+    def run(grids: list[int]) -> np.ndarray:
+        try:
+            return _finals(model, schedule, psi, grids, 6)
+        except IntegrationError:
+            _probe(schedule)
+            raise
+
     counts = [_START, 2 * _START, 4 * _START]
     if 8 * _START <= _MAX_STEPS:
         counts.append(8 * _START)
-    finals = list(_finals(model, schedule, psi, counts, 6))
+    finals = list(run(counts))
     k = 2  # the finest grid of the three tested
     while True:
         coarse_gap, gap = np.max(np.abs(np.diff(np.abs(finals[k - 2:k + 1]) ** 2, axis=0)),
@@ -573,15 +606,14 @@ def _controlled(model: LevelModel, schedule: PulseSchedule,
         k += 1
         if k == len(counts):
             counts.append(2 * counts[-1])
-            finals.append(_finals(model, schedule, psi, counts[-1:], 6)[0])
+            finals.append(run(counts[-1:])[0])
 
 
 def _sampled(model: LevelModel, schedule: PulseSchedule, psi: np.ndarray,
-             n_steps: int, control: StepControl) -> tuple[np.ndarray, np.ndarray]:
-    """Sample step indices and states of an n_steps grid, at most sample_cap of them."""
+             n_steps: int, stride: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Step indices and states of an n_steps grid, every stride steps and at its end."""
     dim = model.dim
     h = schedule.duration / n_steps
-    stride = math.ceil(n_steps / (control.sample_cap - 1))
     runs_per_group = max(1, _GROUP // stride)
     group = runs_per_group * stride
     block = max(group, _BLOCK // group * group)
@@ -593,7 +625,7 @@ def _sampled(model: LevelModel, schedule: PulseSchedule, psi: np.ndarray,
     sample = 1
     for start in range(0, n_steps, block):
         times = t0 + (start + np.arange(min(block, n_steps - start))) * h
-        generator = _GENERATORS[control.order](model, schedule, times, h)
+        generator = _GENERATORS[order](model, schedule, times, h)
         steps = _expm(generator)
         _WORK.give(generator)
         runs = _reduce(_split(steps, stride))
@@ -606,18 +638,53 @@ def _sampled(model: LevelModel, schedule: PulseSchedule, psi: np.ndarray,
     return sample_steps, states
 
 
+def _dense(model: LevelModel, schedule: PulseSchedule, psi: np.ndarray,
+           n_steps: int, stride: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The step count, sample steps and states of samples that meet _SAMPLE_TOLERANCE.
+
+    n_steps is the count _controlled accepted for the final populations.
+    Inside the window the populations can be much less accurate (a pi
+    pulse's end population is stationary in its area, its middle is not),
+    so the grid of n_steps is sampled every stride steps, and so is the grid
+    of n_steps / 2; at the sixth order the error of the finer samples is
+    about the largest change of their populations at the shared times over
+    63.  While that is above _SAMPLE_TOLERANCE the grid and its stride are
+    doubled, so the samples keep their times, up to _MAX_STEPS steps.
+    """
+    coarse_steps, coarse = _sampled(model, schedule, psi, n_steps // 2, stride, 6)
+    while True:
+        steps, states = _sampled(model, schedule, psi, n_steps, stride, 6)
+        shared = np.isin(steps, 2 * coarse_steps)
+        estimate = np.max(np.abs(np.abs(states[shared]) ** 2 - np.abs(coarse) ** 2)) / 63.0
+        if not estimate > _SAMPLE_TOLERANCE:  # a non-finite state fails later
+            return n_steps, steps, states
+        if 2 * n_steps > _MAX_STEPS:
+            raise IntegrationError(
+                f"no sixth-order grid of up to {_MAX_STEPS} steps meets the "
+                f"{_SAMPLE_TOLERANCE:.0e} target inside the window: error estimate "
+                f"{estimate:.3e} at {n_steps} steps")
+        coarse_steps, coarse = steps, states
+        n_steps, stride = 2 * n_steps, 2 * stride
+
+
+def _drifts(states: np.ndarray) -> np.ndarray:
+    """|<psi|psi> - 1| of each state of a (S, dim) stack."""
+    return np.abs(np.linalg.norm(states, axis=1) ** 2 - 1.0)
+
+
 def _drift(states: np.ndarray) -> float:
     """The largest |<psi|psi> - 1| of a (S, dim) stack of states."""
-    return float(np.max(np.abs(np.linalg.norm(states, axis=1) ** 2 - 1.0)))
+    return float(np.max(_drifts(states)))
 
 
-def _norm_drift(states: np.ndarray, n_steps: int, h: float) -> float:
-    """The largest |<psi|psi> - 1| of states; IntegrationError past NORM_TOLERANCE."""
+def _norm_drift(states: np.ndarray, n_steps: int, h: float,
+                tolerance: float = NORM_TOLERANCE) -> float:
+    """The largest |<psi|psi> - 1| of states; IntegrationError past the tolerance."""
     if not np.all(np.isfinite(states)):
         raise IntegrationError(
             f"propagation produced non-finite amplitudes (steps={n_steps}, h={h:.3e})")
     drift = _drift(states)
-    if drift > NORM_TOLERANCE:
+    if drift > tolerance:
         raise IntegrationError(
             f"norm drift {drift:.3e} exceeds {NORM_TOLERANCE:.0e} "
             f"(steps={n_steps}, h={h:.3e})")
@@ -648,8 +715,8 @@ def propagate(model: LevelModel, schedule: PulseSchedule,
             raise ValueError(f"initial state: |<psi|psi> - 1| = {drift:.3e} "
                              f"exceeds {NORM_TOLERANCE:.0e}")
 
-    # non-finite amplitudes and envelopes are reported below and by
-    # _spectral_scale, so numpy's warnings are silenced, once per propagation:
+    # non-finite amplitudes and envelopes are reported below and by _probe,
+    # so numpy's warnings are silenced, once per propagation:
     # an errstate on every envelope call made envelope evaluation about 40% slower
     with np.errstate(over="ignore", invalid="ignore"):
         final = None
@@ -662,7 +729,12 @@ def propagate(model: LevelModel, schedule: PulseSchedule,
                 (final,) = _finals(model, schedule, psi, [n_steps], control.order)
             sample_steps, states = np.array([0, n_steps]), np.stack([psi, final])
         else:
-            sample_steps, states = _sampled(model, schedule, psi, n_steps, control)
+            stride = math.ceil(n_steps / (control.sample_cap - 1))
+            if final is None:
+                sample_steps, states = _sampled(model, schedule, psi, n_steps, stride,
+                                                control.order)
+            else:
+                n_steps, sample_steps, states = _dense(model, schedule, psi, n_steps, stride)
     h = schedule.duration / n_steps
     drift = _norm_drift(states, n_steps, h)
     return Trajectory(

@@ -27,7 +27,9 @@ expectations:
     PYTHONPATH=src python tests/corpus/corpus.py rewrite [name ...]
 
 check lists every run whose exit code, stderr line or any sha256 differs,
-and exits 1 if there is one.
+and exits 1 if there is one.  Under such a run it prints, for each output
+file that differs, the change in its row count (a CSV's) and the largest
+absolute difference between floats at the same place, with that place.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import sys
 import tempfile
 import traceback
@@ -132,6 +135,46 @@ def strict_differences(record: dict, want: dict) -> list[str]:
     return diffs
 
 
+def _float_gaps(got, want, where=""):
+    """(|got - want|, place) for each pair of floats at the same place.
+
+    Two NaNs differ by 0, a NaN and a number by inf.
+    """
+    if isinstance(got, float) and isinstance(want, float):
+        if math.isnan(got) or math.isnan(want):
+            yield (0.0 if math.isnan(got) and math.isnan(want) else math.inf), where
+        else:
+            yield abs(got - want), where
+    elif isinstance(got, dict) and isinstance(want, dict):
+        for key in sorted(got.keys() & want.keys()):
+            yield from _float_gaps(got[key], want[key], f"{where}.{key}")
+    elif isinstance(got, list) and isinstance(want, list):
+        for index, (a, b) in enumerate(zip(got, want)):
+            yield from _float_gaps(a, b, f"{where}[{index}]")
+
+
+def _row_count(parsed: dict) -> int | None:
+    rows = parsed.get("rows")
+    return len(rows) if isinstance(rows, list) else rows
+
+
+def file_differences(record: dict, want: dict) -> list[str]:
+    """For each file in both whose sha256 differs: rows and largest float gap."""
+    lines = []
+    for file in sorted(record["files"].keys() & want["files"].keys()):
+        got, old = record["files"][file], want["files"][file]
+        if got["sha256"] == old["sha256"]:
+            continue
+        parts = []
+        if _row_count(got) != _row_count(old):
+            parts.append(f"rows {_row_count(old)} -> {_row_count(got)}")
+        gap, where = max(_float_gaps(got, old), default=(None, ""), key=lambda g: g[0])
+        if gap is not None:
+            parts.append(f"largest float difference {gap:.3e} at {where}")
+        lines.append(f"  {file}: {'; '.join(parts) or 'no float differs'}")
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if not argv or argv[0] not in ("check", "rewrite"):
         print(__doc__, file=sys.stderr)
@@ -148,6 +191,8 @@ def main(argv: list[str]) -> int:
         if diffs:
             failed += 1
             print(f"{name}: {', '.join(diffs)}")
+            for line in file_differences(record, expected(name)):
+                print(line)
     if argv[0] == "check":
         print(f"{len(chosen) - failed} of {len(chosen)} runs identical")
     return 1 if failed else 0

@@ -12,15 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
+from quantum_tweezers import StepControl, propagate
 from quantum_tweezers.cli import main
 from quantum_tweezers.config import (
     _SYSTEM_KEYS,
     CONFIG_SCHEMA,
     ConfigError,
     parse_frequency,
+    resolve_preset,
     validate_config,
 )
-from quantum_tweezers.experiments import PROTOCOLS
+from quantum_tweezers.experiments import PROTOCOLS, gated_ramp_schedule, preset_model
 from quantum_tweezers.params import PhysicalSystem
 
 
@@ -545,16 +547,19 @@ def test_overflowing_schedule_exits_3(tmp_path, capsys):
         "numerical failure: schedule is not finite on its window\n")
 
 
-# a pulse width of 1e-300 s drives at about 1e300 rad/s: the fourth-order
-# generator overflows, and the failure is one line with no numpy warning
+# a pulse width of 1e-300 s drives at about 1e300 rad/s, where the fourth
+# order's h^2 [H2, H1] / hbar^2 overflowed (exit 3); the sixth order scales H
+# by h / hbar first.  The anharmonicity is negligible beside such a drive, so
+# the pi pulse of the 0-1 coupling g, with 1-2 coupling sqrt(2) g, leaves
+# c0 = (2 + cos(pi sqrt(3) / 2)) / 3 in |0>
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_overflowing_drive_exits_3(tmp_path, capsys):
+def test_drive_that_overflowed_the_fourth_order_propagates(tmp_path):
     path = write_config(tmp_path, {"preset": "fig3a", "protocol": {
         "type": "pi_pulse", "t_omega_s": 1e-300}})
-    assert main(["propagate", "--config", path, "--out", str(tmp_path)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure: propagation produced non-finite amplitudes")
-    assert err.count("\n") == 1
+    assert main(["propagate", "--config", path, "--out", str(tmp_path)]) == 0
+    finals = json.loads((tmp_path / "final.json").read_text())
+    closed_form = ((2.0 + math.cos(math.pi * math.sqrt(3.0) / 2.0)) / 3.0) ** 2
+    assert abs(finals["p0"] - closed_form) < 1e-10
 
 
 @pytest.mark.parametrize("command, section, name", [
@@ -852,16 +857,17 @@ def test_random_propagate_and_check_exit_codes(random_section_dir, run):
     assert code in (0, 1, 2, 3)
 
 
-# the step rule asked for 1.2e299 and 1.2e11 steps (a ValueError traceback
-# from np.arange, and a run killed for its memory) and, on a 4e-323 s
-# window, a step of 0 (a ZeroDivisionError traceback); each now stops at the
-# step count, with one line and no numpy warning
+# the fourth order's spectral rule asked for 1.2e299 and 1.2e11 steps (a
+# ValueError traceback from np.arange, and a run killed for its memory); the
+# sixth-order estimate stops at its first grids, whose amplitudes are not
+# finite.  On a 4e-323 s window a step is 0 (a ZeroDivisionError traceback).
+# Each stops with one line and no numpy warning
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("config, reason", [
     ({"preset": "fig3a", "protocol": {"type": "pi_pulse", "omega_hat": 1e300}},
-     "no grid of up to 16777216 steps"),
+     "propagation produced non-finite amplitudes (steps=64,"),
     ({"preset": "fig3a", "protocol": {"type": "pi_pulse", "omega_hat": 1e12}},
-     "no grid of up to 16777216 steps"),
+     "propagation produced non-finite amplitudes (steps=64,"),
     ({"preset": "fig4", "protocol": {"type": "scrap_1atom", "t_omega_s": 5e-324}},
      "at the 0.000e+00 s step"),
 ], ids=["omega_hat_1e300", "omega_hat_1e12", "t_omega_5e-324"])
@@ -918,3 +924,126 @@ def test_steep_trap_warning_is_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("warning: steep-trap frequencies do not dominate")
     assert err.count("\n") == 1
+
+
+# check of a 1e300 rad/s pump squared its splitting, and of a 1e300 s pump
+# its detuning-pulse width, past the largest float (an OverflowError
+# traceback); a 5e-324 rad/s detuning amplitude underflowed a divisor (a
+# ZeroDivisionError traceback, which also stopped a sweep)
+@pytest.mark.parametrize("key, value, reason", [
+    ("omega_hat", 1e300, "overflows the adiabaticity parameter"),
+    ("t_omega_s", 1e300, "overflows the crossing slope"),
+    ("delta_hat", 5e-324, "underflows the pump-width bound")],
+    ids=["omega_hat", "t_omega", "delta_hat"])
+def test_overflowing_chirp_check_exits_2(tmp_path, capsys, key, value, reason):
+    path = write_config(tmp_path, {"preset": "fig4", "protocol": {
+        "type": "scrap_1atom", key: value}})
+    assert main(["check", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert reason in err
+
+
+def test_underflowing_detuning_amplitude_sweep_point_fails_alone(tmp_path):
+    path = write_config(tmp_path, {"preset": "fig4", "sweep": {
+        "protocol": "scrap_1atom", "axes": [{"name": "delta_hat_rad_s", "min": 5e-324,
+                                             "max": 2e4, "points": 2, "scale": "log"}]}})
+    assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / "sweep_meta.json").read_text())
+    [failure] = meta["failures"]
+    assert failure["index"] == 0 and "underflows the pump-width bound" in failure["message"]
+
+
+# every number a protocol takes, at each edge of the float range, in a
+# propagate and a check section and fixed in a two-point sweep over another
+# of its numbers: each ends in an exit code, with at most one stderr line,
+# never in an uncaught exception or a numpy warning
+_EDGE_VALUES = [0.0, -1.0, math.nan, math.inf, -math.inf, 5e-324, 1e-300, 1e300]
+_EXITS = {"propagate": {0, 2, 3}, "check": {0, 1, 2}, "sweep": {0, 2, 3}}
+
+
+def _numbers(entry):
+    return [name for name in (*entry.required, *entry.defaults)
+            if not isinstance(entry.defaults.get(name, 0.0), (bool, str))]
+
+
+# delay_scan is scrap_1atom under another name
+_EDGE_RUNS = [(command, protocol, name)
+              for protocol in sorted(set(PROTOCOLS) - {"delay_scan"})
+              for name in _numbers(PROTOCOLS[protocol])
+              for command in ("propagate", "check", "sweep")
+              if command != "sweep" or len(_numbers(PROTOCOLS[protocol])) > 1]
+
+
+def _edge_config(command, protocol, name, value):
+    if command != "sweep":
+        return {"protocol": {"type": protocol, _SECTION_NAMES.get(name, name): value}}
+    other = next(n for n in _numbers(PROTOCOLS[protocol]) if n != name)
+    axis = _axis(other, _TYPICAL[other], 1.25 * _TYPICAL[other])
+    return {"sweep": {"protocol": protocol, "fixed": {name: value}, "axes": [axis]}}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, protocol, name", _EDGE_RUNS)
+def test_edge_values_end_in_an_exit_code(tmp_path, command, protocol, name):
+    path = tmp_path / "config.json"
+    for value in _EDGE_VALUES:
+        config = {"preset": "fig4", **_edge_config(command, protocol, name, value)}
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(path), "--out", str(tmp_path)])
+        assert code in _EXITS[command], (config, code, err.getvalue())
+        assert err.getvalue().count("\n") <= 1, (config, err.getvalue())
+
+
+# ramp's omega_l_rad_s was accepted in a sweep's fixed parameters but not in
+# a propagate section ("Additional properties are not allowed")
+def test_propagate_takes_every_protocol_parameter(tmp_path):
+    point = {"ramp_rate_rad_s2": 2e6, "omega_l_rad_s": 5e3}
+    path = write_config(tmp_path, {"preset": "fig3a",
+                                   "protocol": {"type": "ramp", **point}})
+    assert main(["propagate", "--config", path, "--out", str(tmp_path)]) == 0
+    p1 = json.loads((tmp_path / "final.json").read_text())["p1"]
+    path = write_config(tmp_path, {"preset": "fig3a", "sweep": {
+        "protocol": "ramp", "fixed": {"omega_l_rad_s": 5e3},
+        "axes": [_axis("ramp_rate_rad_s2", 2e6, 4e6)]}})
+    assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")
+    column = rows[0].split(",").index("p_target")
+    assert abs(float(rows[1].split(",")[column]) - p1) < 1e-12
+    assert abs(p1 - json.loads(_run_propagate(tmp_path, 2e6))["p1"]) > 1e-6
+
+
+def test_check_takes_the_ramp_drive(tmp_path):
+    # a check section now takes a ramp's omega_l_rad_s, and reports the
+    # margins of that drive, as the config's omega_l gives them
+    checks = []
+    for config in ({}, {"omega_l": 5e3, "protocol": {"type": "ramp"}},
+                   {"protocol": {"type": "ramp", "omega_l_rad_s": 5e3}}):
+        path = write_config(tmp_path, {"preset": "fig3a", **config})
+        assert main(["check", "--config", path, "--out", str(tmp_path)]) in (0, 1)
+        checks.append((tmp_path / "check.json").read_text())
+    assert checks[1] == checks[2] != checks[0]
+
+
+def _run_propagate(tmp_path, rate):
+    path = write_config(tmp_path, {"preset": "fig3a", "protocol": {
+        "type": "ramp", "ramp_rate_rad_s2": rate}})
+    assert main(["propagate", "--config", path, "--out", str(tmp_path)]) == 0
+    return (tmp_path / "final.json").read_text()
+
+
+# propagate takes its step count from the sweeps' sixth-order estimate and
+# stores every accepted step: trajectory.csv has that count plus one rows
+def test_propagate_takes_the_sweep_step_count(tmp_path):
+    finals = json.loads(_run_propagate(tmp_path, 3e5))
+    preset = resolve_preset({"preset": "fig3a"})
+    model = preset_model(preset)
+    schedule = gated_ramp_schedule(model, preset.omega_l, 3e5, geometry=preset.ramp)
+    point = propagate(model, schedule, step_control=StepControl(sample_cap=2, order=6))
+    assert finals["n_steps"] == point.n_steps == 2048
+    assert finals["step_s"] == point.step
+    rows = (tmp_path / "trajectory.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == point.n_steps + 1
+    assert abs(finals["p1"] - point.populations[-1, 1]) < 1e-13

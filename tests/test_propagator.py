@@ -641,6 +641,20 @@ class TestFinalStates:
         assert sampled.step == two_ends.step
         assert np.max(np.abs(sampled.final_state - two_ends.final_state)) < 1e-13
 
+    def test_samples_inside_the_window_meet_their_target(self):
+        # the default fig4 chirp: at the 512 steps that hold its final
+        # populations to 1e-11, the populations inside the window were up to
+        # 5.8e-9 off; the samples now come from 1024 steps, at the times of
+        # the 512-step grid's
+        model, schedule = _fig4_chirp()
+        two_ends = propagate(model, schedule, step_control=StepControl(sample_cap=2, order=6))
+        sampled = propagate(model, schedule, step_control=StepControl(order=6))
+        assert (two_ends.n_steps, sampled.n_steps, len(sampled.times)) == (512, 1024, 513)
+        reference = propagate(model, schedule, step_control=StepControl(
+            order=6, h_override=sampled.step / 8, sample_cap=513))
+        assert np.array_equal(reference.times, sampled.times)
+        assert np.max(np.abs(reference.populations - sampled.populations)) < 1e-10
+
     @pytest.mark.parametrize("power, accepted", [(6, 256), (2, 1024)])
     def test_estimate_divides_by_63_only_at_a_sixth_order_fall(self, monkeypatch,
                                                                power, accepted):
@@ -714,6 +728,25 @@ class TestFirstCall:
         with pytest.raises(IntegrationError, match=f"at {limit} steps"):
             propagate(model, schedule, step_control=StepControl(sample_cap=2, order=6))
         assert max(max(counts) for counts in requests) == limit
+
+    def test_a_pilot_grid_may_drift(self):
+        # the fig4 chirp with its pump 1 s before the crossings: alone, the
+        # 128-step grid drifts 2e-9 off the unit sphere; as a pilot of the
+        # 512-step grid, which does not, it only fails the estimate
+        fig4 = get_preset("fig4")
+        model = build_level_model(derive_all(fig4.system), n_max=2)
+        cfg, t_omega = fig4.scrap, fig4.scrap.t_omega
+        schedule = build_scrap_schedule(cfg.omega_hat, t_omega, cfg.delta_hat,
+                                        cfg.t_delta(t_omega), cfg.tau(t_omega), -1.0,
+                                        model.derived.e1, hbar=model.hbar)
+        psi = np.array([1.0, 0.0, 0.0], dtype=complex)
+        with pytest.raises(IntegrationError, match=r"norm drift .* \(steps=128,"):
+            propagator._finals(model, schedule, psi, [128], 6)
+        propagator._finals(model, schedule, psi, [64, 128, 256, 512], 6)
+        traj = propagate(model, schedule, step_control=StepControl(sample_cap=2, order=6))
+        reference = propagate(model, schedule, step_control=StepControl(
+            sample_cap=2, order=6, h_override=traj.step / 4))
+        assert np.max(np.abs(traj.populations[-1] - reference.populations[-1])) < 1e-10
 
     @pytest.mark.parametrize("counts, named", [
         ([64, 128, 256, 512], 64), ([512, 256, 128, 64], 512), ([64, 4096], 4096)])
@@ -813,3 +846,13 @@ class TestOneContract:
         with pytest.raises(IntegrationError, match=reason):
             propagate(fig3a_model, schedule,
                       step_control=StepControl(h_override=h_override))
+
+    @pytest.mark.parametrize("sample_cap", [2, StepControl.sample_cap])
+    def test_estimate_step_that_rounds_to_0(self, fig3a_model, sample_cap):
+        # the sixth-order estimate held the same contract as the spectral
+        # rule nowhere: on a 1e-322 s window its grids stepped by 0 and it
+        # returned the start state at 256 steps
+        schedule = _resonant_schedule(fig3a_model, 4e3, 1e-322)
+        control = StepControl(sample_cap=sample_cap, order=6)
+        with pytest.raises(IntegrationError, match=r"at the 0\.000e\+00 s step"):
+            propagate(fig3a_model, schedule, step_control=control)
