@@ -41,6 +41,7 @@ from .experiments import (
     PROTOCOLS,
     AxisSpec,
     SweepSpec,
+    _check_frequencies,
     evaluate_point,
     optimize_pulse,
     preset_model,
@@ -205,6 +206,7 @@ def cmd_check(config: dict, preset: Preset, out_dir: str) -> int:
     model = preset_model(preset)
     entry = PROTOCOLS.get(config.get("protocol", {}).get("type"))
     point = _protocol_point(config) if entry is not None else {}
+    _check_frequencies(point)
     scrap = None
     # the chirp bounds are derived for the Gaussian pulse pair, so they are
     # attached only for the protocols that drive one

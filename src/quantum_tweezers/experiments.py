@@ -349,6 +349,13 @@ def _sequential_pi_companions(trajectories, **_):
     return {"p1_after_first": transfer_probability(trajectories[0], 1)}
 
 
+def _check_frequencies(given: dict) -> None:
+    """ConfigError, as the config's own, for a drive frequency (*_rad_s) not finite."""
+    for name, value in given.items():
+        if name.endswith("_rad_s") and isinstance(value, Real) and not math.isfinite(value):
+            raise ConfigError(f"frequency {value!r} is not finite")
+
+
 @dataclass(frozen=True)
 class Protocol:
     """One extraction protocol, as sweeps, the optimizer and the CLI run it.
@@ -399,6 +406,7 @@ class Protocol:
         for name, value in fixed.items():
             if not self._accepts(name, value):
                 raise ConfigError(f"parameter {name!r} cannot be {value!r}")
+        _check_frequencies(fixed)
 
     def _accepts(self, name: str, value) -> bool:
         default = self.defaults.get(name, 0.0)  # a required name takes a number
@@ -413,6 +421,7 @@ class Protocol:
     def params(self, preset: Preset, point: dict) -> dict:
         """The point's parameters with every omitted one at its default."""
         self.check_names(point)
+        _check_frequencies(point)
         params = {name: default(preset) if callable(default) else default
                   for name, default in self.defaults.items()}
         params.update(point)

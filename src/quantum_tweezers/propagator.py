@@ -14,22 +14,23 @@ polynomial, exact to double precision, so the evolution is unitary to
 rounding regardless of step size and a constant Hamiltonian is propagated
 exactly.  Matrices are held component-major, (dim, dim, N), and multiplied
 by accumulating the rows of the inner index, one array operation per term.
-The steps between two stored samples are multiplied into one matrix per
-sample (a pairwise reduction).  These are scanned in groups of a fixed
-length: each group is reduced to one matrix, which carries the state from
-group to group, and the samples inside all groups are then reached at once,
-so no Python loop runs once per step or once per stored sample.  Every
-block-sized array of the kernel is a view of a per-thread workspace (seven
-flat arrays, about 2.2 MB for three levels at the fourth order), lent and
-given back stage by stage and kept between calls, so a warm propagation
-allocates no block-sized memory and takes no page faults for it.  The
-arithmetic is the same whichever memory holds it, so the results do not
-depend on the workspace or the block size.
+Every product of consecutive matrices is taken by one pairwise reduction
+(_reduce_runs), so a run's product does not depend on the runs beside it or
+on the block size.  The steps between two stored samples are multiplied
+into one matrix per sample (a run longer than a block in aligned pieces).
+These are scanned in groups of a fixed length: each group is reduced to one
+matrix, which carries the state from group to group, and the samples inside
+all groups are then reached at once, so no Python loop runs once per step
+or once per stored sample.  Every block-sized array of the kernel is a view
+of a per-thread workspace (seven flat arrays, about 2.2 MB for three levels
+at the fourth order), lent and given back stage by stage and kept between
+calls, so once it has settled, in a few calls, a propagation takes no new
+workspace memory.  The arithmetic is the same whichever memory holds it, so
+the results do not depend on the workspace or the block size.
 
 A final state alone (sample_cap = 2) is computed without the scan: the steps
 of one or several uniform grids over the window share each block, every
-grid's steps are multiplied into one matrix by the same pairwise tree
-whatever the block size or the other grids (_finals), and that matrix is
+grid's steps are multiplied into one matrix (_finals), and that matrix is
 applied to the start state.
 
 The fourth order takes its step from the spectral rule
@@ -302,66 +303,35 @@ def _expm(x: np.ndarray) -> np.ndarray:
     return u
 
 
-def _pad(stack: np.ndarray, width: int) -> np.ndarray:
-    """A (dim, dim, ..., n) workspace stack with identities appended up to n = width.
+def _scan(runs: np.ndarray, length: int, psi: np.ndarray) -> np.ndarray:
+    """States after each matrix of a (dim, dim, N) workspace stack, from psi.
 
-    Returns stack itself if it is wide enough; otherwise a padded copy, and
-    stack is given back.
+    The matrices are taken in groups of `length`, the last padded with
+    identities.  Each group is reduced to one matrix, which carries psi from
+    the start of its group to the next; then the matrices inside all groups
+    are applied at once, one position in the group at a time (Blelloch,
+    CMU-CS-90-190).  A group's last state is the carried one.  Returns
+    (groups * length, dim), a workspace array; runs is given back.
     """
-    count = stack.shape[-1]
-    if count == width:
-        return stack
-    padded = _WORK.take(stack.shape[:-1] + (width,))
-    padded[..., :count] = stack
-    dim = stack.shape[0]
-    padded[..., count:] = np.eye(dim).reshape((dim, dim) + (1,) * (stack.ndim - 2))
-    _WORK.give(stack)
-    return padded
-
-
-def _split(stack: np.ndarray, length: int) -> np.ndarray:
-    """(dim, dim, N) matrices as (dim, dim, ceil(N / length), length) runs."""
-    dim, _, count = stack.shape
-    runs = -(-count // length)
-    return _pad(stack, runs * length).reshape(dim, dim, runs, length)
-
-
-def _reduce(runs: np.ndarray) -> np.ndarray:
-    """Product of each run of a (dim, dim, n, length) stack, later factors left.
-
-    A pairwise reduction, with identities padding odd levels, so a run is
-    multiplied the same way wherever it sits; the result is (dim, dim, n).
-    Each level is a new workspace array, and the one before it is given back.
-    """
-    while runs.shape[-1] > 1:
-        runs = _pad(runs, runs.shape[-1] + runs.shape[-1] % 2)
-        pairs = _mul(runs[..., 1::2], runs[..., 0::2])
+    dim, _, count = runs.shape
+    groups = -(-count // length)
+    if count % length:
+        padded = _WORK.take((dim, dim, groups * length))
+        padded[..., :count] = runs
+        padded[..., count:] = np.eye(dim)[..., None]
         _WORK.give(runs)
-        runs = pairs
-    return runs[..., 0]
-
-
-def _scan(runs: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """States after each run of a (dim, dim, groups, length) stack, from psi.
-
-    Each group is reduced to one matrix, which carries psi from the start of
-    its group to the next; then the runs inside all groups are applied at
-    once, one position in the group at a time (Blelloch, CMU-CS-90-190).  A
-    group's last state is the carried one.  Returns (groups * length, dim), a
-    workspace array; runs is given back.
-    """
-    dim, _, groups, length = runs.shape
-    # copied before _reduce, which gives runs back
+        runs = padded
+    # copied before _reduce_runs, which gives runs back
     inside = _WORK.take((length - 1, dim, dim, groups))
-    np.copyto(inside, runs[..., :-1].transpose(3, 0, 1, 2))
-    reduced = _reduce(runs)
+    np.copyto(inside, runs.reshape(dim, dim, groups, length)[..., :-1].transpose(3, 0, 1, 2))
+    reduced = _reduce_runs(runs, [(groups, length)])
     ends = np.ascontiguousarray(reduced.transpose(2, 0, 1))
     _WORK.give(reduced)
     states = _WORK.take((groups, length, dim))
     carried = psi
     for g, end in enumerate(ends):
         carried = states[g, -1] = end @ carried
-    # each group's start, (dim, groups), advanced through the group's runs
+    # each group's start, (dim, groups), advanced through the group's matrices
     psi = np.concatenate([psi[:, None], states[:-1, -1].T], axis=1)
     for j, run in enumerate(inside):
         psi = (run * psi).sum(axis=1)
@@ -465,94 +435,106 @@ def _generator6(model: LevelModel, schedule: PulseSchedule, times: np.ndarray,
 _GENERATORS = {4: _generator, 6: _generator6}
 
 
-def _reduce_runs(stack: np.ndarray, lengths: list[int]) -> np.ndarray:
+def _reduce_runs(stack: np.ndarray, runs: list[tuple[int, int]]) -> np.ndarray:
     """Product of each run of a (dim, dim, N) workspace stack, later factors left.
 
-    The runs lie one after another, longest first.  Each is padded with
-    identities to a power of two; then each level multiplies the
-    neighbouring pairs of every run at once, and a run that is down to one
-    matrix sits at the end and leaves.  So every run is reduced by its own
-    pairwise tree.  Returns (dim, dim, runs), a new array; stack is given back.
+    runs lists (count, length) pairs, longest first: count runs of length
+    matrices each, one after another; a pair with no matrices is skipped.
+    Each level multiplies the neighbouring pairs of every run at once, after
+    one identity pads each run of odd length (a reshaped copy per pair), and
+    the runs down to one matrix, at the end, leave.  Returns (dim, dim, runs),
+    a workspace array; stack is given back.
     """
-    widths = [1 << (length - 1).bit_length() for length in lengths]
+    runs = [(count, length) for count, length in runs if count and length]
     dim = stack.shape[0]
-    if sum(widths) > stack.shape[-1]:
-        padded = _WORK.take((dim, dim, sum(widths)))
-        padded[...] = np.eye(dim)[..., None]
-        source = target = 0
-        for length, width in zip(lengths, widths):
-            padded[..., target:target + length] = stack[..., source:source + length]
-            source += length
-            target += width
-        _WORK.give(stack)
-        stack = padded
-    out = np.empty((dim, dim, len(widths)), dtype=complex)
-    live, level = len(widths), 0
-    while live:
-        done = live
-        while done and widths[done - 1] >> level == 1:
-            done -= 1
-        width = stack.shape[-1] - (live - done)
-        out[..., done:live] = stack[..., width:]
-        live = done
-        if live:
-            pairs = _mul(stack[..., 1:width:2], stack[..., 0:width:2])
+    out = _WORK.take((dim, dim, sum(count for count, _ in runs)))
+    while runs:
+        width = sum(count * length for count, length in runs)
+        if runs[-1][1] == 1:
+            count = runs.pop()[0]
+            end = sum(n for n, _ in runs)  # the runs before these
+            out[..., end:end + count] = stack[..., width - count:width]
+            continue
+        if any(length % 2 for _, length in runs):
+            padded = _WORK.take((dim, dim, width + sum(n for n, length in runs if length % 2)))
+            source = target = 0
+            for count, length in runs:
+                even = length + length % 2
+                part = padded[..., target:target + count * even].reshape(dim, dim, count, even)
+                part[..., :length] = stack[..., source:source + count * length].reshape(
+                    dim, dim, count, length)
+                part[..., length:] = np.eye(dim)[..., None, None]
+                source += count * length
+                target += count * even
             _WORK.give(stack)
-            stack, level = pairs, level + 1
+            stack, width = padded, target
+        pairs = _mul(stack[..., 1:width:2], stack[..., 0:width:2])
+        _WORK.give(stack)
+        stack = pairs
+        runs = [(count, (length + 1) // 2) for count, length in runs]
     _WORK.give(stack)
     return out
+
+
+def _products(model: LevelModel, schedule: PulseSchedule,
+              runs: list[tuple[int, int, float]], order: int) -> np.ndarray:
+    """Product of the steps of each run, (dim, dim, len(runs)), a workspace array.
+
+    A run is (first step, steps, h) of a uniform grid of step h, cut into
+    aligned pieces of the largest power of two of steps not above _BLOCK;
+    the runs come most pieces first.  The pieces, longest first, fill blocks
+    of at most _BLOCK steps, each one generator and one exponential stack.
+    A run's pieces, then their products, are reduced in turn: together the
+    pairwise tree of the whole run, whatever _BLOCK or the other runs.
+    """
+    size = 1 << (_BLOCK.bit_length() - 1)
+    pieces = [(first, min(size, start + steps - first), h)
+              for start, steps, h in runs for first in range(start, start + steps, size)]
+    blocks, filled = [[]], 0
+    for j in sorted(range(len(pieces)), key=lambda j: -pieces[j][1]):
+        if filled + pieces[j][1] > _BLOCK:
+            blocks.append([])
+            filled = 0
+        blocks[-1].append(j)
+        filled += pieces[j][1]
+    products = np.empty((model.dim, model.dim, len(pieces)), dtype=complex)
+    for block in blocks:
+        parts = [pieces[j] for j in block]
+        h = np.concatenate([np.full(length, step) for _, length, step in parts])
+        times = schedule.t_start + np.concatenate(
+            [first + np.arange(length) for first, length, _ in parts]) * h
+        generator = _GENERATORS[order](model, schedule, times, h)
+        exponentials = _expm(generator)
+        _WORK.give(generator)
+        reduced = _reduce_runs(exponentials, [(1, length) for _, length, _ in parts])
+        products[..., block] = reduced
+        _WORK.give(reduced)
+    # taken once the blocks have given theirs back, so the workspace needs no more
+    stack = _WORK.take(products.shape)
+    stack[...] = products
+    return _reduce_runs(stack, [(1, -(-steps // size)) for _, steps, _ in runs])
 
 
 def _finals(model: LevelModel, schedule: PulseSchedule, psi: np.ndarray,
             counts: list[int], order: int) -> np.ndarray:
     """The states, (len(counts), dim), at the end of uniform grids of counts[k] steps.
 
-    A grid is cut into aligned pieces of the largest power of two of steps
-    not above _BLOCK.  The pieces of all grids, longest first, fill blocks of
-    at most _BLOCK steps, each one generator and one exponential stack; each
-    piece is reduced by its own pairwise tree (padded with identities to a
-    power of two), and so are a grid's piece products.  Together this is the
-    pairwise tree of the whole grid, so a grid's state does not depend on
-    _BLOCK or on the grids it shares blocks with.  No state inside the window
-    is formed.  A step that rounds to 0 raises IntegrationError (_check_step),
-    and so does a final state that is not finite, or, of the finest grid, one
-    that drifts from the unit sphere as propagate checks its samples.  A
-    coarser grid, a pilot of the finest, may drift where that one does not.
+    The grids share blocks (_products); no state inside the window is
+    formed.  A step that rounds to 0 raises IntegrationError (_check_step),
+    and so does a final state that is not finite, or, of the finest grid,
+    one that drifts from the unit sphere as propagate checks its samples.
+    A coarser grid, a pilot of the finest, may drift where that one does not.
     """
-    dim = model.dim
-    t0, window = schedule.t_start, schedule.duration
+    window = schedule.duration
     _check_step(window, window / max(counts))
     size = 1 << (_BLOCK.bit_length() - 1)
-    # (grid, first step, steps); the sort is stable and only a grid's last
-    # piece is shorter, so each grid's pieces stay in step order
-    pieces = sorted(((k, first, min(size, n - first))
-                     for k, n in enumerate(counts) for first in range(0, n, size)),
-                    key=lambda piece: -piece[2])
-    blocks, filled = [[]], 0
-    for piece in pieces:
-        if filled + piece[2] > _BLOCK:
-            blocks.append([])
-            filled = 0
-        blocks[-1].append(piece)
-        filled += piece[2]
-    products: list[list] = [[] for _ in counts]
-    for block in blocks:
-        steps = np.concatenate([first + np.arange(length) for _, first, length in block])
-        h = np.concatenate([np.full(length, window / counts[k]) for k, _, length in block])
-        generator = _GENERATORS[order](model, schedule, t0 + steps * h, h)
-        exponentials = _expm(generator)
-        _WORK.give(generator)
-        reduced = _reduce_runs(exponentials, [length for *_, length in block])
-        for j, (k, _, _) in enumerate(block):
-            products[k].append(reduced[..., j])
-    # each grid's piece products, reduced the same way
-    grids = sorted(range(len(counts)), key=lambda k: -len(products[k]))
-    lengths = [len(products[k]) for k in grids]
-    stack = _WORK.take((dim, dim, sum(lengths)))
-    np.stack([product for k in grids for product in products[k]], axis=-1, out=stack)
-    reduced = _reduce_runs(stack, lengths)
+    # most pieces first, as _products takes them: -counts[k] // size is minus the count
+    grids = sorted(range(len(counts)), key=lambda k: -counts[k] // size)
+    reduced = _products(model, schedule,
+                        [(0, counts[k], window / counts[k]) for k in grids], order)
     ends = np.ascontiguousarray(reduced.transpose(2, 0, 1))
-    finals = np.empty((len(counts), dim), dtype=complex)
+    _WORK.give(reduced)
+    finals = np.empty((len(counts), model.dim), dtype=complex)
     for k, end in zip(grids, ends):
         finals[k] = end @ psi
     limits = np.where(np.array(counts) == max(counts), NORM_TOLERANCE, np.inf)
@@ -612,25 +594,31 @@ def _controlled(model: LevelModel, schedule: PulseSchedule,
 def _sampled(model: LevelModel, schedule: PulseSchedule, psi: np.ndarray,
              n_steps: int, stride: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Step indices and states of an n_steps grid, every stride steps and at its end."""
-    dim = model.dim
     h = schedule.duration / n_steps
+    size = 1 << (_BLOCK.bit_length() - 1)
     runs_per_group = max(1, _GROUP // stride)
     group = runs_per_group * stride
-    block = max(group, _BLOCK // group * group)
+    # runs longer than a block go to one _products call, which packs their pieces
+    block = n_steps if stride > size else max(group, _BLOCK // group * group)
     sample_steps = np.append(np.arange(0, n_steps, stride), n_steps)
-    states = np.empty((sample_steps.size, dim), dtype=complex)
+    states = np.empty((sample_steps.size, model.dim), dtype=complex)
     states[0] = psi
 
-    t0 = schedule.t_start
     sample = 1
     for start in range(0, n_steps, block):
-        times = t0 + (start + np.arange(min(block, n_steps - start))) * h
-        generator = _GENERATORS[order](model, schedule, times, h)
-        steps = _expm(generator)
-        _WORK.give(generator)
-        runs = _reduce(_split(steps, stride))
+        end = min(start + block, n_steps)
+        count = end - start
+        if stride > size:
+            runs = _products(model, schedule, [(run, min(stride, end - run), h)
+                                               for run in range(start, end, stride)], order)
+        else:
+            times = schedule.t_start + (start + np.arange(count)) * h
+            generator = _GENERATORS[order](model, schedule, times, h)
+            exponentials = _expm(generator)
+            _WORK.give(generator)
+            runs = _reduce_runs(exponentials, [(count // stride, stride), (1, count % stride)])
         count = runs.shape[-1]
-        scanned = _scan(_split(runs, runs_per_group), psi)
+        scanned = _scan(runs, runs_per_group, psi)
         states[sample:sample + count] = scanned[:count]
         _WORK.give(scanned)
         sample += count

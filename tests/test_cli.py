@@ -792,6 +792,34 @@ def test_pulse_that_cannot_be_built_exits_2(tmp_path, capsys, config, reason):
     assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
 
 
+_RAMP = {"type": "ramp", "ramp_rate_rad_s2": 3e5}
+
+
+@pytest.mark.parametrize("command, config, value", [
+    ("check", {"preset": "fig4", "protocol": {**_RAMP, "omega_l_rad_s": math.nan}}, "nan"),
+    ("check", {"protocol": {**_RAMP, "omega_l_rad_s": math.inf}}, "inf"),
+    ("propagate", {"protocol": {**_RAMP, "omega_l_rad_s": math.nan}}, "nan"),
+    ("propagate", {"protocol": {**_RAMP, "omega_l_rad_s": math.inf}}, "inf"),
+    ("sweep", {"sweep": {"protocol": "ramp", "axes": [_axis("ramp_rate_rad_s2", 3e5, 6e5)],
+                         "fixed": {"omega_l_rad_s": math.nan}}}, "nan"),
+    ("sweep", {"preset": "fig4", "sweep": {
+        "protocol": "scrap_1atom", "axes": [_axis("t_omega_s", 1e-3, 2e-3)],
+        "fixed": {"omega_hat_rad_s": math.nan}}}, "nan"),
+    ("optimize", {"optimize": {"protocol": "ramp", "budget": 10,
+                               "bounds": {"ramp_rate_rad_s2": [3e5, 6e5]},
+                               "fixed": {"omega_l_rad_s": math.nan}}}, "nan"),
+], ids=["check_nan", "check_inf", "propagate_nan", "propagate_inf", "ramp_sweep_nan",
+        "chirp_sweep_nan", "optimize_nan"])
+def test_drive_frequency_not_finite_exits_2(tmp_path, capsys, command, config, value):
+    # a ramp's omega_l_rad_s and a fixed omega_hat_rad_s are rejected as the
+    # config's omega_l is; they exited 0, 1 or 3, or 2 without naming the drive
+    path = write_config(tmp_path, config)
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: frequency {value} is not finite\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_fixed_level_sweep_records_its_level(tmp_path):
     # sweep_meta.json recorded target 1 while p_target held P2
     path = write_config(tmp_path, {"preset": "fig6", "sweep": {

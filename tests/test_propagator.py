@@ -350,10 +350,11 @@ class TestScan:
         error = np.abs(product.transpose(2, 0, 1) - expected)
         assert np.all(error <= 1e-15 * scale)
 
-    @pytest.mark.parametrize("sample_cap", [10_000, 200, 20])
+    @pytest.mark.parametrize("sample_cap", [10_000, 200, 20, 5])
     def test_scan_independent_of_block(self, fig3a_model, monkeypatch, sample_cap):
-        # stride 1, a stride inside the group, a stride longer than the group;
-        # 1001 steps end in a partial group (and a partial run when stride > 1)
+        # stride 1, a stride inside the group, a stride longer than the group,
+        # and one (251) cut into pieces at blocks of 97 and 1; 1001 steps end
+        # in a partial group (and a partial run when stride > 1)
         schedule, control = _stepped(fig3a_model, 1001, sample_cap)
         reference = propagate(fig3a_model, schedule, step_control=control)
         stride = math.ceil(reference.n_steps / (sample_cap - 1))
@@ -364,6 +365,36 @@ class TestScan:
             blocked = propagate(fig3a_model, schedule, step_control=control)
             np.testing.assert_array_equal(blocked.states, reference.states)
             np.testing.assert_array_equal(blocked.times, reference.times)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_reduce_runs_matches_chained_matmul(self, dim):
+        # runs of lengths 2^k + 1, 2^k, odd and 1, and a pair of zero count;
+        # each product as a chain of matmuls, and with the same bits when
+        # its run is reduced alone
+        runs = [(2, 9), (3, 8), (0, 6), (2, 5), (1, 3), (4, 1)]
+        rng = np.random.default_rng(dim)
+        count = sum(n * length for n, length in runs)
+        raw = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+        unitaries = np.linalg.qr(raw)[0]
+
+        def reduce(matrices, pairs):
+            stack = propagator._WORK.take((dim, dim, len(matrices)))
+            stack[...] = matrices.transpose(1, 2, 0)
+            reduced = propagator._reduce_runs(stack, pairs)
+            products = reduced.transpose(2, 0, 1).copy()
+            propagator._WORK.give(reduced)
+            return products
+
+        products = reduce(unitaries, runs)
+        assert products.shape == (sum(n for n, _ in runs), dim, dim)
+        first = 0
+        for product, length in zip(products, [length for n, length in runs
+                                               for _ in range(n)]):
+            run = unitaries[first:first + length]
+            expected = np.linalg.multi_dot([*run[::-1], np.eye(dim)])
+            assert np.max(np.abs(product - expected)) <= 1e-14 * np.max(np.abs(expected))
+            assert reduce(run, [(1, length)])[0].tobytes() == product.tobytes()
+            first += length
 
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(sample_cap=st.integers(2, 1200), block=st.integers(1, 3000))
@@ -447,6 +478,23 @@ def _in_fresh_thread(call):
     return out[0]
 
 
+def _steady_peak(model, schedule, control):
+    # the trajectory and traced peak of the first call that leaves the
+    # thread's workspace holding the arrays it found; the workspace may take
+    # a few calls to settle, as arrays of several sizes share it
+    for _ in range(6):
+        pool = list(propagator._WORK.free)
+        tracemalloc.start()
+        try:
+            trajectory = propagate(model, schedule, step_control=control)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if sorted(map(id, propagator._WORK.free)) == sorted(map(id, pool)):
+            return trajectory, peak
+    raise AssertionError("the workspace did not settle in six calls")
+
+
 class TestWorkspace:
     """The block kernel's per-thread scratch arrays change no result."""
 
@@ -528,16 +576,19 @@ class TestWorkspace:
         # stays below two block-sized arrays (the allocating kernel peaked at
         # 7.5); tracemalloc counts numpy's data, whatever the allocator does
         model, schedule = _fig4_chirp()
-        control = StepControl(sample_cap=256)
-        propagate(model, schedule, step_control=control)
-        tracemalloc.start()
-        try:
-            trajectory = propagate(model, schedule, step_control=control)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        trajectory, peak = _in_fresh_thread(lambda: _steady_peak(
+            model, schedule, StepControl(sample_cap=256)))
         assert trajectory.n_steps == 8763
         assert peak < 2 * model.dim ** 2 * propagator._BLOCK * 16
+
+    def test_run_longer_than_a_block_allocates_under_two_blocks(self, fig3a_model):
+        # two samples inside 200,000 steps: a run of 100,000 steps is cut into
+        # pieces of at most a block (it peaked at 23 MB when a block held it)
+        schedule, control = _stepped(fig3a_model, 200_000, 3)
+        trajectory, peak = _in_fresh_thread(lambda: _steady_peak(
+            fig3a_model, schedule, control))
+        assert trajectory.n_steps == 200_000 and trajectory.times.size == 3
+        assert peak < 2 * fig3a_model.dim ** 2 * propagator._BLOCK * 16
 
 
 class TestSixthOrder:
