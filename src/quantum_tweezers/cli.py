@@ -42,6 +42,7 @@ from .experiments import (
     AxisSpec,
     SweepSpec,
     _check_frequencies,
+    _level,
     evaluate_point,
     optimize_pulse,
     preset_model,
@@ -116,18 +117,6 @@ def cmd_params(config: dict, preset: Preset, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _target(section: dict, protocol: str) -> int:
-    """The section's target level, else the level the protocol reports, else 1.
-
-    A target other than the one level a protocol reports raises ConfigError.
-    """
-    entry = PROTOCOLS[protocol]
-    if "target" in section and entry.target not in (None, section["target"]):
-        raise ConfigError(f"protocol {protocol!r} reports level {entry.target}; "
-                          f"it cannot report target {section['target']}")
-    return section.get("target", entry.target or entry.chain_level or 1)
-
-
 def cmd_propagate(config: dict, preset: Preset, out_dir: str) -> int:
     protocol = config.get("protocol")
     if not protocol:
@@ -141,7 +130,7 @@ def cmd_propagate(config: dict, preset: Preset, out_dir: str) -> int:
     else:
         entry = PROTOCOLS[kind]
         point = _protocol_point(config)
-        target = _target(protocol, kind)
+        target = _level(kind, protocol.get("target"))
         if entry.chain_level is not None:
             out = evaluate_point(preset, kind, point, target)
             finals = {f"p{target}" if k == "p" else k: v for k, v in out.items()}
@@ -173,7 +162,7 @@ def cmd_sweep(config: dict, preset: Preset, out_dir: str, threads: int) -> int:
                  points=a["points"], scale=a.get("scale", "linear"))
         for a in sweep_cfg["axes"])
     spec = SweepSpec(protocol=sweep_cfg["protocol"], axes=axes,
-                     target=_target(sweep_cfg, sweep_cfg["protocol"]),
+                     target=sweep_cfg.get("target"),
                      fixed=sweep_cfg.get("fixed", {}),
                      preset_name=preset.name)
     started = time.perf_counter()
@@ -242,7 +231,7 @@ def cmd_optimize(config: dict, preset: Preset, out_dir: str, seed: int) -> int:
     bounds = {k: (v[0], v[1]) for k, v in opt_cfg["bounds"].items()}
     result = optimize_pulse(opt_cfg["protocol"], bounds, opt_cfg["budget"],
                             preset=preset,
-                            target=_target(opt_cfg, opt_cfg["protocol"]),
+                            target=opt_cfg.get("target"),
                             seed=seed, fixed=opt_cfg.get("fixed"))
     payload = {
         "params": result.params,

@@ -109,11 +109,12 @@ class AxisSpec:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A protocol, its axes and fixed parameters, and the target level."""
+    """A protocol, its axes and fixed parameters, and the level it reports:
+    target=None takes the protocol's level, as _level resolves it."""
 
     protocol: str
     axes: tuple[AxisSpec, ...]
-    target: int = 1
+    target: int | None = None
     fixed: dict = field(default_factory=dict)
     preset_name: str = "custom"
 
@@ -122,6 +123,7 @@ class SweepSpec:
             raise ConfigError(f"unknown protocol {self.protocol!r}")
         if not self.axes:
             raise ValueError("a sweep needs at least one axis")
+        object.__setattr__(self, "target", _level(self.protocol, self.target))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -360,7 +362,7 @@ def _check_frequencies(given: dict) -> None:
 class Protocol:
     """One extraction protocol, as sweeps, the optimizer and the CLI run it.
 
-    target       the level reported; None takes the caller's target
+    target       the level every run reports; None takes the caller's target
     required     the parameter names a point must give
     defaults     each optional name's default: a value, or a function of
                  the preset (a number); its type is what the name takes
@@ -368,8 +370,8 @@ class Protocol:
     companions   (model, preset, params, target, schedules, trajectories)
                  -> the analytic predictions and margins reported beside p
     chirp        the Stark-chirp pulse pair that `check` bounds, if any
-    chain_level  for chained pulses, the level `propagate` reports in place
-                 of a trajectory
+    chain_level  for chained pulses, the level reported without a target;
+                 `propagate` reports it in place of a trajectory
     """
 
     target: int | None
@@ -460,6 +462,19 @@ PROTOCOLS: dict[str, Protocol] = {
 PROTOCOLS["delay_scan"] = PROTOCOLS["scrap_1atom"]
 
 
+def _level(protocol: str, target: int | None) -> int:
+    """The level a run reports: the protocol's own, else target, else its
+    chain_level, else 1.  A target outside 1..2, or one a fixed-level
+    protocol cannot report, raises ConfigError."""
+    entry = PROTOCOLS[protocol]
+    if target not in (None, 1, 2):
+        raise ConfigError(f"target must be 1 or 2, not {target!r}")
+    if target is not None and entry.target not in (None, target):
+        raise ConfigError(f"protocol {protocol!r} reports level {entry.target}; "
+                          f"it cannot report target {target}")
+    return entry.target or target or entry.chain_level or 1
+
+
 # --- per-point evaluation ----------------------------------------------------
 
 def preset_model(preset: Preset) -> LevelModel:
@@ -473,16 +488,17 @@ def preset_model(preset: Preset) -> LevelModel:
     return model
 
 
-def evaluate_point(preset: Preset, protocol: str, point: dict, target: int) -> dict:
+def evaluate_point(preset: Preset, protocol: str, point: dict,
+                   target: int | None = None) -> dict:
     """Propagate one parameter point as a sweep does: p plus its analytic companions."""
-    return _evaluate(preset, protocol, point, target, _SWEEP_STEP_CONTROL)
+    return _evaluate(preset, protocol, point, _level(protocol, target),
+                     _SWEEP_STEP_CONTROL)
 
 
 def _evaluate(preset: Preset, protocol: str, point: dict, target: int,
               control: StepControl) -> dict:
     entry = PROTOCOLS[protocol]
     params = entry.params(preset, point)
-    target = entry.target or target
     model = preset_model(preset)
     schedules = entry.schedules(model=model, preset=preset, params=params,
                                 target=target)
@@ -526,7 +542,7 @@ def _axis_from_values(name: str, values: np.ndarray) -> AxisSpec:
     return axis
 
 
-def _sweep(preset: Preset, protocol: str, axes: dict, target: int = 1,
+def _sweep(preset: Preset, protocol: str, axes: dict, target: int | None = None,
            threads: int = 1, fixed: dict | None = None) -> SweepResult:
     spec = SweepSpec(protocol=protocol,
                      axes=tuple(_axis_from_values(k, v) for k, v in axes.items()),
@@ -582,7 +598,7 @@ def sequential_pi(preset: Preset, t_omegas, omit_second: bool = False,
     Each pulse's peak is solved for effective area pi at its own
     transition; the second pulse starts from the state the first one left.
     """
-    return _sweep(preset, "sequential_pi", {"t_omega_s": t_omegas}, 2, threads,
+    return _sweep(preset, "sequential_pi", {"t_omega_s": t_omegas}, threads=threads,
                   fixed={"omit_second": omit_second})
 
 
@@ -707,25 +723,27 @@ class OptimizeResult:
 
 
 def optimize_pulse(protocol, bounds: dict[str, tuple[float, float]],
-                   budget: int, preset: Preset | None = None, target: int = 1,
+                   budget: int, preset: Preset | None = None, target: int | None = None,
                    seed: int = 0, fixed: dict | None = None,
                    x0: dict | None = None) -> OptimizeResult:
     """Maximize a transfer probability over pulse parameters (Nelder-Mead).
 
     protocol is one of the sweep protocol names (a schedule is built per
-    evaluation from the preset plus the candidate parameters) or a callable
-    mapping a parameter dict to the objective.  bounds maps parameter names
-    to (low, high); candidates are clamped to the box, so the result never
-    leaves it.  The search is deterministic for fixed inputs and seed, and
-    the best-so-far history is monotone non-decreasing.  If the budget runs
-    out before the simplex collapses, the best point found so far is
-    returned with converged=False.  A budget under 10, no bounds, or a bound
-    that is not finite or not low < high raises ConfigError.
+    evaluation from the preset plus the candidate parameters, and target
+    resolves as SweepSpec's) or a callable mapping a parameter dict to the
+    objective.  bounds maps parameter names to (low, high); candidates are
+    clamped to the box, so the result never leaves it.  The search is
+    deterministic for fixed inputs and seed, and the best-so-far history is
+    monotone non-decreasing.  If the budget runs out before the simplex
+    collapses, the best point found so far is returned with converged=False.
+    A budget under 10, no bounds, or a bound that is not finite or not
+    low < high raises ConfigError.
     """
     # imported here, not at module level: scipy.optimize would be most of
     # the package's import time, and nothing else needs it
     from scipy.optimize import minimize
 
+    target = target if callable(protocol) else _level(protocol, target)
     if budget < 10:
         raise ConfigError("optimization budget must be at least 10 evaluations")
     names = sorted(bounds)

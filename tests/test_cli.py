@@ -22,7 +22,14 @@ from quantum_tweezers.config import (
     resolve_preset,
     validate_config,
 )
-from quantum_tweezers.experiments import PROTOCOLS, gated_ramp_schedule, preset_model
+from quantum_tweezers.experiments import (
+    PROTOCOLS,
+    AxisSpec,
+    SweepSpec,
+    gated_ramp_schedule,
+    preset_model,
+    run_sweep,
+)
 from quantum_tweezers.params import PhysicalSystem
 
 
@@ -313,6 +320,41 @@ def test_every_protocol_sweeps_and_propagates(tmp_path, name):
         path = write_config(tmp_path, {
             "protocol": {"type": name, axis["name"]: axis["min"]}})
         assert main(["propagate", "--config", path, "--out", str(tmp_path)]) == 0
+
+
+def _axis_spec(axis):
+    return AxisSpec(axis["name"], axis["min"], axis["max"], axis["points"])
+
+
+@pytest.mark.parametrize("name", sorted(PROTOCOLS))
+def test_api_without_target_reports_the_cli_level(tmp_path, name):
+    # the API defaulted to level 1: sequential_pi reported P1 where the CLI
+    # reports P2, and scrap_2atom recorded target 1 beside its P2 column
+    axis = PROTOCOL_AXES[name]
+    path = write_config(tmp_path, {"sweep": {"protocol": name, "axes": [axis]}})
+    assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")
+    column = rows[0].split(",").index("p_target")
+    cli_p = [float(row.split(",")[column]) for row in rows[1:]]
+    meta = json.loads((tmp_path / "sweep_meta.json").read_text())
+
+    preset = resolve_preset(validate_config({}), None)
+    result = run_sweep(SweepSpec(name, (_axis_spec(axis),)), preset)
+    assert result.p.tolist() == cli_p
+    assert result.spec.target == meta["spec"]["target"]
+
+
+def test_api_rejects_a_fixed_level_target_as_the_cli_does(tmp_path, capsys):
+    # SweepSpec("scrap_1atom", ..., target=2) was accepted and reported P1
+    axis = PROTOCOL_AXES["scrap_1atom"]
+    path = write_config(tmp_path, {"sweep": {
+        "protocol": "scrap_1atom", "axes": [axis], "target": 2}})
+    assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == 2
+    with pytest.raises(ConfigError) as info:
+        SweepSpec("scrap_1atom", (_axis_spec(axis),), target=2)
+    assert str(info.value) == ("protocol 'scrap_1atom' reports level 1; "
+                               "it cannot report target 2")
+    assert capsys.readouterr().err == f"config error: {info.value}\n"
 
 
 @pytest.mark.parametrize("command, section", [

@@ -207,6 +207,15 @@ class TestSequentialPi:
         assert np.all(result.p < 1e-6)
         assert np.all(result.extras["p1_after_first"] > 0.99)
 
+    def test_spec_without_target_reports_level_2(self):
+        # the API took level 1 and reported P1 = 5.3e-5 and 2.3e-5
+        fig7 = get_preset("fig7")
+        result = run_sweep(SweepSpec("sequential_pi",
+                                     (AxisSpec("t_omega_s", 2e-3, 3e-3, 2),)), fig7)
+        assert result.spec.target == 2
+        np.testing.assert_allclose(result.p, [0.99911, 0.99960], atol=1e-5)
+        assert evaluate_point(fig7, "sequential_pi", {"t_omega_s": 2e-3})["p"] == result.p[0]
+
 
 class TestSpecValidation:
     def test_axis_requirements(self):
@@ -226,6 +235,14 @@ class TestSpecValidation:
     def test_unknown_protocol(self):
         with pytest.raises(ValueError):
             SweepSpec(protocol="bogus", axes=(AxisSpec("x", 0, 1, 2),))
+
+    @pytest.mark.parametrize("protocol", ["ramp", "pi_pulse"])
+    @pytest.mark.parametrize("target", [0, 3])
+    def test_target_outside_the_ladder_rejected(self, protocol, target):
+        # a ramp sweep stopped on a ValueError from its schedule builder,
+        # and a pi pulse at target 0 reported P0
+        with pytest.raises(ConfigError, match=f"target must be 1 or 2, not {target}"):
+            SweepSpec(protocol, (AxisSpec("t_omega_s", 1e-3, 2e-3, 2),), target=target)
 
     def test_arbitrary_spacing_rejected(self, fig3a):
         with pytest.raises(ValueError, match="spaced"):
@@ -466,6 +483,12 @@ class TestOptimizer:
             {"omega_hat_rad_s": (1.0e4, 2.2e4), "t_omega_s": (0.8e-3, 1.6e-3)},
             budget=25, preset=fig3a, target=1)
         assert result.probability > 0.99
+
+    def test_sequential_pi_maximizes_its_own_level(self):
+        # without a target the search maximized P1 and ended at 0.00021
+        result = optimize_pulse("sequential_pi", {"t_omega_s": (1e-3, 3e-3)}, 10,
+                                preset=get_preset("fig7"))
+        assert result.probability >= 0.999
 
     def test_never_leaves_bounds(self):
         seen = []
