@@ -12,7 +12,9 @@ Each step is the exponential of an anti-Hermitian generator, computed for a
 block of steps at once by scaling and squaring a degree-12 Taylor
 polynomial, exact to double precision, so the evolution is unitary to
 rounding regardless of step size and a constant Hamiltonian is propagated
-exactly.  Matrices are held component-major, (dim, dim, N), and multiplied
+exactly.  Each matrix is squared back as often as it was halved; sorted by
+that count, the matrices of each squaring level are a prefix of the stack,
+squared without a per-level gather or scatter (_expm).  Matrices are held component-major, (dim, dim, N), and multiplied
 by accumulating the rows of the inner index, one array operation per term.
 Every product of consecutive matrices is taken by one pairwise reduction
 (_reduce_runs), so a run's product does not depend on the runs beside it or
@@ -264,13 +266,18 @@ def _expm(x: np.ndarray) -> np.ndarray:
     3e-18, so a matrix's result does not depend on the others in the stack.
     The polynomial is evaluated in Paterson-Stockmeyer form, in five products:
     exp(x) ~ B0 + x^4 (B1 + x^4 (B2 + x^4 / 12!)), B_j = sum_k<4 x^k / (4j+k)!.
-    x is scaled in place; the result is a workspace array.
+    For the squaring, the results are gathered once into a workspace stack
+    sorted by squaring count, most first, so that level k squares the
+    contiguous prefix of the matrices with more than k squarings; one
+    inverse gather then restores the stack's order.  x is scaled in place;
+    the result is a workspace array.
     """
     magnitude = np.abs(x, out=_WORK.take(x.shape, float))
     norm = magnitude.sum(axis=0).max(axis=0)
     _WORK.give(magnitude)
     squarings = np.maximum(0, np.frexp(norm / _THETA)[1])
-    if squarings.any():
+    scaled = squarings.any()
+    if scaled:
         np.multiply(x, np.ldexp(1.0, -squarings), out=x)
     x2 = _mul(x, x)
     x3 = _mul(x2, x)
@@ -293,13 +300,20 @@ def _expm(x: np.ndarray) -> np.ndarray:
         _WORK.give(u)
         u = add_block(j, product)
     _WORK.give(x2, x3, x4)
-    for level in range(int(squarings.max())):
-        pick = squarings > level
-        part = np.compress(pick, u, axis=2,
-                           out=_WORK.take(u.shape[:2] + (int(pick.sum()),)))
+    if not scaled:
+        return u
+    # most squarings first: level k squares the prefix of more than k
+    order = np.argsort(-squarings, kind="stable")
+    work = np.take(u, order, axis=2, out=_WORK.take(u.shape), mode="clip")
+    for n in np.bincount(squarings)[:0:-1].cumsum()[::-1]:
+        part = work[..., :n]
         square = _mul(part, part)
-        u[..., pick] = square
-        _WORK.give(part, square)
+        np.copyto(part, square)
+        _WORK.give(square)
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    np.take(work, inverse, axis=2, out=u, mode="clip")
+    _WORK.give(work)
     return u
 
 

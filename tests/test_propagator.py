@@ -245,6 +245,54 @@ class TestKernel:
             assert np.max(np.abs(u[k] - expm(-1j * a[k]))) <= bound
             assert np.max(np.abs(u[k].conj().T @ u[k] - np.eye(3))) <= bound
 
+    @staticmethod
+    def _mixed_squarings():
+        # exp(-iA) generators, four per squaring count 0 through 9, shuffled:
+        # a 1-norm in [2^(s-3), 2^(s-2)) takes s squarings at theta = 0.25
+        rng = np.random.default_rng(11)
+        counts = rng.permutation(np.repeat(np.arange(10), 4))
+        a = rng.normal(size=(counts.size, 3, 3)) + 1j * rng.normal(size=(counts.size, 3, 3))
+        a = a + a.conj().transpose(0, 2, 1)
+        one_norm = np.where(counts > 0, 1.5 * 2.0 ** (counts - 3.0), 0.2)
+        a *= (one_norm / np.abs(a).sum(axis=1).max(axis=1))[:, None, None]
+        return a, np.ascontiguousarray((-1j * a).transpose(1, 2, 0))
+
+    def test_exponential_of_mixed_squarings(self):
+        from scipy.linalg import expm
+        a, x = self._mixed_squarings()
+        norm = np.abs(x).sum(axis=0).max(axis=0)
+        assert set(np.maximum(0, np.frexp(norm / propagator._THETA)[1])) == set(range(10))
+        u = propagator._expm(x.copy()).copy()
+        reversed_ = propagator._expm(x[..., ::-1].copy())[..., ::-1].copy()
+        for k in range(x.shape[2]):
+            alone = propagator._expm(x[..., k:k + 1].copy())
+            assert u[..., k].tobytes() == alone[..., 0].tobytes()
+            assert u[..., k].tobytes() == reversed_[..., k].tobytes()
+            bound = 1e-14 * max(1.0, np.linalg.norm(a[k], ord=2))
+            assert np.max(np.abs(u[..., k] - expm(-1j * a[k]))) <= bound
+
+    def test_warm_exponential_takes_no_new_arrays(self):
+        # from a fresh thread, once the workspace has settled, a call leaves
+        # it holding the arrays it found and traces less than one stack
+        _, x = self._mixed_squarings()
+        x = np.ascontiguousarray(np.repeat(x, 50, axis=2))
+
+        def steady():
+            for _ in range(6):
+                pool = list(propagator._WORK.free)
+                stack = x.copy()
+                tracemalloc.start()
+                try:
+                    propagator._WORK.give(propagator._expm(stack))
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                if sorted(map(id, propagator._WORK.free)) == sorted(map(id, pool)):
+                    return peak
+            raise AssertionError("the workspace did not settle in six calls")
+
+        assert _in_fresh_thread(steady) < x.nbytes
+
     def test_block_boundaries_with_decimation(self, fig3a_model, monkeypatch):
         # stride > 1: each stored sample is one product of `stride` steps,
         # which must not depend on where the blocks split the steps
