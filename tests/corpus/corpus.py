@@ -21,10 +21,11 @@ sweep_meta.json is read and hashed without "wall_ms", the one timing it
 holds.  tests/test_corpus.py compares exit codes, stderr lines,
 CSV headers and every value that is not a float exactly, and floats to
 1e-12.  This script makes the strict comparison, or rewrites the
-expectations:
+expectations, with the package imported from the src/ of the checkout that
+holds it:
 
-    PYTHONPATH=src python tests/corpus/corpus.py check [name ...]
-    PYTHONPATH=src python tests/corpus/corpus.py rewrite [name ...]
+    python tests/corpus/corpus.py check [name ...]
+    python tests/corpus/corpus.py rewrite [name ...]
 
 check lists every run whose exit code, stderr line or any sha256 differs,
 and exits 1 if there is one.  Under such a run it prints, for each output
@@ -199,4 +200,6 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
+    # the package of this checkout, before any installed copy
+    sys.path.insert(0, str(HERE.parents[1] / "src"))
     sys.exit(main(sys.argv[1:]))
