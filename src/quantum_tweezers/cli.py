@@ -201,9 +201,11 @@ def cmd_check(config: dict, preset: Preset, out_dir: str) -> int:
     # attached only for the protocols that drive one
     if entry is not None and entry.chirp is not None:
         scrap = entry.chirp(preset, entry.params(preset, point))
-    # a ramp drives at its omega_l_rad_s where the section gives one
-    omega_l = point.get("omega_l_rad_s", preset.omega_l)
-    report = validity_check(model, omega_l, scrap=scrap)
+    # the margins are taken at the drive the sweep companions use: a chirp's
+    # pump peak, else a ramp's omega_l_rad_s where the section gives one
+    drive, omega = (("omega_hat", scrap.omega_hat) if scrap is not None
+                    else ("omega_l", point.get("omega_l_rad_s", preset.omega_l)))
+    report = validity_check(model, omega, scrap=scrap)
     flags = report.flags
     payload = {"threshold_probability": THRESHOLD_PROBABILITY, "flags": flags,
                "all_strong": report.all_strong, "any_fail": report.any_fail}
@@ -213,8 +215,7 @@ def cmd_check(config: dict, preset: Preset, out_dir: str) -> int:
         if condition != name:
             payload[f"{condition}_flag"] = flags.get(condition)
     _atomic_write(os.path.join(out_dir, "check.json"), _json_text(payload))
-    print(f"validity report for preset {preset.name} "
-          f"(omega_l = {omega_l!r} rad/s)")
+    print(f"validity report for preset {preset.name} ({drive} = {omega!r} rad/s)")
     for name, flag in sorted(flags.items()):
         print(f"  {name}: {flag}")
     print(f"  two_level_margin = {report.two_level_margin:.4g}")

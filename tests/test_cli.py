@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
-from quantum_tweezers import StepControl, propagate
+from quantum_tweezers import StepControl, get_preset, propagate
+from quantum_tweezers.analytics import validity_check
 from quantum_tweezers.cli import main
 from quantum_tweezers.config import (
     _SYSTEM_KEYS,
@@ -26,6 +27,7 @@ from quantum_tweezers.experiments import (
     PROTOCOLS,
     AxisSpec,
     SweepSpec,
+    evaluate_point,
     gated_ramp_schedule,
     preset_model,
     run_sweep,
@@ -248,6 +250,21 @@ class TestCheckCommand:
         main(["check", "--config", path, "--out", str(tmp_path)])
         payload = json.loads((tmp_path / "check.json").read_text())
         assert payload["scrap_adiabatic_flag"] is not None
+
+    @pytest.mark.parametrize("protocol", ["scrap_1atom", "delay_scan"])
+    def test_chirp_margins_at_the_pump_peak(self, tmp_path, capsys, protocol):
+        # the margins are the sweep companions': at the default fig4 chirp's
+        # pump peak, 1.5e4 rad/s, not at the config's omega_l of 4e3 (5.649)
+        path = write_config(tmp_path, {"preset": "fig4", "protocol": {"type": protocol}})
+        assert main(["check", "--config", path, "--out", str(tmp_path)]) == 1
+        payload = json.loads((tmp_path / "check.json").read_text())
+        preset = get_preset("fig4")
+        point = evaluate_point(preset, protocol, {})
+        assert payload["two_level_margin"] == point["two_level_margin"]
+        assert payload["two_level_margin"] == pytest.approx(1.506, abs=5e-4)
+        drive = validity_check(preset_model(preset), preset.scrap.omega_hat)
+        assert payload["single_particle_margin"] == drive.single_particle_margin
+        assert "(omega_hat = 15000.0 rad/s)" in capsys.readouterr().out
 
 
 class TestOptimizeCommand:
