@@ -14,8 +14,9 @@ polynomial, exact to double precision, so the evolution is unitary to
 rounding regardless of step size and a constant Hamiltonian is propagated
 exactly.  Each matrix is squared back as often as it was halved; sorted by
 that count, the matrices of each squaring level are a prefix of the stack,
-squared without a per-level gather or scatter (_expm).  Matrices are held component-major, (dim, dim, N), and multiplied
-by accumulating the rows of the inner index, one array operation per term.
+squared without a per-level gather or scatter (_expm).  Matrices are held
+component-major, (dim, dim, N), and multiplied by accumulating the rows of
+the inner index, one array operation per term.
 Every product of consecutive matrices is taken by one pairwise reduction
 (_reduce_runs), so a run's product does not depend on the runs beside it or
 on the block size.  The steps between two stored samples are multiplied
@@ -302,7 +303,8 @@ def _expm(x: np.ndarray) -> np.ndarray:
     _WORK.give(x2, x3, x4)
     if not scaled:
         return u
-    # most squarings first: level k squares the prefix of more than k
+    # most squarings first: level k squares the prefix of more than k; the
+    # indices are in range, and take's default mode would buffer its output
     order = np.argsort(-squarings, kind="stable")
     work = np.take(u, order, axis=2, out=_WORK.take(u.shape), mode="clip")
     for n in np.bincount(squarings)[:0:-1].cumsum()[::-1]:
