@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
-from quantum_tweezers import StepControl, get_preset, propagate
-from quantum_tweezers.analytics import validity_check
+from quantum_tweezers import StepControl, get_preset, propagate, validity_check
 from quantum_tweezers.cli import main
 from quantum_tweezers.config import (
     _SYSTEM_KEYS,
