@@ -193,18 +193,26 @@ _CHECK_UNIT_KEYS = {"omega01": "omega01_rad_s",
 
 def cmd_check(config: dict, preset: Preset, out_dir: str) -> int:
     model = preset_model(preset)
-    entry = PROTOCOLS.get(config.get("protocol", {}).get("type"))
+    protocol = config.get("protocol", {})
+    entry = PROTOCOLS.get(protocol.get("type"))
     point = _protocol_point(config) if entry is not None else {}
     _check_frequencies(point)
-    scrap = None
-    # the chirp bounds are derived for the Gaussian pulse pair, so they are
-    # attached only for the protocols that drive one
-    if entry is not None and entry.chirp is not None:
-        scrap = entry.chirp(preset, entry.params(preset, point))
     # the margins are taken at the drive the sweep companions use: a chirp's
-    # pump peak, else a ramp's omega_l_rad_s where the section gives one
-    drive, omega = (("omega_hat", scrap.omega_hat) if scrap is not None
-                    else ("omega_l", point.get("omega_l_rad_s", preset.omega_l)))
+    # pump peak, else the peak of the protocol's first pulse; without a
+    # protocol, or a pulse (a ramp without its rate), omega_l
+    drive, omega, scrap = "omega_l", point.get("omega_l_rad_s", preset.omega_l), None
+    if entry is not None and entry.chirp is not None:
+        # the chirp bounds are derived for the Gaussian pulse pair, so they
+        # are attached only for the protocols that drive one
+        scrap = entry.chirp(preset, entry.params(preset, point))
+        drive, omega = "omega_hat", scrap.omega_hat
+    elif entry is not None and set(entry.required) <= set(point):
+        (first, *_) = entry.schedules(
+            model=model, preset=preset, params=entry.params(preset, point),
+            target=_level(protocol["type"], protocol.get("target")))
+        omega = first.rabi.peak
+        if "omega_l_rad_s" not in entry.defaults:
+            drive = "omega_hat"
     report = validity_check(model, omega, scrap=scrap)
     flags = report.flags
     payload = {"threshold_probability": THRESHOLD_PROBABILITY, "flags": flags,

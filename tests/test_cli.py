@@ -342,6 +342,20 @@ def _axis_spec(axis):
     return AxisSpec(axis["name"], axis["min"], axis["max"], axis["points"])
 
 
+# sequential_pi's companions report no margin
+@pytest.mark.parametrize("name", sorted(set(PROTOCOLS) - {"sequential_pi"}))
+def test_check_margins_are_the_sweep_companions(tmp_path, name):
+    # check took scrap_2atom's and pi_pulse's margins at the config's omega_l
+    # (5.649 at fig6), where the companions take the pulse's own peak
+    axis = PROTOCOL_AXES[name]
+    point = {axis["name"]: axis["min"]}
+    want = evaluate_point(get_preset("fig6"), name, point)
+    path = write_config(tmp_path, {"preset": "fig6", "protocol": {"type": name, **point}})
+    main(["check", "--config", path, "--out", str(tmp_path)])
+    payload = json.loads((tmp_path / "check.json").read_text())
+    assert payload["two_level_margin"] == want["two_level_margin"]
+
+
 @pytest.mark.parametrize("name", sorted(PROTOCOLS))
 def test_api_without_target_reports_the_cli_level(tmp_path, name):
     # the API defaulted to level 1: sequential_pi reported P1 where the CLI
