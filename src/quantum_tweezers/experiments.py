@@ -722,13 +722,92 @@ class OptimizeResult:
     best_history: tuple[float, ...]
 
 
+class _BudgetSpent(Exception):
+    """The objective was asked for a point past the evaluation budget."""
+
+
+def _nelder_mead(objective, simplex: np.ndarray, budget: int, xatol: float,
+                 fatol: float) -> bool:
+    """Minimize objective over the unit box from an (n + 1, n) simplex.
+
+    Nelder and Mead's method (Comput. J. 7, 308 (1965)) with reflection 1,
+    expansion 2, contraction 0.5 and shrink 0.5, every trial point clipped
+    to the box.  It replays scipy.optimize.minimize(method="Nelder-Mead",
+    bounds=[(0, 1)] * n, options={"maxfev": budget, "xatol": xatol,
+    "fatol": fatol, "initial_simplex": simplex}) step for step, so it asks
+    for the same points in the same order: a vertex past 1 is reflected
+    into the box, vertices are ordered by np.argsort, and the search stops
+    once every vertex is within xatol and every value within fatol of the
+    best, or when the budget is spent.  Returns True in the first case.
+    """
+    n = simplex.shape[1]
+    sim = np.clip(np.where(simplex > 1.0, 2.0 - simplex, simplex), 0.0, 1.0)
+    fsim = np.full(n + 1, np.inf)
+    calls = 0
+
+    def f(z: np.ndarray) -> float:
+        nonlocal calls
+        if calls >= budget:
+            raise _BudgetSpent
+        calls += 1
+        return objective(z)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    # sorted twice, as SciPy does: np.argsort need not keep ties in place
+    for _ in range(2):
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    while calls < budget:
+        try:
+            if (np.abs(sim[1:] - sim[0]).max() <= xatol
+                    and np.abs(fsim[0] - fsim[1:]).max() <= fatol):
+                break
+            xbar = sim[:-1].sum(axis=0) / n
+            xr = np.clip(2 * xbar - sim[-1], 0.0, 1.0)
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = np.clip(3 * xbar - 2 * sim[-1], 0.0, 1.0)
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = np.clip(1.5 * xbar - 0.5 * sim[-1], 0.0, 1.0)
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                else:  # inside contraction
+                    xc = np.clip(0.5 * xbar + 0.5 * sim[-1], 0.0, 1.0)
+                    fxc = f(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), 0.0, 1.0)
+                        fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return calls < budget
+
+
 def optimize_pulse(protocol, bounds: dict[str, tuple[float, float]],
                    budget: int, preset: Preset | None = None, target: int | None = None,
                    seed: int = 0, fixed: dict | None = None,
                    x0: dict | None = None) -> OptimizeResult:
     """Maximize a transfer probability over pulse parameters (Nelder-Mead).
 
-    protocol is one of the sweep protocol names (a schedule is built per
+    The search is the package's own Nelder-Mead loop, _nelder_mead, on the
+    bounds scaled to the unit box; it must ask for the same points, in the
+    same order, as scipy.optimize.minimize(method="Nelder-Mead") with the
+    same bounds, budget, tolerances and initial simplex, which a test
+    checks.  protocol is one of the sweep protocol names (a schedule is built per
     evaluation from the preset plus the candidate parameters, and target
     resolves as SweepSpec's) or a callable mapping a parameter dict to the
     objective.  bounds maps parameter names to (low, high); candidates are
@@ -739,10 +818,6 @@ def optimize_pulse(protocol, bounds: dict[str, tuple[float, float]],
     A budget under 10, no bounds, or a bound that is not finite or not
     low < high raises ConfigError.
     """
-    # imported here, not at module level: scipy.optimize would be most of
-    # the package's import time, and nothing else needs it
-    from scipy.optimize import minimize
-
     target = target if callable(protocol) else _level(protocol, target)
     if budget < 10:
         raise ConfigError("optimization budget must be at least 10 evaluations")
@@ -801,11 +876,7 @@ def optimize_pulse(protocol, bounds: dict[str, tuple[float, float]],
     simplex = np.tile(z0, (dim + 1, 1))
     for d in range(dim):
         simplex[d + 1, d] += 0.25 if z0[d] + 0.25 <= 1.0 else -0.25
-    search = minimize(objective, z0, method="Nelder-Mead",
-                      bounds=[(0.0, 1.0)] * dim,
-                      options={"maxfev": budget, "xatol": 1e-4, "fatol": 1e-10,
-                               "initial_simplex": simplex})
-    converged = bool(search.success)
+    converged = _nelder_mead(objective, simplex, budget, xatol=1e-4, fatol=1e-10)
     params = {k: float(best_x[d]) for d, k in enumerate(names)}
     return OptimizeResult(
         params=params,

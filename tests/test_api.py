@@ -73,6 +73,44 @@ def test_importing_the_cli_leaves_jsonschema_unloaded():
     assert run.returncode == 0, run.stderr
 
 
+# an optimize run in a fresh interpreter, on the config and out dir in argv
+_OPTIMIZE_WITHOUT_SCIPY = """
+import sys
+from quantum_tweezers.cli import main
+assert main(["optimize", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+assert loaded == [], loaded
+"""
+
+
+def test_an_optimize_run_loads_no_scipy(tmp_path):
+    # the Nelder-Mead loop is the package's own: an optimize run loads no
+    # part of scipy
+    src = Path(quantum_tweezers.__file__).parents[1]
+    config = Path(__file__).parent / "corpus" / "configs" / "optimize-pi.json"
+    run = subprocess.run([sys.executable, "-c", _OPTIMIZE_WITHOUT_SCIPY,
+                          str(config), str(tmp_path)],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "optimize.json").is_file()
+
+
+def test_no_module_imports_scipy():
+    imports = []
+    for path in sorted(Path(quantum_tweezers.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            imports += [f"{path.name}:{node.lineno}: {name}" for name in names
+                        if name.split(".")[0] == "scipy"]
+    assert imports == []
+
+
 def _unused_imports(path: Path) -> list[str]:
     """The names a module imports and never reads.
 

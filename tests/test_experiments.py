@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from quantum_tweezers.experiments import (
     AxisSpec,
     SweepResult,
     SweepSpec,
+    _nelder_mead,
     evaluate_point,
     contiguous_intervals,
     preset_model,
@@ -541,6 +543,66 @@ class TestOptimizer:
     def test_rejects_tiny_budget(self):
         with pytest.raises(ValueError):
             optimize_pulse(lambda p: 0.0, {"x": (0, 1)}, budget=5)
+
+
+def _replay_problem(seed):
+    """A seeded Nelder-Mead problem on the unit box: (simplex, budget,
+    xatol, fatol, objective), with 1-3 parameters, a start that may sit on
+    the box's edges, vertices that may leave the box, and objectives with
+    ties and flat regions."""
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 3
+    z0 = rng.random(n)
+    z0[rng.random(n) < 0.3] = 0.0
+    z0[rng.random(n) < 0.3] = 1.0
+    if seed % 2:  # optimize_pulse's simplex: 0.25 along each axis, inwards at 1
+        simplex = np.tile(z0, (n + 1, 1))
+        for d in range(n):
+            simplex[d + 1, d] += 0.25 if z0[d] + 0.25 <= 1.0 else -0.25
+    else:
+        simplex = np.vstack([z0, z0 + rng.uniform(-0.6, 0.6, (n, n))])
+    centre = rng.uniform(-0.5, 1.5, n)
+    quadratic = lambda z: float(np.sum((z - centre) ** 2))  # noqa: E731
+    objective = [
+        quadratic,
+        lambda z: round(quadratic(z), 1),             # ties and terraces
+        lambda z: max(quadratic(z), 0.2),             # a flat floor
+        lambda z: float(np.floor(4 * z).sum()),       # a staircase
+        lambda z: 0.0,                                # every value tied
+        lambda z: -float(np.prod(np.sin(7 * z))),     # several minima
+    ][seed % 6]
+    xatol, fatol = [(1e-4, 1e-10), (1e-2, 1e-3), (0.05, 0.1)][seed % 5 % 3]
+    return simplex, int(rng.integers(10, 121)), xatol, fatol, objective
+
+
+def test_nelder_mead_replays_scipy():
+    from scipy.optimize import minimize
+
+    flags = []
+    for seed in range(240):
+        simplex, budget, xatol, fatol, objective = _replay_problem(seed)
+        asked = {"scipy": [], "package": []}
+
+        def recorded(side):
+            def f(z):
+                asked[side].append(z.tobytes())
+                return objective(z)
+            return f
+
+        n = simplex.shape[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a start outside the box
+            search = minimize(recorded("scipy"), simplex[0], method="Nelder-Mead",
+                              bounds=[(0.0, 1.0)] * n,
+                              options={"maxfev": budget, "xatol": xatol,
+                                       "fatol": fatol, "initial_simplex": simplex})
+        converged = _nelder_mead(recorded("package"), simplex, budget, xatol, fatol)
+        assert len(asked["package"]) == len(asked["scipy"]) == search.nfev, seed
+        assert asked["package"] == asked["scipy"], seed
+        assert converged == search.success, seed
+        flags.append(converged)
+    # both ends of the search are replayed
+    assert 20 <= sum(flags) <= 220
 
 
 def test_sweep_columns_one_per_result_key(fig3a):
