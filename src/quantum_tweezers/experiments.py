@@ -776,17 +776,17 @@ def _nelder_mead(objective, simplex: np.ndarray, budget: int, xatol: float,
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:
-                if fxr < fsim[-1]:  # outside contraction
+                if fxr < fsim[-1]:  # contract outside
                     xc = np.clip(1.5 * xbar - 0.5 * sim[-1], 0.0, 1.0)
                     fxc = f(xc)
-                    shrink = not fxc <= fxr
-                else:  # inside contraction
+                    accept = fxc <= fxr
+                else:  # contract inside
                     xc = np.clip(0.5 * xbar + 0.5 * sim[-1], 0.0, 1.0)
                     fxc = f(xc)
-                    shrink = not fxc < fsim[-1]
-                if not shrink:
+                    accept = fxc < fsim[-1]
+                if accept:
                     sim[-1], fsim[-1] = xc, fxc
-                else:
+                else:  # shrink towards the best vertex
                     for j in range(1, n + 1):
                         sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), 0.0, 1.0)
                         fsim[j] = f(sim[j])
@@ -804,10 +804,11 @@ def optimize_pulse(protocol, bounds: dict[str, tuple[float, float]],
     """Maximize a transfer probability over pulse parameters (Nelder-Mead).
 
     The search is the package's own Nelder-Mead loop, _nelder_mead, on the
-    bounds scaled to the unit box; it must ask for the same points, in the
-    same order, as scipy.optimize.minimize(method="Nelder-Mead") with the
-    same bounds, budget, tolerances and initial simplex, which a test
-    checks.  protocol is one of the sweep protocol names (a schedule is built per
+    bounds scaled to the unit box.  It must ask for the same points, in the
+    same order, as scipy.optimize.minimize(method="Nelder-Mead") given the
+    same box, budget, tolerances and initial simplex; a test checks that.
+
+    protocol is one of the sweep protocol names (a schedule is built per
     evaluation from the preset plus the candidate parameters, and target
     resolves as SweepSpec's) or a callable mapping a parameter dict to the
     objective.  bounds maps parameter names to (low, high); candidates are

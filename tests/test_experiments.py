@@ -562,7 +562,10 @@ def _replay_problem(seed):
     else:
         simplex = np.vstack([z0, z0 + rng.uniform(-0.6, 0.6, (n, n))])
     centre = rng.uniform(-0.5, 1.5, n)
-    quadratic = lambda z: float(np.sum((z - centre) ** 2))  # noqa: E731
+
+    def quadratic(z):
+        return float(np.sum((z - centre) ** 2))
+
     objective = [
         quadratic,
         lambda z: round(quadratic(z), 1),             # ties and terraces
