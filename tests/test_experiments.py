@@ -555,7 +555,7 @@ def _replay_problem(seed):
     z0 = rng.random(n)
     z0[rng.random(n) < 0.3] = 0.0
     z0[rng.random(n) < 0.3] = 1.0
-    if seed % 2:  # optimize_pulse's simplex: 0.25 along each axis, inwards at 1
+    if rng.random() < 0.5:  # optimize_pulse's: 0.25 along each axis, inwards at 1
         simplex = np.tile(z0, (n + 1, 1))
         for d in range(n):
             simplex[d + 1, d] += 0.25 if z0[d] + 0.25 <= 1.0 else -0.25
@@ -573,8 +573,8 @@ def _replay_problem(seed):
         lambda z: float(np.floor(4 * z).sum()),       # a staircase
         lambda z: 0.0,                                # every value tied
         lambda z: -float(np.prod(np.sin(7 * z))),     # several minima
-    ][seed % 6]
-    xatol, fatol = [(1e-4, 1e-10), (1e-2, 1e-3), (0.05, 0.1)][seed % 5 % 3]
+    ][seed // 3 % 6]  # every objective at every n
+    xatol, fatol = [(1e-4, 1e-10), (1e-2, 1e-3), (0.05, 0.1)][rng.integers(3)]
     return simplex, int(rng.integers(10, 121)), xatol, fatol, objective
 
 
