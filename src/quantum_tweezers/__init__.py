@@ -75,5 +75,4 @@ from .pulses import (
     build_scrap_schedule,
     build_two_atom_scrap_schedule,
     schedule_from_dict,
-    schedule_to_dict,
 )

@@ -42,6 +42,7 @@ from .experiments import (
     AxisSpec,
     SweepSpec,
     _check_frequencies,
+    _drive,
     _level,
     evaluate_point,
     optimize_pulse,
@@ -67,9 +68,7 @@ EXIT_NUMERICAL = 3
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -197,23 +196,20 @@ def cmd_check(config: dict, preset: Preset, out_dir: str) -> int:
     entry = PROTOCOLS.get(protocol.get("type"))
     point = _protocol_point(config) if entry is not None else {}
     _check_frequencies(point)
-    # the margins are taken at the drive the sweep companions use: a chirp's
-    # pump peak, else the peak of the protocol's first pulse; without a
-    # protocol, or a pulse (a ramp without its rate), omega_l
-    drive, omega, scrap = "omega_l", point.get("omega_l_rad_s", preset.omega_l), None
-    if entry is not None and entry.chirp is not None:
-        # the chirp bounds are derived for the Gaussian pulse pair, so they
-        # are attached only for the protocols that drive one
-        scrap = entry.chirp(preset, entry.params(preset, point))
-        drive, omega = "omega_hat", scrap.omega_hat
-    elif entry is not None and set(entry.required) <= set(point):
-        (first, *_) = entry.schedules(
-            model=model, preset=preset, params=entry.params(preset, point),
+    # the sweep companions' report; without a protocol, or a pulse (a ramp
+    # without its rate), the margins at omega_l
+    if entry is not None and set(entry.required) <= set(point):
+        params = entry.params(preset, point)
+        schedules = entry.schedules(
+            model=model, preset=preset, params=params,
             target=_level(protocol["type"], protocol.get("target")))
-        omega = first.rabi.peak
-        if "omega_l_rad_s" not in entry.defaults:
-            drive = "omega_hat"
-    report = validity_check(model, omega, scrap=scrap)
+        report = entry.validity(model, preset, params, schedules)
+        omega = _drive(schedules)
+    else:
+        omega = point.get("omega_l_rad_s", preset.omega_l)
+        report = validity_check(model, omega)
+    drive = ("omega_l" if entry is None or "omega_l_rad_s" in entry.defaults
+             else "omega_hat")
     flags = report.flags
     payload = {"threshold_probability": THRESHOLD_PROBABILITY, "flags": flags,
                "all_strong": report.all_strong, "any_fail": report.any_fail}
@@ -292,16 +288,25 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
-            config = load_config(args.config) if args.config else validate_config({})
-            preset = resolve_preset(config, args.preset)
-            out_dir = args.out if args.out is not None else config.get("output_dir", ".")
-            threads = args.threads if args.threads is not None \
-                else config.get("threads", 1)
-            seed = args.seed if args.seed is not None else config.get("seed", 0)
+            config = load_config(args.config) if args.config else {}
+            # a flag replaces its config key and is held to the key's bounds
+            flags = {"preset": args.preset, "output_dir": args.out,
+                     "threads": args.threads, "seed": args.seed}
+            config = validate_config(
+                {**config, **{k: v for k, v in flags.items() if v is not None}})
+            preset = resolve_preset(config)
+            out_dir = config.get("output_dir", ".")
+            threads = config.get("threads", 1)
+            seed = config.get("seed", 0)
             # a process pool forks all its workers at once
             if threads > (os.cpu_count() or 1):
                 raise ConfigError(f"threads = {threads} exceeds the "
                                   f"{os.cpu_count()} CPUs of this machine")
+            try:
+                os.makedirs(out_dir or ".", exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot make the output directory "
+                                  f"{out_dir}: {exc.strerror}") from exc
             if args.command == "params":
                 return cmd_params(config, preset, out_dir)
             if args.command == "propagate":

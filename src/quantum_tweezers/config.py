@@ -236,6 +236,7 @@ def validate_config(config: dict) -> dict:
 
 
 def load_config(path: str) -> dict:
+    """A config file's JSON object, not yet checked by validate_config."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             config = json.load(handle)
@@ -245,18 +246,18 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
-    return validate_config(config)
+    return config
 
 
-def resolve_preset(config: dict, preset_name: str | None = None) -> Preset:
-    """Build the working Preset from a validated config and CLI override.
+def resolve_preset(config: dict) -> Preset:
+    """Build the working Preset from a validated config.
 
-    Precedence: CLI --preset, then config "preset", then fig3a.  System
-    fields and omega_l in the config override the preset values.  A system
-    the model rejects, one whose derived parameters are not finite
-    included, raises ConfigError.
+    The preset is the config's "preset" (where the CLI writes --preset),
+    else fig3a.  System fields and omega_l in the config override the
+    preset values.  A system the model rejects, one whose derived
+    parameters are not finite included, raises ConfigError.
     """
-    name = preset_name or config.get("preset", "fig3a")
+    name = config.get("preset", "fig3a")
     try:
         preset = get_preset(name)
     except KeyError as exc:

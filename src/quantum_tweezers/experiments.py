@@ -20,6 +20,7 @@ from operator import attrgetter
 import numpy as np
 
 from .analytics import (
+    AdiabaticityReport,
     ScrapPulseParams,
     _anharmonicity,
     adiabaticity_parameter,
@@ -246,7 +247,8 @@ def resonant_gaussian_schedule(model: LevelModel, omega_hat: float,
 
 # --- the protocol table ----------------------------------------------------------
 # Builders and companions take keyword arguments and look up what they call
-# at call time.
+# at call time.  A companion's validity.omega01 is |Omega01|: every formula
+# it feeds squares the splitting, so the sign of the drive does not matter.
 
 def _ramp_schedules(model, preset, params, target):
     return (gated_ramp_schedule(model, params["omega_l_rad_s"],
@@ -254,16 +256,15 @@ def _ramp_schedules(model, preset, params, target):
                                 geometry=preset.ramp),)
 
 
-def _ramp_companions(model, params, target, **_):
+def _ramp_companions(model, params, target, validity, **_):
     hbar = model.hbar
     rate = params["ramp_rate_rad_s2"]
-    omega_l = params["omega_l_rad_s"]
-    omega01 = rabi_coupling(model, 0, omega_l)
+    splitting = hbar * validity.omega01
     return {
-        "alpha_ad": adiabaticity_parameter(hbar * omega01, rate, hbar),
-        "p_lz": (lz_probability(hbar * omega01, rate, hbar) if target == 1
-                 else sequential_lz(model, omega_l, rate)),
-        "two_level_margin": validity_check(model, omega_l).two_level_margin,
+        "alpha_ad": adiabaticity_parameter(splitting, rate, hbar),
+        "p_lz": (lz_probability(splitting, rate, hbar) if target == 1
+                 else sequential_lz(model, params["omega_l_rad_s"], rate)),
+        "two_level_margin": validity.two_level_margin,
     }
 
 
@@ -282,19 +283,16 @@ def _scrap_1atom_schedules(model, preset, params, **_):
                                  model.derived.e1, hbar=model.hbar),)
 
 
-def _scrap_1atom_companions(model, preset, params, **_):
-    hbar = model.hbar
+def _scrap_1atom_companions(model, preset, params, validity, **_):
     chirp = _chirp(preset, params)
-    omega_eff = rabi_coupling(model, 0, chirp.omega_hat)
     slope = scrap_crossing_slope(chirp.delta_hat, chirp.t_delta, chirp.tau)
-    report = validity_check(model, chirp.omega_hat, scrap=chirp)
     return {
-        "alpha_ad": adiabaticity_parameter(hbar * omega_eff, slope, hbar),
-        "p_lz": lz_probability(hbar * omega_eff, slope, hbar),
-        "two_level_margin": report.two_level_margin,
-        "scrap_adiabatic_margin": report.scrap_adiabatic_margin,
-        "scrap_pump_width_margin": report.scrap_pump_width_margin,
-        "scrap_diabatic_margin": report.scrap_diabatic_margin,
+        "alpha_ad": validity.alpha_ad,
+        "p_lz": lz_probability(model.hbar * validity.omega01, slope, model.hbar),
+        "two_level_margin": validity.two_level_margin,
+        "scrap_adiabatic_margin": validity.scrap_adiabatic_margin,
+        "scrap_pump_width_margin": validity.scrap_pump_width_margin,
+        "scrap_diabatic_margin": validity.scrap_diabatic_margin,
     }
 
 
@@ -308,7 +306,7 @@ def _scrap_2atom_schedules(model, preset, params, **_):
         ramp_time=cfg.ramp_time_factor * t_omega, hbar=model.hbar),)
 
 
-def _scrap_2atom_companions(model, preset, params, **_):
+def _scrap_2atom_companions(model, preset, params, validity, **_):
     hbar = model.hbar
     cfg = preset.scrap2
     omega_hat = params["omega_hat_rad_s"]
@@ -320,13 +318,13 @@ def _scrap_2atom_companions(model, preset, params, **_):
         math.log(cfg.delta_hat / (cfg.baseline_depth + q_gap)))
     slope01 = scrap_crossing_slope(cfg.delta_hat, t_delta, tau01)
     slope12 = scrap_crossing_slope(cfg.delta_hat, t_delta, tau12)
-    om01 = rabi_coupling(model, 0, omega_hat)
+    om01 = validity.omega01
     om12 = rabi_coupling(model, 1, omega_hat)
     return {
         "p_lz": (lz_probability(hbar * om01, slope01, hbar)
                  * lz_probability(hbar * om12, slope12, hbar)),
         "alpha_ad": adiabaticity_parameter(hbar * om01, slope01, hbar),
-        "two_level_margin": validity_check(model, omega_hat).two_level_margin,
+        "two_level_margin": validity.two_level_margin,
     }
 
 
@@ -337,9 +335,8 @@ def _pi_pulse_schedules(model, params, **_):
                                        params["t_omega_s"], params["transition"]),)
 
 
-def _pi_pulse_companions(model, schedules, **_):
-    peak = schedules[0].rabi.peak
-    return {"two_level_margin": validity_check(model, peak).two_level_margin}
+def _pi_pulse_companions(validity, **_):
+    return {"two_level_margin": validity.two_level_margin}
 
 
 def _sequential_pi_schedules(model, params, **_):
@@ -349,6 +346,11 @@ def _sequential_pi_schedules(model, params, **_):
 
 def _sequential_pi_companions(trajectories, **_):
     return {"p1_after_first": transfer_probability(trajectories[0], 1)}
+
+
+def _drive(schedules: tuple[PulseSchedule, ...]) -> float:
+    """The drive a protocol's validity is judged at: its first pulse's peak."""
+    return schedules[0].rabi.peak
 
 
 def _check_frequencies(given: dict) -> None:
@@ -367,9 +369,9 @@ class Protocol:
     defaults     each optional name's default: a value, or a function of
                  the preset (a number); its type is what the name takes
     schedules    (model, preset, params, target) -> pulses run in turn from |0>
-    companions   (model, preset, params, target, schedules, trajectories)
-                 -> the analytic predictions and margins reported beside p
-    chirp        the Stark-chirp pulse pair that `check` bounds, if any
+    companions   (model, preset, params, target, schedules, trajectories,
+                 validity) -> the analytic predictions and margins beside p
+    chirp        the Stark-chirp pulse pair whose bounds validity adds, if any
     chain_level  for chained pulses, the level reported without a target;
                  `propagate` reports it in place of a trajectory
     """
@@ -419,6 +421,13 @@ class Protocol:
         if default is None and value is None:
             return True
         return isinstance(value, Real) and not isinstance(value, bool)
+
+    def validity(self, model: LevelModel, preset: Preset, params: dict,
+                 schedules: tuple[PulseSchedule, ...]) -> AdiabaticityReport:
+        """The analytic validity report at the protocol's drive (see _drive),
+        with the Stark-chirp bounds where the protocol drives a chirp."""
+        scrap = self.chirp(preset, params) if self.chirp is not None else None
+        return validity_check(model, _drive(schedules), scrap=scrap)
 
     def params(self, preset: Preset, point: dict) -> dict:
         """The point's parameters with every omitted one at its default."""
@@ -508,9 +517,10 @@ def _evaluate(preset: Preset, protocol: str, point: dict, target: int,
         trajectories.append(propagate(model, schedule, initial_state=state,
                                       step_control=control))
     out = {"p": transfer_probability(trajectories[-1], target)}
+    validity = entry.validity(model, preset, params, schedules)
     out.update(entry.companions(model=model, preset=preset, params=params,
                                 target=target, schedules=schedules,
-                                trajectories=trajectories))
+                                trajectories=trajectories, validity=validity))
     return out
 
 

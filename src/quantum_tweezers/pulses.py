@@ -31,9 +31,7 @@ __all__ = [
     "build_scrap_schedule",
     "build_two_atom_scrap_schedule",
     "build_pi_pulse",
-    "envelope_to_dict",
     "envelope_from_dict",
-    "schedule_to_dict",
     "schedule_from_dict",
 ]
 
@@ -272,22 +270,10 @@ def build_pi_pulse(model: LevelModel, transition: tuple[int, int] | str,
 
 # --- JSON (de)serialization -------------------------------------------------
 
-# JSON tag of each envelope class; its fields follow in dataclass order
-_ENVELOPE_TAGS = {Constant: "constant", LinearRamp: "linear_ramp",
-                  Gaussian: "gaussian", TanhPlateau: "tanh_plateau",
-                  OffsetSum: "offset_sum"}
-_ENVELOPE_CLASSES = {tag: cls for cls, tag in _ENVELOPE_TAGS.items()}
-
-
-def envelope_to_dict(env: Envelope) -> dict:
-    tag = _ENVELOPE_TAGS.get(type(env))
-    if tag is None:
-        raise TypeError(f"unknown envelope type {type(env).__name__}")
-    out = {"type": tag}
-    for f in fields(env):
-        value = getattr(env, f.name)
-        out[f.name] = envelope_to_dict(value) if isinstance(value, Envelope) else value
-    return out
+# the envelope class of each JSON tag; its fields follow in dataclass order
+_ENVELOPE_CLASSES = {"constant": Constant, "linear_ramp": LinearRamp,
+                     "gaussian": Gaussian, "tanh_plateau": TanhPlateau,
+                     "offset_sum": OffsetSum}
 
 
 def _require(data: dict, key: str, owner: str):
@@ -304,7 +290,7 @@ def _finite(raw, name: str) -> float:
 
 
 def envelope_from_dict(data: dict) -> Envelope:
-    """Inverse of envelope_to_dict.
+    """The envelope of a JSON object: its "type" tag, then its fields.
 
     ConfigError names a field that is missing, not finite, or out of range
     (such as a Gaussian width that is not positive).
@@ -327,16 +313,8 @@ def envelope_from_dict(data: dict) -> Envelope:
         raise ConfigError(f"{owner}: {exc}") from exc
 
 
-def schedule_to_dict(schedule: PulseSchedule) -> dict:
-    return {
-        "detuning": envelope_to_dict(schedule.detuning),
-        "rabi": envelope_to_dict(schedule.rabi),
-        "window": [schedule.t_start, schedule.t_end],
-    }
-
-
 def schedule_from_dict(data: dict) -> PulseSchedule:
-    """Inverse of schedule_to_dict.
+    """The schedule of a JSON object with "detuning", "rabi" and "window".
 
     ConfigError names a missing key, a field that is not finite or out of
     range, or a window whose start is not before its end.

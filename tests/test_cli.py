@@ -368,7 +368,7 @@ def test_api_without_target_reports_the_cli_level(tmp_path, name):
     cli_p = [float(row.split(",")[column]) for row in rows[1:]]
     meta = json.loads((tmp_path / "sweep_meta.json").read_text())
 
-    preset = resolve_preset(validate_config({}), None)
+    preset = resolve_preset(validate_config({}))
     result = run_sweep(SweepSpec(name, (_axis_spec(axis),)), preset)
     assert result.p.tolist() == cli_p
     assert result.spec.target == meta["spec"]["target"]
@@ -412,6 +412,41 @@ def test_threads_above_cpu_count_exit_2(tmp_path, monkeypatch, config, flags):
     monkeypatch.setattr("os.cpu_count", lambda: 1)
     path = write_config(tmp_path, config)
     assert main(["params", "--config", path, "--out", str(tmp_path), *flags]) == 2
+
+
+# "--seed -1" ended in numpy's ValueError traceback, and "--threads 0" or
+# "--threads -3" ran the sweep in one process; as config keys they exit 2
+@pytest.mark.parametrize("command, flags", [
+    ("optimize", ["--seed", "-1"]),
+    ("sweep", ["--threads", "0"]),
+    ("sweep", ["--threads", "-3"]),
+], ids=["seed_negative", "threads_zero", "threads_negative"])
+def test_flags_are_held_to_the_config_bounds(tmp_path, capsys, command, flags):
+    path = write_config(tmp_path, {"preset": "fig7", **{
+        "optimize": {"optimize": {"protocol": "pi_pulse", "budget": 10,
+                                  "bounds": {"t_omega_s": [1e-3, 2e-3]}}},
+        "sweep": {"sweep": {"protocol": "pi_pulse",
+                            "axes": [PROTOCOL_AXES["pi_pulse"]]}},
+    }[command]})
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid config: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# an output directory under a file raised NotADirectoryError after the sweep
+def test_an_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "x"
+    path = write_config(tmp_path, {"preset": "fig7", "sweep": {
+        "protocol": "pi_pulse", "axes": [PROTOCOL_AXES["pi_pulse"]]}})
+    assert main(["sweep", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(out) in err
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "file"]
 
 
 @pytest.mark.parametrize("protocol", [

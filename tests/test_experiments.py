@@ -19,6 +19,7 @@ from quantum_tweezers import (
 )
 from quantum_tweezers.exceptions import ConfigError
 from quantum_tweezers.experiments import (
+    _SWEEP_STEP_CONTROL,
     PROTOCOLS,
     AxisSpec,
     SweepResult,
@@ -427,6 +428,58 @@ def test_sweep_point_matches_fourth_order_reference(name, protocol, point, targe
         state = propagate(model, schedule, initial_state=state,
                           step_control=control).final_state
     assert abs(p - abs(state[entry.target or target]) ** 2) < 1e-11
+
+
+def _published_sample(seed=0):
+    """20 points drawn over the paper's ranges: (preset, protocol, point, target).
+
+    Each range is (low, high) for a uniform draw, or (low, high, "log").
+    The delays stay in criterion 7's -6 to 2 ms; longer ones are left out
+    (see ROADMAP.md, items 3 and 4).
+    """
+    ranges = [
+        ("fig3a", "ramp", 1, {"ramp_rate_rad_s2": (3e5, 1.2e7, "log")}, 3),
+        ("fig3a", "ramp", 2, {"ramp_rate_rad_s2": (1e6, 8e6, "log")}, 2),
+        ("fig4", "scrap_1atom", 1, {"omega_hat_rad_s": (1e3, 2.9e4),
+                                    "t_omega_s": (2.5e-4, 3.25e-3)}, 4),
+        ("fig4", "delay_scan", 1, {"delta_tau_s": (-6e-3, 2e-3)}, 4),
+        ("fig6", "scrap_2atom", 2, {"omega_hat_rad_s": (1e4, 2e4),
+                                    "t_omega_s": (1e-3, 2e-3)}, 3),
+        ("fig7", "pi_pulse", 1, {"omega_hat_rad_s": (5e2, 5e3),
+                                 "t_omega_s": (1e-3, 3e-3)}, 2),
+        ("fig7", "sequential_pi", 2, {"t_omega_s": (1e-3, 4e-3)}, 2),
+    ]
+    rng = np.random.default_rng(seed)
+    sample = []
+    for preset, protocol, target, axes, count in ranges:
+        for _ in range(count):
+            point = {}
+            for name, (low, high, *log) in axes.items():
+                u = float(rng.random())
+                point[name] = low * (high / low) ** u if log else low + (high - low) * u
+            sample.append((preset, protocol, point, target))
+    return sample
+
+
+@pytest.mark.parametrize("name, protocol, point, target", _published_sample(),
+                         ids=lambda value: value if isinstance(value, str) else None)
+def test_published_sample_meets_the_accuracy_bar(name, protocol, point, target):
+    # a sweep point against the same sixth-order scheme, chained as the sweep
+    # chains, at a sixteenth of the step each pulse's estimate accepts
+    preset = get_preset(name)
+    p = evaluate_point(preset, protocol, point, target)["p"]
+    entry = PROTOCOLS[protocol]
+    model = preset_model(preset)
+    schedules = entry.schedules(model=model, preset=preset,
+                                params=entry.params(preset, point), target=target)
+    state = None
+    for schedule in schedules:
+        step = propagate(model, schedule, initial_state=state,
+                         step_control=_SWEEP_STEP_CONTROL).step
+        control = dataclasses.replace(_SWEEP_STEP_CONTROL, h_override=step / 16)
+        state = propagate(model, schedule, initial_state=state,
+                          step_control=control).final_state
+    assert abs(p - abs(state[target]) ** 2) < 1e-10
 
 
 @pytest.mark.parametrize("omega_hat, t_omega", [
