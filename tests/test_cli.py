@@ -387,6 +387,16 @@ def test_api_rejects_a_fixed_level_target_as_the_cli_does(tmp_path, capsys):
     assert capsys.readouterr().err == f"config error: {info.value}\n"
 
 
+# check ignored a chirp's target and exited 1 with its margins
+@pytest.mark.parametrize("command", ["propagate", "check"])
+def test_a_target_the_protocol_cannot_report_exits_2(tmp_path, capsys, command):
+    path = write_config(tmp_path, {"preset": "fig4", "protocol": {
+        "type": "scrap_1atom", "target": 2}})
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == ("config error: protocol 'scrap_1atom' reports "
+                                       "level 1; it cannot report target 2\n")
+
+
 @pytest.mark.parametrize("command, section", [
     ("sweep", {"sweep": {"protocol": "ramp",
                          "axes": [_axis("ramp_rate_rad_s2", 2e6, 1e6)]}}),
