@@ -41,7 +41,6 @@ from .experiments import (
     PROTOCOLS,
     AxisSpec,
     SweepSpec,
-    _check_frequencies,
     _drive,
     _level,
     evaluate_point,
@@ -97,10 +96,15 @@ def _json_text(payload) -> str:
 
 
 def _protocol_point(config: dict) -> dict:
-    """The config's protocol section as parameters of its PROTOCOLS entry."""
+    """The config's protocol section as parameters of its PROTOCOLS entry.
+
+    A frequency string is parsed to rad/s; every other value is passed as
+    given, for Protocol.params to check as it checks a sweep's.
+    """
     convention = config.get("frequency_units", "angular_khz")
     return {_FREQUENCY_PARAMS.get(k, k):
-            parse_frequency(v, convention) if k in _FREQUENCY_PARAMS else v
+            parse_frequency(v, convention)
+            if k in _FREQUENCY_PARAMS and isinstance(v, str) else v
             for k, v in config["protocol"].items() if k not in ("type", "target")}
 
 
@@ -194,20 +198,24 @@ def cmd_check(config: dict, preset: Preset, out_dir: str) -> int:
     model = preset_model(preset)
     protocol = config.get("protocol", {})
     entry = PROTOCOLS.get(protocol.get("type"))
-    point = _protocol_point(config) if entry is not None else {}
-    _check_frequencies(point)
-    # the sweep companions' report; without a protocol, or a pulse (a ramp
-    # without its rate), the margins at omega_l
-    if entry is not None and set(entry.required) <= set(point):
-        params = entry.params(preset, point)
-        schedules = entry.schedules(
-            model=model, preset=preset, params=params,
-            target=_level(protocol["type"], protocol.get("target")))
-        report = entry.validity(model, preset, params, schedules)
-        omega = _drive(schedules)
-    else:
-        omega = point.get("omega_l_rad_s", preset.omega_l)
+    if entry is None:  # no protocol section, or a schedule: the margins at omega_l
+        omega = preset.omega_l
         report = validity_check(model, omega)
+    else:
+        point = _protocol_point(config)
+        target = _level(protocol["type"], protocol.get("target"))
+        # a ramp without its rate has no pulse: params checks the rest of its
+        # section, and the margins are those at its drive
+        missing = dict.fromkeys(set(entry.required) - set(point), 0.0)
+        params = entry.params(preset, {**point, **missing})
+        if missing:
+            omega = params["omega_l_rad_s"]
+            report = validity_check(model, omega)
+        else:  # the sweep companions' report
+            schedules = entry.schedules(model=model, preset=preset, params=params,
+                                        target=target)
+            report = entry.validity(model, preset, params, schedules)
+            omega = _drive(schedules)
     drive = ("omega_l" if entry is None or "omega_l_rad_s" in entry.defaults
              else "omega_hat")
     flags = report.flags

@@ -15,9 +15,10 @@ import json
 import math
 import re
 from dataclasses import replace
+from numbers import Real
 
 from .exceptions import ConfigError
-from .experiments import PROTOCOLS, TRANSITIONS
+from .experiments import PROTOCOLS
 from .params import derive_all
 from .presets import Preset, get_preset
 from .pulses import _ENVELOPE_CLASSES
@@ -49,7 +50,7 @@ _AXIS_SCHEMA = {
         "name": {"type": "string"},
         "min": {"type": "number"},
         "max": {"type": "number"},
-        "points": {"type": "integer", "minimum": 2},
+        "points": {"type": "integer"},
         "scale": {"enum": ["linear", "log"]},
     },
 }
@@ -75,11 +76,11 @@ _SCHEDULE_SCHEMA = {
 
 # each "system" config key: the PhysicalSystem field it sets, and its schema
 _SYSTEM_KEYS = {
-    "atom_mass_kg": ("atom_mass", {"type": "number", "exclusiveMinimum": 0}),
+    "atom_mass_kg": ("atom_mass", {"type": "number"}),
     "nu_a": ("nu_a", _FREQ_OR_VEC),
     "nu_b": ("nu_b", _FREQ_OR_VEC),
-    "atom_number": ("atom_number", {"type": "integer", "exclusiveMinimum": 0}),
-    "peak_density_m3": ("peak_density", {"type": "number", "exclusiveMinimum": 0}),
+    "atom_number": ("atom_number", {"type": "integer"}),
+    "peak_density_m3": ("peak_density", {"type": "number"}),
     "a_aa_m": ("a_aa", {"type": "number"}),
     "a_bb_m": ("a_bb", {"type": "number"}),
     "a_ab_m": ("a_ab", {"type": "number"}),
@@ -91,23 +92,9 @@ _SYSTEM_KEYS = {
 _FREQUENCY_PARAMS = {"omega_hat": "omega_hat_rad_s", "delta_hat": "delta_hat_rad_s"}
 _SECTION_KEYS = {name: key for key, name in _FREQUENCY_PARAMS.items()}
 
-
-def _parameter_schema(name: str, default) -> dict:
-    """A protocol parameter's schema: the type Protocol.check_run reads from its default."""
-    if name in _SECTION_KEYS:
-        return _FREQ
-    if isinstance(default, bool):
-        return {"type": "boolean"}
-    if isinstance(default, str):
-        return {"enum": list(TRANSITIONS)}
-    if name == "t_omega_s":
-        return {"type": "number", "exclusiveMinimum": 0}
-    return {"type": "number"}
-
-
-# every parameter of every protocol, under its propagate-section key
-_PROTOCOL_PARAMS = {_SECTION_KEYS.get(name, name):
-                    _parameter_schema(name, entry.defaults.get(name, 0.0))
+# every parameter of every protocol, under its propagate-section key; their
+# values are checked by Protocol.params, as a sweep's fixed values are
+_PROTOCOL_PARAMS = {_SECTION_KEYS.get(name, name): {}
                     for entry in PROTOCOLS.values()
                     for name in (*entry.required, *entry.defaults)}
 
@@ -130,7 +117,7 @@ CONFIG_SCHEMA = {
             "required": ["type"],
             "properties": {
                 "type": {"enum": [*PROTOCOLS, "schedule"]},
-                "target": {"type": "integer", "minimum": 1, "maximum": 2},
+                "target": {"type": "integer"},
                 "schedule": _SCHEDULE_SCHEMA,
                 **_PROTOCOL_PARAMS,
             },
@@ -141,7 +128,7 @@ CONFIG_SCHEMA = {
             "required": ["protocol", "axes"],
             "properties": {
                 "protocol": {"enum": list(PROTOCOLS)},
-                "target": {"type": "integer", "minimum": 1, "maximum": 2},
+                "target": {"type": "integer"},
                 "axes": {"type": "array", "items": _AXIS_SCHEMA, "minItems": 1,
                          "maxItems": 2},
                 "fixed": {"type": "object"},
@@ -153,7 +140,7 @@ CONFIG_SCHEMA = {
             "required": ["protocol", "bounds", "budget"],
             "properties": {
                 "protocol": {"enum": list(PROTOCOLS)},
-                "target": {"type": "integer", "minimum": 1, "maximum": 2},
+                "target": {"type": "integer"},
                 "bounds": {
                     "type": "object",
                     "additionalProperties": {
@@ -161,7 +148,7 @@ CONFIG_SCHEMA = {
                         "minItems": 2, "maxItems": 2,
                     },
                 },
-                "budget": {"type": "integer", "minimum": 10},
+                "budget": {"type": "integer"},
                 "fixed": {"type": "object"},
             },
         },
@@ -183,12 +170,14 @@ def parse_frequency(value, convention: str = "angular_khz") -> float:
     Numbers pass through unchanged (already rad/s).  Strings carry a unit:
     under "angular_khz" a bare "X kHz" is X*1e3 rad/s; under "two_pi_khz"
     it is 2*pi*X*1e3 rad/s.  A "2pi*" prefix always multiplies by 2*pi.
-    A result that is not finite raises ConfigError.
+    Any other value, or a result that is not finite, raises ConfigError.
     """
-    if isinstance(value, (int, float)):
+    if isinstance(value, Real) and not isinstance(value, bool):
         result = float(value)
+    elif not isinstance(value, str):
+        raise ConfigError(f"frequency {value!r} is not a number or a string")
     else:
-        match = _FREQ_RE.match(str(value))
+        match = _FREQ_RE.match(value)
         if not match:
             raise ConfigError(f"cannot parse frequency {value!r}")
         try:
@@ -231,7 +220,9 @@ def validate_config(config: dict) -> dict:
 
     error = best_match(_validator().iter_errors(config))
     if error is not None:
-        raise ConfigError(f"invalid config: {error.message}") from error
+        key = ".".join(map(str, error.absolute_path))
+        raise ConfigError(f"invalid config: {key + ': ' if key else ''}"
+                          f"{error.message}") from error
     return config
 
 
@@ -261,7 +252,7 @@ def resolve_preset(config: dict) -> Preset:
     try:
         preset = get_preset(name)
     except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(exc.args[0]) from exc
     convention = config.get("frequency_units", "angular_khz")
     system_cfg = config.get("system")
     if system_cfg:

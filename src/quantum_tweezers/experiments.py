@@ -94,7 +94,7 @@ class AxisSpec:
 
     def __post_init__(self):
         if self.points < 2:
-            raise ConfigError("an axis needs at least 2 points")
+            raise ConfigError(f"axis {self.name!r} needs at least 2 points")
         if not self.maximum > self.minimum:
             raise ConfigError(f"axis {self.name!r}: maximum must exceed minimum")
         if self.scale not in ("linear", "log"):
@@ -353,13 +353,6 @@ def _drive(schedules: tuple[PulseSchedule, ...]) -> float:
     return schedules[0].rabi.peak
 
 
-def _check_frequencies(given: dict) -> None:
-    """ConfigError, as the config's own, for a drive frequency (*_rad_s) not finite."""
-    for name, value in given.items():
-        if name.endswith("_rad_s") and isinstance(value, Real) and not math.isfinite(value):
-            raise ConfigError(f"frequency {value!r} is not finite")
-
-
 @dataclass(frozen=True)
 class Protocol:
     """One extraction protocol, as sweeps, the optimizer and the CLI run it.
@@ -384,44 +377,6 @@ class Protocol:
     chirp: Callable[[Preset, dict], ScrapPulseParams] | None = None
     chain_level: int | None = None
 
-    def check_names(self, given) -> None:
-        """Raise ConfigError for an unknown or a missing required name."""
-        accepted = [*self.required, *self.defaults]
-        unknown = sorted(set(given) - set(accepted))
-        if unknown:
-            raise ConfigError(f"unknown parameter(s) {unknown}; this protocol "
-                              f"accepts {accepted}")
-        missing = [name for name in self.required if name not in given]
-        if missing:
-            raise ConfigError(f"missing required parameter(s) {missing}")
-
-    def check_run(self, varied, fixed: dict) -> None:
-        """check_names for a sweep or optimize run, then the types.
-
-        A parameter takes what its default is: one of TRANSITIONS for a
-        string, a bool for a bool, else a number (or null, where the default
-        is null).  Varied names, the axes or bounds, must take numbers.
-        """
-        self.check_names([*varied, *fixed])
-        for name in varied:
-            if not self._accepts(name, 0.0):
-                raise ConfigError(f"parameter {name!r} is not a number; it "
-                                  "cannot be an axis or a bound")
-        for name, value in fixed.items():
-            if not self._accepts(name, value):
-                raise ConfigError(f"parameter {name!r} cannot be {value!r}")
-        _check_frequencies(fixed)
-
-    def _accepts(self, name: str, value) -> bool:
-        default = self.defaults.get(name, 0.0)  # a required name takes a number
-        if isinstance(default, bool):
-            return isinstance(value, bool)
-        if isinstance(default, str):
-            return value in TRANSITIONS
-        if default is None and value is None:
-            return True
-        return isinstance(value, Real) and not isinstance(value, bool)
-
     def validity(self, model: LevelModel, preset: Preset, params: dict,
                  schedules: tuple[PulseSchedule, ...]) -> AdiabaticityReport:
         """The analytic validity report at the protocol's drive (see _drive),
@@ -430,9 +385,35 @@ class Protocol:
         return validity_check(model, _drive(schedules), scrap=scrap)
 
     def params(self, preset: Preset, point: dict) -> dict:
-        """The point's parameters with every omitted one at its default."""
-        self.check_names(point)
-        _check_frequencies(point)
+        """The point's parameters with every omitted one at its default.
+
+        The one check of a point: ConfigError for an unknown name, a missing
+        required one, or a value its name does not take.  A name takes what
+        its default is: one of TRANSITIONS for a string, a bool for a bool,
+        else a real number (or null, where the default is null); a drive
+        frequency (*_rad_s) must be finite, as the config's own.
+        """
+        accepted = [*self.required, *self.defaults]
+        unknown = sorted(set(point) - set(accepted))
+        if unknown:
+            raise ConfigError(f"unknown parameter(s) {unknown}; this protocol "
+                              f"accepts {accepted}")
+        missing = [name for name in self.required if name not in point]
+        if missing:
+            raise ConfigError(f"missing required parameter(s) {missing}")
+        for name, value in point.items():
+            default = self.defaults.get(name, 0.0)  # a required name takes a number
+            if isinstance(default, bool):
+                accepts = isinstance(value, bool)
+            elif isinstance(default, str):
+                accepts = isinstance(value, str) and value in TRANSITIONS
+            else:
+                accepts = ((default is None and value is None)
+                           or (isinstance(value, Real) and not isinstance(value, bool)))
+            if not accepts:
+                raise ConfigError(f"parameter {name!r} cannot be {value!r}")
+            if name.endswith("_rad_s") and value is not None and not math.isfinite(value):
+                raise ConfigError(f"frequency {value!r} is not finite")
         params = {name: default(preset) if callable(default) else default
                   for name, default in self.defaults.items()}
         params.update(point)
@@ -618,10 +599,10 @@ def run_sweep(spec: SweepSpec, preset: Preset, threads: int = 1) -> SweepResult:
     A 1-D ramp sweep records the intervals of its axis with P > 0.99;
     a 2-D sweep records the 0.99 and 0.80 contours and the P > 0.99 area.
     A point that raises a TweezersError fails alone; any other error
-    leaves the sweep.
+    leaves the sweep.  The first point is checked before any runs, so a
+    ConfigError from Protocol.params (a fixed value or an axis name the
+    protocol does not take) leaves the sweep at once.
     """
-    PROTOCOLS[spec.protocol].check_run([axis.name for axis in spec.axes],
-                                       spec.fixed)
     axis_values = tuple(axis.values() for axis in spec.axes)
     tasks = []
     for idx in np.ndindex(spec.shape):
@@ -629,6 +610,7 @@ def run_sweep(spec: SweepSpec, preset: Preset, threads: int = 1) -> SweepResult:
         for d, axis in enumerate(spec.axes):
             point[axis.name] = float(axis_values[d][idx[d]])
         tasks.append((preset, spec.protocol, point, spec.target, _SWEEP_STEP_CONTROL))
+    PROTOCOLS[spec.protocol].params(preset, tasks[0][2])
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -827,7 +809,9 @@ def optimize_pulse(protocol, bounds: dict[str, tuple[float, float]],
     monotone non-decreasing.  If the budget runs out before the simplex
     collapses, the best point found so far is returned with converged=False.
     A budget under 10, no bounds, or a bound that is not finite or not
-    low < high raises ConfigError.
+    low < high raises ConfigError, as Protocol.params does for the first
+    point (the fixed values, each bounded name at its low bound).  If no
+    evaluation of a named protocol succeeds, the first one's error is raised.
     """
     target = target if callable(protocol) else _level(protocol, target)
     if budget < 10:
@@ -842,20 +826,27 @@ def optimize_pulse(protocol, bounds: dict[str, tuple[float, float]],
     if not np.all(highs > lows):
         raise ConfigError("each bound must satisfy low < high")
 
+    failures = 0
+    first_error = None
     if callable(protocol):
         evaluate_params = protocol
     else:
         if preset is None:
             raise ValueError("a preset is required for named protocols")
         base = dict(fixed or {})
-        PROTOCOLS[protocol].check_run(names, base)
+        PROTOCOLS[protocol].params(preset, {**base, **dict(zip(names, lows.tolist()))})
 
         def evaluate_params(params: dict) -> float:
+            nonlocal failures, first_error
             point = dict(base)
             point.update(params)
-            result = _evaluate_task((preset, protocol, point, target,
-                                     _OPTIMIZER_STEP_CONTROL))
-            p = result.get("p", math.nan)
+            try:
+                p = _evaluate(preset, protocol, point, target,
+                              _OPTIMIZER_STEP_CONTROL)["p"]
+            except TweezersError as exc:
+                failures += 1
+                first_error = first_error or exc
+                return 0.0
             return 0.0 if math.isnan(p) else p
 
     evaluations = 0
@@ -888,6 +879,8 @@ def optimize_pulse(protocol, bounds: dict[str, tuple[float, float]],
     for d in range(dim):
         simplex[d + 1, d] += 0.25 if z0[d] + 0.25 <= 1.0 else -0.25
     converged = _nelder_mead(objective, simplex, budget, xatol=1e-4, fatol=1e-10)
+    if failures == evaluations:
+        raise first_error
     params = {k: float(best_x[d]) for d, k in enumerate(names)}
     return OptimizeResult(
         params=params,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields
+from numbers import Real
 
 import numpy as np
 
@@ -283,6 +284,8 @@ def _require(data: dict, key: str, owner: str):
 
 
 def _finite(raw, name: str) -> float:
+    if isinstance(raw, bool) or not isinstance(raw, Real):
+        raise ConfigError(f"{name} must be a number, not {raw!r}")
     value = float(raw)
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, not {value!r}")
@@ -292,8 +295,8 @@ def _finite(raw, name: str) -> float:
 def envelope_from_dict(data: dict) -> Envelope:
     """The envelope of a JSON object: its "type" tag, then its fields.
 
-    ConfigError names a field that is missing, not finite, or out of range
-    (such as a Gaussian width that is not positive).
+    ConfigError names a field that is missing, not a finite number, or out
+    of range (such as a Gaussian width that is not positive).
     """
     cls = _ENVELOPE_CLASSES.get(data.get("type"))
     if cls is None:
@@ -316,10 +319,12 @@ def envelope_from_dict(data: dict) -> Envelope:
 def schedule_from_dict(data: dict) -> PulseSchedule:
     """The schedule of a JSON object with "detuning", "rabi" and "window".
 
-    ConfigError names a missing key, a field that is not finite or out of
-    range, or a window whose start is not before its end.
+    ConfigError names a missing key, a field that is not a finite number or
+    is out of range, or a window that is not two numbers, start before end.
     """
     window = _require(data, "window", "a schedule")
+    if not isinstance(window, (list, tuple)) or len(window) != 2:
+        raise ConfigError(f"a schedule's 'window' must be [start, end], not {window!r}")
     detuning = envelope_from_dict(_require(data, "detuning", "a schedule"))
     rabi = envelope_from_dict(_require(data, "rabi", "a schedule"))
     t_start = _finite(window[0], "a schedule's 'window'")

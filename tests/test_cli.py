@@ -28,6 +28,7 @@ from quantum_tweezers.experiments import (
     SweepSpec,
     evaluate_point,
     gated_ramp_schedule,
+    optimize_pulse,
     preset_model,
     run_sweep,
 )
@@ -57,6 +58,12 @@ class TestFrequencyParsing:
     def test_hz_and_mhz(self):
         assert parse_frequency("100 Hz") == pytest.approx(100.0)
         assert parse_frequency("1.5 MHz") == pytest.approx(1.5e6)
+
+    # true was taken for 1.0 rad/s
+    @pytest.mark.parametrize("value", [True, False, None, [1.0]])
+    def test_a_value_neither_number_nor_string_is_rejected(self, value):
+        with pytest.raises(ConfigError, match="is not a number or a string"):
+            parse_frequency(value)
 
     def test_rejects_garbage(self):
         with pytest.raises(ConfigError):
@@ -442,7 +449,47 @@ def test_flags_are_held_to_the_config_bounds(tmp_path, capsys, command, flags):
     assert main([command, "--config", path, "--out", str(out), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: invalid config: ") and err.count("\n") == 1
+    # the key is named: "invalid config: -1 is less than the minimum of 0" was not
+    assert err.startswith(f"config error: invalid config: {flags[0][2:]}: ")
     assert not out.exists()
+
+
+# the quotes of a KeyError's repr were printed around the message
+def test_an_unknown_preset_is_named_without_quotes(tmp_path, capsys):
+    assert main(["check", "--preset", "fig9", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == ("config error: unknown preset 'fig9'; "
+                                       "available: fig3a, fig3b, fig4, fig6, fig7\n")
+
+
+# each of these ranges was held by the schema as well as by the code that
+# reads the value; the schema's copy is gone, and the message names the field
+@pytest.mark.parametrize("command, config, message", [
+    ("propagate", {"protocol": {"type": "pi_pulse", "t_omega_s": 0.0}},
+     "t_omega must be strictly positive"),
+    ("propagate", {"protocol": {"type": "pi_pulse", "target": 3}},
+     "target must be 1 or 2, not 3"),
+    ("sweep", {"sweep": {"protocol": "pi_pulse", "target": 0,
+                         "axes": [PROTOCOL_AXES["pi_pulse"]]}},
+     "target must be 1 or 2, not 0"),
+    ("optimize", {"optimize": {"protocol": "pi_pulse", "budget": 9,
+                               "bounds": {"t_omega_s": [1e-3, 2e-3]}}},
+     "optimization budget must be at least 10 evaluations"),
+    ("sweep", {"sweep": {"protocol": "pi_pulse",
+                         "axes": [{**PROTOCOL_AXES["pi_pulse"], "points": 1}]}},
+     "axis 't_omega_s' needs at least 2 points"),
+    ("params", {"system": {"atom_mass_kg": 0.0}},
+     "system: atom_mass must be strictly positive, got 0.0"),
+    ("params", {"system": {"atom_number": 0}},
+     "system: atom_number must be strictly positive, got 0"),
+    ("params", {"system": {"peak_density_m3": -1.0}},
+     "system: peak_density must be strictly positive, got -1.0"),
+], ids=["t_omega", "propagate_target", "sweep_target", "budget", "points",
+        "atom_mass", "atom_number", "peak_density"])
+def test_a_range_is_checked_where_the_value_is_read(tmp_path, capsys, command,
+                                                    config, message):
+    path = write_config(tmp_path, {"preset": "fig7", **config})
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 # an output directory under a file raised NotADirectoryError after the sweep
@@ -1192,3 +1239,63 @@ def test_propagate_takes_the_sweep_step_count(tmp_path):
     rows = (tmp_path / "trajectory.csv").read_text().strip().split("\n")[1:]
     assert len(rows) == point.n_steps + 1
     assert abs(finals["p1"] - point.populations[-1, 1]) < 1e-13
+
+
+# Protocol.params is the one check of a protocol point.  For every protocol:
+# a boolean or a string where a number goes, a number or "0-2" where a bool
+# or a transition goes, a NaN frequency and a name the protocol does not
+# take.  evaluate_point, run_sweep and optimize_pulse (the value fixed,
+# another number varied) raise the same ConfigError, and propagate and check
+# (a ramp with and without its rate) exit 2 with its message
+def _bad_points():
+    cases = []
+    for protocol in sorted(set(PROTOCOLS) - {"delay_scan"}):
+        entry = PROTOCOLS[protocol]
+        own = [*entry.required, *entry.defaults]
+        for name in own:
+            if name not in _numbers(entry):
+                values = [1.0, "0-2"]
+            else:
+                values = [True, "0-2"] + ([math.nan] if name.endswith("_rad_s") else [])
+            cases += [(protocol, name, value) for value in values]
+        other = next(n for n in ("delta_tau_s", "omit_second", "ramp_rate_rad_s2")
+                     if n not in own)
+        cases.append((protocol, other, 0.0))
+    return cases
+
+
+def _config_error(call):
+    with pytest.raises(ConfigError) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("protocol, name, value", _bad_points(),
+                         ids=lambda v: repr(v) if not isinstance(v, str) else v)
+def test_every_entry_point_rejects_a_bad_point_alike(tmp_path, capsys, protocol,
+                                                     name, value):
+    fig4 = get_preset("fig4")
+    rate = {"ramp_rate_rad_s2": 2e6} if protocol == "ramp" else {}
+    point = {**rate, name: value}
+    message = _config_error(lambda: evaluate_point(fig4, protocol, point))
+    # sequential_pi varies its width, its only number
+    other = next((n for n in _numbers(PROTOCOLS[protocol]) if n != name), None)
+    if other is not None:
+        spec = SweepSpec(protocol, (AxisSpec(other, 1.0, 2.0, 2),), fixed={name: value})
+        assert _config_error(lambda: run_sweep(spec, fig4)) == message
+        assert _config_error(lambda: optimize_pulse(
+            protocol, {other: (1.0, 2.0)}, 10, preset=fig4,
+            fixed={name: value})) == message
+    # a section writes omega_hat and delta_hat as frequencies: a string there
+    # is parsed as one
+    if _SECTION_NAMES.get(name) and isinstance(value, str):
+        return
+    runs = [("propagate", point), ("check", point)]
+    if rate and name not in rate:
+        runs.append(("check", {name: value}))
+    for command, given in runs:
+        section = {"type": protocol, **{_SECTION_NAMES.get(k, k): v for k, v in given.items()}}
+        path = write_config(tmp_path, {"preset": "fig4", "protocol": section})
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n", (command, given)
+    assert [f.name for f in tmp_path.iterdir()] == ["config.json"]

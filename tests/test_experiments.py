@@ -17,7 +17,7 @@ from quantum_tweezers import (
     scrap_contour,
     sequential_pi,
 )
-from quantum_tweezers.exceptions import ConfigError
+from quantum_tweezers.exceptions import ConfigError, InfeasibleScheduleError
 from quantum_tweezers.experiments import (
     _SWEEP_STEP_CONTROL,
     PROTOCOLS,
@@ -251,14 +251,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="spaced"):
             ramp_rate_sweep(fig3a, np.array([1e6, 2e6, 7e6]))
 
-    def test_parameter_types_follow_defaults(self):
-        # null where the default is null, a transition, a bool and numpy numbers
-        PROTOCOLS["pi_pulse"].check_run(
-            ["t_omega_s"], {"omega_hat_rad_s": None, "transition": "1-2"})
-        PROTOCOLS["pi_pulse"].check_run([], {"omega_hat_rad_s": np.float64(2e3)})
-        PROTOCOLS["sequential_pi"].check_run([], {"omit_second": True,
-                                                  "t_omega_s": 2e-3})
-        PROTOCOLS["ramp"].check_run(["omega_l_rad_s"], {"ramp_rate_rad_s2": 1e6})
+    def test_parameter_types_follow_defaults(self, fig3a):
+        # null where the default is null, a transition, a bool and numpy
+        # numbers; a varied name is checked at an axis value, a float
+        def params(protocol, varied, fixed):
+            return PROTOCOLS[protocol].params(fig3a, {**fixed, **dict.fromkeys(varied, 0.0)})
+
+        params("pi_pulse", ["t_omega_s"], {"omega_hat_rad_s": None, "transition": "1-2"})
+        params("pi_pulse", [], {"omega_hat_rad_s": np.float64(2e3)})
+        params("sequential_pi", [], {"omit_second": True, "t_omega_s": 2e-3})
+        params("ramp", ["omega_l_rad_s"], {"ramp_rate_rad_s2": 1e6})
         for protocol, varied, fixed in [
                 ("pi_pulse", [], {"transition": "0-2"}),
                 ("pi_pulse", [], {"t_omega_s": None}),
@@ -266,7 +268,7 @@ class TestSpecValidation:
                 ("sequential_pi", ["omit_second"], {}),
                 ("ramp", ["omega_l_rad_s"], {"ramp_rate_rad_s2": None})]:
             with pytest.raises(ConfigError):
-                PROTOCOLS[protocol].check_run(varied, fixed)
+                params(protocol, varied, fixed)
 
 
 class TestRegionExtraction:
@@ -592,6 +594,20 @@ class TestOptimizer:
         b = optimize_pulse(objective, {"x": (0, 1)}, budget=25, seed=3)
         assert a.params == b.params
         assert a.best_history == b.best_history
+
+    def test_a_search_whose_every_evaluation_fails_raises_the_first_error(self):
+        # it returned probability 0.0, and the CLI wrote it and exited 0
+        with pytest.raises(InfeasibleScheduleError,
+                           match="t_omega must be strictly positive"):
+            optimize_pulse("pi_pulse", {"omega_hat_rad_s": (500.0, 5000.0)}, 10,
+                           preset=get_preset("fig7"), fixed={"t_omega_s": -1e-3})
+
+    def test_a_failed_evaluation_scores_zero(self, fig3a):
+        # the start, a width of -1 ms, fails alone; the search goes on
+        result = optimize_pulse("pi_pulse", {"t_omega_s": (-1e-3, 7e-3)}, 10,
+                                preset=fig3a, x0={"t_omega_s": -1e-3})
+        assert result.best_history[0] == 0.0
+        assert result.probability > 0.5 and result.params["t_omega_s"] > 0
 
     def test_rejects_tiny_budget(self):
         with pytest.raises(ValueError):

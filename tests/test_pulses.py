@@ -21,6 +21,7 @@ from quantum_tweezers import (
     build_two_atom_scrap_schedule,
     schedule_from_dict,
 )
+from quantum_tweezers.exceptions import ConfigError
 from quantum_tweezers.levels import resonance_detunings
 
 
@@ -247,3 +248,27 @@ class TestSerialization:
         assert back == PulseSchedule(
             OffsetSum(2.0, Gaussian(1.0, 0.5, 0.2)),
             TanhPlateau(1.0, 0.0, 1.0, 0.1), -1.0, 2.0)
+
+    # "12" and true were converted to 12.0 and 1.0; "abc" and [1] ended in a
+    # bare ValueError and TypeError
+    @pytest.mark.parametrize("raw", ["12", True, "abc", [1], None],
+                             ids=["numeric_string", "true", "string", "list", "null"])
+    @pytest.mark.parametrize("where, field", [("detuning", "'value'"),
+                                              ("window", "'window'")])
+    def test_a_value_that_is_not_a_number_names_its_field(self, raw, where, field):
+        data = {"detuning": {"type": "constant", "value": 0.0},
+                "rabi": {"type": "constant", "value": 1e3}, "window": [0.0, 1e-4]}
+        if where == "window":
+            data["window"] = [0.0, raw]
+        else:
+            data["detuning"]["value"] = raw
+        with pytest.raises(ConfigError, match=f"{field} must be a number, not "):
+            schedule_from_dict(data)
+
+    @pytest.mark.parametrize("window", [[0.0], [0.0, 1e-4, 2e-4], 1e-4, "0, 1e-4"],
+                             ids=["one", "three", "number", "string"])
+    def test_a_window_that_is_not_two_values_is_named(self, window):
+        with pytest.raises(ConfigError, match="'window' must be \\[start, end\\]"):
+            schedule_from_dict({"detuning": {"type": "constant", "value": 0.0},
+                                "rabi": {"type": "constant", "value": 1e3},
+                                "window": window})
