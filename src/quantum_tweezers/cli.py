@@ -96,11 +96,8 @@ def _json_text(payload) -> str:
 
 
 def _protocol_point(config: dict) -> dict:
-    """The config's protocol section as parameters of its PROTOCOLS entry.
-
-    A frequency string is parsed to rad/s; every other value is passed as
-    given, for Protocol.params to check as it checks a sweep's.
-    """
+    """The config's protocol section as parameters of its PROTOCOLS entry, a
+    frequency string parsed to rad/s; Protocol.params checks the values."""
     convention = config.get("frequency_units", "angular_khz")
     return {_FREQUENCY_PARAMS.get(k, k):
             parse_frequency(v, convention)
@@ -127,8 +124,6 @@ def cmd_propagate(config: dict, preset: Preset, out_dir: str) -> int:
     kind = protocol["type"]
     model = preset_model(preset)
     if kind == "schedule":
-        if "schedule" not in protocol:
-            raise ConfigError("a 'schedule' protocol requires the key 'schedule'")
         schedule = schedule_from_dict(protocol["schedule"])
     else:
         entry = PROTOCOLS[kind]
@@ -198,24 +193,23 @@ def cmd_check(config: dict, preset: Preset, out_dir: str) -> int:
     model = preset_model(preset)
     protocol = config.get("protocol", {})
     entry = PROTOCOLS.get(protocol.get("type"))
-    if entry is None:  # no protocol section, or a schedule: the margins at omega_l
-        omega = preset.omega_l
-        report = validity_check(model, omega)
-    else:
+    omega, schedules = preset.omega_l, ()
+    if entry is not None:
         point = _protocol_point(config)
         target = _level(protocol["type"], protocol.get("target"))
         # a ramp without its rate has no pulse: params checks the rest of its
         # section, and the margins are those at its drive
         missing = dict.fromkeys(set(entry.required) - set(point), 0.0)
         params = entry.params(preset, {**point, **missing})
-        if missing:
-            omega = params["omega_l_rad_s"]
-            report = validity_check(model, omega)
-        else:  # the sweep companions' report
+        omega = params.get("omega_l_rad_s", omega)
+        if not missing:
             schedules = entry.schedules(model=model, preset=preset, params=params,
                                         target=target)
-            report = entry.validity(model, preset, params, schedules)
-            omega = _drive(schedules)
+    if schedules:  # the sweep companions' report
+        report = entry.validity(model, preset, params, schedules)
+        omega = _drive(schedules)
+    else:  # without a protocol or a pulse, the margins at omega_l
+        report = validity_check(model, omega)
     drive = ("omega_l" if entry is None or "omega_l_rad_s" in entry.defaults
              else "omega_hat")
     flags = report.flags

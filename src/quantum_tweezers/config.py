@@ -121,6 +121,10 @@ CONFIG_SCHEMA = {
                 "schedule": _SCHEDULE_SCHEMA,
                 **_PROTOCOL_PARAMS,
             },
+            # a schedule section holds its schedule and nothing else
+            "if": {"properties": {"type": {"const": "schedule"}}},
+            "then": {"required": ["schedule"], "additionalProperties": False,
+                     "properties": {"type": True, "schedule": True}},
         },
         "sweep": {
             "type": "object",

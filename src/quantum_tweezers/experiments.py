@@ -387,12 +387,10 @@ class Protocol:
     def params(self, preset: Preset, point: dict) -> dict:
         """The point's parameters with every omitted one at its default.
 
-        The one check of a point: ConfigError for an unknown name, a missing
-        required one, or a value its name does not take.  A name takes what
-        its default is: one of TRANSITIONS for a string, a bool for a bool,
-        else a real number (or null, where the default is null); a drive
-        frequency (*_rad_s) must be finite, as the config's own.
-        """
+        ConfigError for an unknown name, a missing required one, or a value
+        of another type than its default's: one of TRANSITIONS for a string,
+        a bool, else a real number (or null, where the default is null); a
+        drive frequency (*_rad_s) that is not finite, too."""
         accepted = [*self.required, *self.defaults]
         unknown = sorted(set(point) - set(accepted))
         if unknown:
@@ -593,16 +591,25 @@ def sequential_pi(preset: Preset, t_omegas, omit_second: bool = False,
                   fixed={"omit_second": omit_second})
 
 
+def _check_first_point(protocol: str, preset: Preset, fixed: dict, varied: dict) -> None:
+    """Protocol.params on a run's first point, each varied name at its first
+    value; a name both fixed and varied raises ConfigError."""
+    both = sorted(set(fixed) & set(varied))
+    if both:
+        raise ConfigError(f"parameter(s) {both} both fixed and varied")
+    PROTOCOLS[protocol].params(preset, {**fixed, **varied})
+
+
 def run_sweep(spec: SweepSpec, preset: Preset, threads: int = 1) -> SweepResult:
     """Evaluate a SweepSpec over its grid and add the region metadata.
 
     A 1-D ramp sweep records the intervals of its axis with P > 0.99;
     a 2-D sweep records the 0.99 and 0.80 contours and the P > 0.99 area.
     A point that raises a TweezersError fails alone; any other error
-    leaves the sweep.  The first point is checked before any runs, so a
-    ConfigError from Protocol.params (a fixed value or an axis name the
-    protocol does not take) leaves the sweep at once.
+    leaves the sweep; the first point is checked before any runs.
     """
+    _check_first_point(spec.protocol, preset, spec.fixed,
+                       {axis.name: axis.minimum for axis in spec.axes})
     axis_values = tuple(axis.values() for axis in spec.axes)
     tasks = []
     for idx in np.ndindex(spec.shape):
@@ -610,7 +617,6 @@ def run_sweep(spec: SweepSpec, preset: Preset, threads: int = 1) -> SweepResult:
         for d, axis in enumerate(spec.axes):
             point[axis.name] = float(axis_values[d][idx[d]])
         tasks.append((preset, spec.protocol, point, spec.target, _SWEEP_STEP_CONTROL))
-    PROTOCOLS[spec.protocol].params(preset, tasks[0][2])
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -808,10 +814,10 @@ def optimize_pulse(protocol, bounds: dict[str, tuple[float, float]],
     deterministic for fixed inputs and seed, and the best-so-far history is
     monotone non-decreasing.  If the budget runs out before the simplex
     collapses, the best point found so far is returned with converged=False.
-    A budget under 10, no bounds, or a bound that is not finite or not
-    low < high raises ConfigError, as Protocol.params does for the first
-    point (the fixed values, each bounded name at its low bound).  If no
-    evaluation of a named protocol succeeds, the first one's error is raised.
+    A budget under 10, no bounds, a bound that is not finite or not
+    low < high, or a first point (each bounded name at its low bound) that
+    Protocol.params rejects raises ConfigError.  If no evaluation of a
+    named protocol succeeds, the first one's error is raised.
     """
     target = target if callable(protocol) else _level(protocol, target)
     if budget < 10:
@@ -834,7 +840,7 @@ def optimize_pulse(protocol, bounds: dict[str, tuple[float, float]],
         if preset is None:
             raise ValueError("a preset is required for named protocols")
         base = dict(fixed or {})
-        PROTOCOLS[protocol].params(preset, {**base, **dict(zip(names, lows.tolist()))})
+        _check_first_point(protocol, preset, base, dict(zip(names, lows.tolist())))
 
         def evaluate_params(params: dict) -> float:
             nonlocal failures, first_error

@@ -284,12 +284,9 @@ def _require(data: dict, key: str, owner: str):
 
 
 def _finite(raw, name: str) -> float:
-    if isinstance(raw, bool) or not isinstance(raw, Real):
-        raise ConfigError(f"{name} must be a number, not {raw!r}")
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, not {value!r}")
-    return value
+    if isinstance(raw, bool) or not isinstance(raw, Real) or not math.isfinite(raw):
+        raise ConfigError(f"{name} must be a finite number, not {raw!r}")
+    return float(raw)
 
 
 def envelope_from_dict(data: dict) -> Envelope:

@@ -492,6 +492,35 @@ def test_a_range_is_checked_where_the_value_is_read(tmp_path, capsys, command,
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+_SCHEDULE = {"detuning": {"type": "constant", "value": 0.0},
+             "rabi": {"type": "constant", "value": 1e3}, "window": [0.0, 1e-4]}
+
+
+# these ran to exit 0: a fixed value an axis or a bound replaces was never
+# read, nor is any key of a schedule section but its schedule
+@pytest.mark.parametrize("command, config, message", [
+    ("sweep", {"sweep": {"protocol": "pi_pulse", "fixed": {"t_omega_s": 1e-3},
+                         "axes": [PROTOCOL_AXES["pi_pulse"]]}},
+     "parameter(s) ['t_omega_s'] both fixed and varied"),
+    ("optimize", {"optimize": {"protocol": "pi_pulse", "budget": 10,
+                               "fixed": {"t_omega_s": 1e-3},
+                               "bounds": {"t_omega_s": [1e-3, 2e-3]}}},
+     "parameter(s) ['t_omega_s'] both fixed and varied"),
+    ("propagate", {"protocol": {"type": "schedule", "t_omega_s": 1e-3,
+                                "schedule": _SCHEDULE}},
+     "invalid config: protocol: Additional properties are not allowed "
+     "('t_omega_s' was unexpected)"),
+    ("check", {"protocol": {"type": "schedule", "target": 2, "schedule": _SCHEDULE}},
+     "invalid config: protocol: Additional properties are not allowed "
+     "('target' was unexpected)"),
+], ids=["sweep_fixed_axis", "optimize_fixed_bound", "schedule_parameter",
+        "schedule_target"])
+def test_a_value_no_run_reads_exits_2(tmp_path, capsys, command, config, message):
+    path = write_config(tmp_path, {"preset": "fig7", **config})
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 # an output directory under a file raised NotADirectoryError after the sweep
 def test_an_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys):
     blocker = tmp_path / "file"
@@ -1278,7 +1307,7 @@ def test_every_entry_point_rejects_a_bad_point_alike(tmp_path, capsys, protocol,
     rate = {"ramp_rate_rad_s2": 2e6} if protocol == "ramp" else {}
     point = {**rate, name: value}
     message = _config_error(lambda: evaluate_point(fig4, protocol, point))
-    # sequential_pi varies its width, its only number
+    # the run varies another number; sequential_pi has none beside its width
     other = next((n for n in _numbers(PROTOCOLS[protocol]) if n != name), None)
     if other is not None:
         spec = SweepSpec(protocol, (AxisSpec(other, 1.0, 2.0, 2),), fixed={name: value})

@@ -262,7 +262,7 @@ class TestSerialization:
             data["window"] = [0.0, raw]
         else:
             data["detuning"]["value"] = raw
-        with pytest.raises(ConfigError, match=f"{field} must be a number, not "):
+        with pytest.raises(ConfigError, match=f"{field} must be a finite number, not "):
             schedule_from_dict(data)
 
     @pytest.mark.parametrize("window", [[0.0], [0.0, 1e-4, 2e-4], 1e-4, "0, 1e-4"],
