@@ -194,6 +194,8 @@ def cmd_check(config: dict, preset: Preset, out_dir: str) -> int:
     protocol = config.get("protocol", {})
     entry = PROTOCOLS.get(protocol.get("type"))
     omega, schedules = preset.omega_l, ()
+    if protocol.get("type") == "schedule":  # checked; the margins stay at omega_l
+        schedule_from_dict(protocol["schedule"])
     if entry is not None:
         point = _protocol_point(config)
         target = _level(protocol["type"], protocol.get("target"))

@@ -95,8 +95,9 @@ class AxisSpec:
     def __post_init__(self):
         if self.points < 2:
             raise ConfigError(f"axis {self.name!r} needs at least 2 points")
-        if not self.maximum > self.minimum:
-            raise ConfigError(f"axis {self.name!r}: maximum must exceed minimum")
+        if not -math.inf < self.minimum < self.maximum < math.inf:
+            raise ConfigError(f"axis {self.name!r} needs a finite minimum below a "
+                              f"finite maximum, not {self.minimum!r} and {self.maximum!r}")
         if self.scale not in ("linear", "log"):
             raise ConfigError(f"unknown axis scale {self.scale!r}")
         if self.scale == "log" and self.minimum <= 0:
@@ -120,8 +121,6 @@ class SweepSpec:
     preset_name: str = "custom"
 
     def __post_init__(self):
-        if self.protocol not in PROTOCOLS:
-            raise ConfigError(f"unknown protocol {self.protocol!r}")
         if not self.axes:
             raise ValueError("a sweep needs at least one axis")
         object.__setattr__(self, "target", _level(self.protocol, self.target))
@@ -453,8 +452,10 @@ PROTOCOLS["delay_scan"] = PROTOCOLS["scrap_1atom"]
 def _level(protocol: str, target: int | None) -> int:
     """The level a run reports: the protocol's own, else target, else its
     chain_level, else 1.  A target outside 1..2, or one a fixed-level
-    protocol cannot report, raises ConfigError."""
-    entry = PROTOCOLS[protocol]
+    protocol cannot report, or an unknown protocol, raises ConfigError."""
+    entry = PROTOCOLS.get(protocol)
+    if entry is None:
+        raise ConfigError(f"unknown protocol {protocol!r}")
     if target not in (None, 1, 2):
         raise ConfigError(f"target must be 1 or 2, not {target!r}")
     if target is not None and entry.target not in (None, target):

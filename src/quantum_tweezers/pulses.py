@@ -271,16 +271,25 @@ def build_pi_pulse(model: LevelModel, transition: tuple[int, int] | str,
 
 # --- JSON (de)serialization -------------------------------------------------
 
-# the envelope class of each JSON tag; its fields follow in dataclass order
+# the envelope class of each JSON tag; its fields follow in dataclass order,
+# each annotation a string (postponed evaluation), "Envelope" for a nested one
 _ENVELOPE_CLASSES = {"constant": Constant, "linear_ramp": LinearRamp,
                      "gaussian": Gaussian, "tanh_plateau": TanhPlateau,
                      "offset_sum": OffsetSum}
 
 
-def _require(data: dict, key: str, owner: str):
+def _require(data, key: str, owner: str):
+    if not isinstance(data, dict):
+        raise ConfigError(f"{owner} must be a JSON object, not {data!r}")
     if key not in data:
         raise ConfigError(f"{owner} requires the key {key!r}")
     return data[key]
+
+
+def _only(data: dict, keys: list, owner: str) -> None:
+    unknown = [key for key in data if key not in keys]
+    if unknown:
+        raise ConfigError(f"{owner} has unknown key(s) {unknown}; it takes {keys}")
 
 
 def _finite(raw, name: str) -> float:
@@ -289,43 +298,44 @@ def _finite(raw, name: str) -> float:
     return float(raw)
 
 
-def envelope_from_dict(data: dict) -> Envelope:
-    """The envelope of a JSON object: its "type" tag, then its fields.
-
-    ConfigError names a field that is missing, not a finite number, or out
-    of range (such as a Gaussian width that is not positive).
-    """
-    cls = _ENVELOPE_CLASSES.get(data.get("type"))
+def envelope_from_dict(data: dict, name: str = "an envelope") -> Envelope:
+    """The envelope of a JSON object: its "type" tag, then its fields, each
+    read by its declared kind: OffsetSum's "inner" an envelope, every other
+    field a finite number.  ConfigError names a value that is not an
+    object, an unknown type or key, or a field missing or out of range."""
+    tag = _require(data, "type", name)
+    cls = _ENVELOPE_CLASSES.get(tag) if isinstance(tag, str) else None
     if cls is None:
-        raise ConfigError(f"unknown envelope type {data.get('type')!r}")
-    owner = f"a {data['type']!r} envelope"
+        raise ConfigError(f"unknown envelope type {tag!r}")
+    owner = f"a {tag!r} envelope"
+    _only(data, ["type", *(f.name for f in fields(cls))], owner)
 
     def value(f):
         raw = (_require(data, f.name, owner)
                if f.default is MISSING else data.get(f.name, f.default))
-        return (envelope_from_dict(raw) if isinstance(raw, dict)
-                else _finite(raw, f"{owner}'s {f.name!r}"))
+        where = f"{owner}'s {f.name!r}"
+        return (envelope_from_dict(raw, where) if f.type == "Envelope"
+                else _finite(raw, where))
 
-    args = [value(f) for f in fields(cls)]
     try:
-        return cls(*args)
+        return cls(*map(value, fields(cls)))
     except InfeasibleScheduleError as exc:
         raise ConfigError(f"{owner}: {exc}") from exc
 
 
 def schedule_from_dict(data: dict) -> PulseSchedule:
-    """The schedule of a JSON object with "detuning", "rabi" and "window".
-
-    ConfigError names a missing key, a field that is not a finite number or
-    is out of range, or a window that is not two numbers, start before end.
-    """
+    """The schedule of a JSON object with "detuning", "rabi" and "window";
+    the one check of a schedule.  ConfigError names a value that is not an
+    object, an unknown or missing key, an envelope envelope_from_dict
+    rejects, or a window that is not two finite numbers, start before end."""
     window = _require(data, "window", "a schedule")
+    _only(data, ["detuning", "rabi", "window"], "a schedule")
     if not isinstance(window, (list, tuple)) or len(window) != 2:
         raise ConfigError(f"a schedule's 'window' must be [start, end], not {window!r}")
-    detuning = envelope_from_dict(_require(data, "detuning", "a schedule"))
-    rabi = envelope_from_dict(_require(data, "rabi", "a schedule"))
-    t_start = _finite(window[0], "a schedule's 'window'")
-    t_end = _finite(window[1], "a schedule's 'window'")
+    detuning, rabi = (envelope_from_dict(_require(data, key, "a schedule"),
+                                         f"a schedule's {key!r}")
+                      for key in ("detuning", "rabi"))
+    t_start, t_end = (_finite(t, "a schedule's 'window'") for t in window)
     try:
         return PulseSchedule(detuning=detuning, rabi=rabi, t_start=t_start, t_end=t_end)
     except InfeasibleScheduleError as exc:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import time
 from dataclasses import fields
 
@@ -462,7 +463,8 @@ def test_an_unknown_preset_is_named_without_quotes(tmp_path, capsys):
 
 
 # each of these ranges was held by the schema as well as by the code that
-# reads the value; the schema's copy is gone, and the message names the field
+# reads the value; the schema's copy is gone, and the message names the field.
+# The last, an infinite axis end, was held by neither: every point failed
 @pytest.mark.parametrize("command, config, message", [
     ("propagate", {"protocol": {"type": "pi_pulse", "t_omega_s": 0.0}},
      "t_omega must be strictly positive"),
@@ -483,8 +485,15 @@ def test_an_unknown_preset_is_named_without_quotes(tmp_path, capsys):
      "system: atom_number must be strictly positive, got 0"),
     ("params", {"system": {"peak_density_m3": -1.0}},
      "system: peak_density must be strictly positive, got -1.0"),
+    ("sweep", {"sweep": {"protocol": "pi_pulse",
+                         "axes": [{**PROTOCOL_AXES["pi_pulse"], "scale": "cubic"}]}},
+     "unknown axis scale 'cubic'"),
+    ("sweep", {"sweep": {"protocol": "pi_pulse",
+                         "axes": [{**PROTOCOL_AXES["pi_pulse"], "max": math.inf}]}},
+     "axis 't_omega_s' needs a finite minimum below a finite maximum, "
+     "not 0.0015 and inf"),
 ], ids=["t_omega", "propagate_target", "sweep_target", "budget", "points",
-        "atom_mass", "atom_number", "peak_density"])
+        "atom_mass", "atom_number", "peak_density", "axis_scale", "axis_max"])
 def test_a_range_is_checked_where_the_value_is_read(tmp_path, capsys, command,
                                                     config, message):
     path = write_config(tmp_path, {"preset": "fig7", **config})
@@ -497,7 +506,8 @@ _SCHEDULE = {"detuning": {"type": "constant", "value": 0.0},
 
 
 # these ran to exit 0: a fixed value an axis or a bound replaces was never
-# read, nor is any key of a schedule section but its schedule
+# read, nor is any key of a schedule section but its schedule, nor a key of
+# a schedule or an envelope that no envelope class reads
 @pytest.mark.parametrize("command, config, message", [
     ("sweep", {"sweep": {"protocol": "pi_pulse", "fixed": {"t_omega_s": 1e-3},
                          "axes": [PROTOCOL_AXES["pi_pulse"]]}},
@@ -513,8 +523,14 @@ _SCHEDULE = {"detuning": {"type": "constant", "value": 0.0},
     ("check", {"protocol": {"type": "schedule", "target": 2, "schedule": _SCHEDULE}},
      "invalid config: protocol: Additional properties are not allowed "
      "('target' was unexpected)"),
+    ("propagate", {"protocol": {"type": "schedule",
+                                "schedule": {**_SCHEDULE, "bogus": [1, "x"]}}},
+     "a schedule has unknown key(s) ['bogus']; it takes ['detuning', 'rabi', 'window']"),
+    ("propagate", {"protocol": {"type": "schedule", "schedule": {
+        **_SCHEDULE, "rabi": {"type": "constant", "value": 1e3, "foo": 2}}}},
+     "a 'constant' envelope has unknown key(s) ['foo']; it takes ['type', 'value']"),
 ], ids=["sweep_fixed_axis", "optimize_fixed_bound", "schedule_parameter",
-        "schedule_target"])
+        "schedule_target", "schedule_key", "envelope_field"])
 def test_a_value_no_run_reads_exits_2(tmp_path, capsys, command, config, message):
     path = write_config(tmp_path, {"preset": "fig7", **config})
     assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
@@ -556,25 +572,105 @@ def test_malformed_schedule_exit_2(tmp_path, capsys, protocol):
 _RABI = {"type": "constant", "value": 1e3}
 
 
-@pytest.mark.parametrize("schedule", [
-    {"detuning": {"type": "constant", "value": 0.0}, "rabi": _RABI, "window": [0.0]},
-    {"detuning": {"type": "constant", "value": 0.0}, "rabi": _RABI,
-     "window": [0.0, "1e-4"]},
-    {"detuning": 5.0, "rabi": _RABI, "window": [0.0, 1e-4]},
-    {"detuning": {"value": 0.0}, "rabi": _RABI, "window": [0.0, 1e-4]},
-    {"detuning": {"type": "constant", "value": "abc"}, "rabi": _RABI,
-     "window": [0.0, 1e-4]},
-    {"detuning": {"type": "offset_sum", "offset": 0.0, "inner": {"type": "chirp"}},
-     "rabi": _RABI, "window": [0.0, 1e-4]},
+_CONSTANT = {"type": "constant", "value": 0.0}
+
+
+@pytest.mark.parametrize("schedule, message", [
+    ({"detuning": _CONSTANT, "rabi": _RABI, "window": [0.0]},
+     "a schedule's 'window' must be [start, end], not [0.0]"),
+    ({"detuning": _CONSTANT, "rabi": _RABI, "window": [0.0, "1e-4"]},
+     "a schedule's 'window' must be a finite number, not '1e-4'"),
+    ({"detuning": 5.0, "rabi": _RABI, "window": [0.0, 1e-4]},
+     "a schedule's 'detuning' must be a JSON object, not 5.0"),
+    ({"detuning": {"value": 0.0}, "rabi": _RABI, "window": [0.0, 1e-4]},
+     "a schedule's 'detuning' requires the key 'type'"),
+    ({"detuning": {"type": "constant", "value": "abc"}, "rabi": _RABI,
+      "window": [0.0, 1e-4]},
+     "a 'constant' envelope's 'value' must be a finite number, not 'abc'"),
+    ({"detuning": {"type": "offset_sum", "offset": 0.0, "inner": {"type": "chirp"}},
+      "rabi": _RABI, "window": [0.0, 1e-4]},
+     "unknown envelope type 'chirp'"),
+    ({"detuning": {"type": "offset_sum", "offset": 0.0, "inner": 3.0},
+      "rabi": _RABI, "window": [0.0, 1e-4]},
+     "a 'offset_sum' envelope's 'inner' must be a JSON object, not 3.0"),
+    ({"detuning": {"type": "constant", "value": _CONSTANT},
+      "rabi": _RABI, "window": [0.0, 1e-4]},
+     "a 'constant' envelope's 'value' must be a finite number, not "
+     "{'type': 'constant', 'value': 0.0}"),
+    ({"detuning": _CONSTANT, "window": [0.0, 1e-4],
+      "rabi": {"type": "gaussian", "peak": _RABI, "center": 0.0, "width": 1e-5}},
+     "a 'gaussian' envelope's 'peak' must be a finite number, not "
+     "{'type': 'constant', 'value': 1000.0}"),
 ], ids=["short_window", "string_window", "number_envelope", "untyped_envelope",
-        "string_field", "unknown_inner_envelope"])
-def test_schedule_shape_exit_2(tmp_path, capsys, schedule):
-    # the schema, not the schedule parser, rejects these: they used to end in
-    # IndexError, AttributeError or ValueError tracebacks
+        "string_field", "unknown_inner_envelope", "number_inner",
+        "envelope_value", "envelope_peak"])
+def test_schedule_shape_exit_2(tmp_path, capsys, schedule, message):
+    # schedule_from_dict, the one check, names each field: the schema's copy
+    # of the format caught the first six (once IndexError, AttributeError or
+    # ValueError tracebacks) and passed the last three to a TypeError
     path = write_config(tmp_path, {"preset": "fig3a", "protocol": {
         "type": "schedule", "schedule": schedule}})
     assert main(["propagate", "--config", path, "--out", str(tmp_path)]) == 2
-    assert "invalid config" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+# check read no schedule: it took the margins at omega_l (exit 1 at fig3a),
+# where propagate raised a TypeError (the first three) or ran (the last two)
+@pytest.mark.parametrize("schedule", [
+    {"detuning": {"type": "offset_sum", "offset": 0.0, "inner": 3.0},
+     "rabi": _RABI, "window": [0.0, 1e-4]},
+    {"detuning": {"type": "constant", "value": _CONSTANT}, "rabi": _RABI,
+     "window": [0.0, 1e-4]},
+    {"detuning": _CONSTANT, "window": [0.0, 1e-4],
+     "rabi": {"type": "gaussian", "peak": _RABI, "center": 0.0, "width": 1e-5}},
+    {"detuning": {**_CONSTANT, "foo": 2}, "rabi": _RABI, "window": [0.0, 1e-4]},
+    {"detuning": _CONSTANT, "rabi": _RABI, "window": [0.0, 1e-4], "bogus": [1, "x"]},
+], ids=["number_inner", "envelope_value", "envelope_peak", "envelope_field",
+        "schedule_key"])
+def test_check_rejects_a_schedule_as_propagate_does(tmp_path, capsys, schedule):
+    path = write_config(tmp_path, {"preset": "fig3a", "protocol": {
+        "type": "schedule", "schedule": schedule}})
+    assert main(["propagate", "--config", path, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert main(["check", "--config", path, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+_HUGE = "1" + "0" * 400  # 10**400: int() reads it, float() cannot
+
+
+# each ended in an OverflowError traceback but the axis (a numpy casting
+# error), the 5000-digit seed (int()'s ValueError) and the system key, whose
+# message was "system: int too large to convert to float"
+@pytest.mark.parametrize("command, config, digits", [
+    ("propagate", {"omega_l": _HUGE, "protocol": {"type": "pi_pulse"}}, 401),
+    ("propagate", {"protocol": {"type": "pi_pulse", "omega_hat": _HUGE}}, 401),
+    ("propagate", {"protocol": {"type": "pi_pulse", "t_omega_s": _HUGE}}, 401),
+    ("sweep", {"sweep": {"protocol": "pi_pulse", "fixed": {"omega_hat_rad_s": _HUGE},
+                         "axes": [PROTOCOL_AXES["pi_pulse"]]}}, 401),
+    ("sweep", {"sweep": {"protocol": "pi_pulse",
+                         "axes": [{**PROTOCOL_AXES["pi_pulse"], "max": _HUGE}]}}, 401),
+    ("propagate", {"protocol": {"type": "schedule", "schedule": {
+        **_SCHEDULE, "rabi": {"type": "constant", "value": _HUGE}}}}, 401),
+    ("optimize", {"optimize": {"protocol": "pi_pulse", "budget": 10,
+                               "bounds": {"t_omega_s": [1e-3, _HUGE]}}}, 401),
+    ("optimize", {"seed": "1" + "0" * 4999, "optimize": {
+        "protocol": "pi_pulse", "budget": 10, "bounds": {"t_omega_s": [1e-3, 2e-3]}}},
+     5000),
+    ("params", {"system": {"atom_mass_kg": _HUGE}}, 401),
+], ids=["omega_l", "omega_hat", "t_omega", "sweep_fixed", "axis_max", "schedule",
+        "optimize_bound", "seed", "system"])
+def test_an_integer_too_large_for_a_float_exits_2(tmp_path, capsys, command, config,
+                                                  digits):
+    # each string of digits is written unquoted, as a JSON integer
+    path = tmp_path / "config.json"
+    text = json.dumps({"preset": "fig7", **config})
+    path.write_text(re.sub(r'"(10{400,})"', r"\1", text))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: a {digits}-digit integer is too large for a float\n")
 
 
 @pytest.mark.parametrize("schedule, field", [

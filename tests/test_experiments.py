@@ -239,6 +239,28 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SweepSpec(protocol="bogus", axes=(AxisSpec("x", 0, 1, 2),))
 
+    # evaluate_point and optimize_pulse raised a bare KeyError from _level
+    # as SweepSpec does
+    def test_an_unknown_protocol_is_named_from_the_api(self, fig3a):
+        with pytest.raises(ConfigError, match="^unknown protocol 'bogus'$"):
+            evaluate_point(fig3a, "bogus", {})
+        with pytest.raises(ConfigError, match="^unknown protocol 'bogus'$"):
+            optimize_pulse("bogus", {"x": (0.0, 1.0)}, 10, preset=fig3a)
+
+    # an infinite maximum failed every point (or, on a log axis, ran with a
+    # numpy warning); a NaN minimum and a reversed range said "maximum must
+    # exceed minimum"
+    @pytest.mark.parametrize("minimum, maximum, scale", [
+        (1.0, math.inf, "linear"), (1.0, math.inf, "log"), (-math.inf, 1.0, "linear"),
+        (math.nan, 1.0, "linear"), (2.0, 1.0, "linear")],
+        ids=["inf_max", "inf_max_log", "minus_inf_min", "nan_min", "reversed"])
+    def test_an_axis_range_that_is_not_finite_and_ordered_is_named(self, minimum,
+                                                                   maximum, scale):
+        with pytest.raises(ConfigError) as info:
+            AxisSpec("x", minimum, maximum, 3, scale=scale)
+        assert str(info.value) == ("axis 'x' needs a finite minimum below a finite "
+                                   f"maximum, not {minimum!r} and {maximum!r}")
+
     @pytest.mark.parametrize("protocol", ["ramp", "pi_pulse"])
     @pytest.mark.parametrize("target", [0, 3])
     def test_target_outside_the_ladder_rejected(self, protocol, target):

@@ -23,6 +23,7 @@ from quantum_tweezers import (
 )
 from quantum_tweezers.exceptions import ConfigError
 from quantum_tweezers.levels import resonance_detunings
+from quantum_tweezers.pulses import envelope_from_dict
 
 
 class TestEnvelopes:
@@ -272,3 +273,40 @@ class TestSerialization:
             schedule_from_dict({"detuning": {"type": "constant", "value": 0.0},
                                 "rabi": {"type": "constant", "value": 1e3},
                                 "window": window})
+
+    # a schedule that is not an object said it lacked 'window', and an
+    # envelope that is not one raised a bare AttributeError
+    @pytest.mark.parametrize("data, message", [
+        ([1, 2], "a schedule must be a JSON object, not [1, 2]"),
+        ({"detuning": 5.0, "rabi": {"type": "constant", "value": 1e3},
+          "window": [0.0, 1e-4]},
+         "a schedule's 'detuning' must be a JSON object, not 5.0"),
+        ({"detuning": {"type": "offset_sum", "offset": 0.0, "inner": [1.0]},
+          "rabi": {"type": "constant", "value": 1e3}, "window": [0.0, 1e-4]},
+         "a 'offset_sum' envelope's 'inner' must be a JSON object, not [1.0]"),
+    ], ids=["schedule", "envelope", "inner_envelope"])
+    def test_a_value_that_is_not_an_object_is_named(self, data, message):
+        with pytest.raises(ConfigError) as info:
+            schedule_from_dict(data)
+        assert str(info.value) == message
+
+    def test_an_envelope_that_is_not_an_object_is_named(self):
+        with pytest.raises(ConfigError, match="^an envelope must be a JSON object, "
+                                              "not 'constant'$"):
+            envelope_from_dict("constant")
+
+    # each was ignored
+    @pytest.mark.parametrize("data, message", [
+        ({"detuning": {"type": "constant", "value": 0.0}, "t_start": 0.0,
+          "rabi": {"type": "constant", "value": 1e3}, "window": [0.0, 1e-4]},
+         "a schedule has unknown key(s) ['t_start']; it takes "
+         "['detuning', 'rabi', 'window']"),
+        ({"detuning": {"type": "linear_ramp", "start": 0.0, "rate": 1.0, "slope": 2.0},
+          "rabi": {"type": "constant", "value": 1e3}, "window": [0.0, 1e-4]},
+         "a 'linear_ramp' envelope has unknown key(s) ['slope']; it takes "
+         "['type', 'start', 'rate', 't_ref']"),
+    ], ids=["schedule", "envelope"])
+    def test_a_key_no_class_reads_is_named(self, data, message):
+        with pytest.raises(ConfigError) as info:
+            schedule_from_dict(data)
+        assert str(info.value) == message
