@@ -237,8 +237,7 @@ def cmd_optimize(config: dict, preset: Preset, out_dir: str, seed: int) -> int:
     opt_cfg = config.get("optimize")
     if not opt_cfg:
         raise ConfigError("optimize requires an 'optimize' section")
-    bounds = {k: (v[0], v[1]) for k, v in opt_cfg["bounds"].items()}
-    result = optimize_pulse(opt_cfg["protocol"], bounds, opt_cfg["budget"],
+    result = optimize_pulse(opt_cfg["protocol"], opt_cfg["bounds"], opt_cfg["budget"],
                             preset=preset,
                             target=opt_cfg.get("target"),
                             seed=seed, fixed=opt_cfg.get("fixed"))

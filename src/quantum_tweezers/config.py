@@ -1,4 +1,4 @@
-"""JSON run-configuration: schema, validation, unit parsing, resolution.
+"""JSON run-configuration: key and type checks, unit parsing, resolution.
 
 Frequency fields accept plain numbers (always rad/s) or strings such as
 "4 kHz", "30 Hz" or "2pi*30 kHz".  Under the default "angular_khz"
@@ -10,12 +10,12 @@ frequencies quoted as "2pi x 30 kHz" are written unambiguously.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import re
 from dataclasses import replace
 from numbers import Real
+from typing import NamedTuple
 
 from .exceptions import ConfigError
 from .experiments import PROTOCOLS
@@ -24,7 +24,6 @@ from .presets import Preset, get_preset
 
 __all__ = [
     "ConfigError",
-    "CONFIG_SCHEMA",
     "parse_frequency",
     "load_config",
     "validate_config",
@@ -32,34 +31,31 @@ __all__ = [
 ]
 
 
-_FREQ = {"type": ["number", "string"]}
-_FREQ_OR_VEC = {"oneOf": [_FREQ, {"type": "array", "items": _FREQ,
-                                   "minItems": 3, "maxItems": 3}]}
+class _Section(NamedTuple):
+    """A JSON object: the keys it requires, and the rule of each key it takes
+    (see _CONFIG).  With counts (least, most), an array of that many."""
 
-_AXIS_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["name", "min", "max", "points"],
-    "properties": {
-        "name": {"type": "string"},
-        "min": {"type": "number"},
-        "max": {"type": "number"},
-        "points": {"type": "integer"},
-        "scale": {},  # AxisSpec checks it
-    },
-}
+    required: tuple
+    keys: dict
+    counts: tuple | None = None
 
-# each "system" config key: the PhysicalSystem field it sets, and its schema
+
+# each JSON type a rule may give, as a message names it
+_TYPE_NAMES = {int: "an integer", Real: "a number", str: "a string",
+               dict: "an object", (Real, type(None)): "a number or null"}
+
+# each "system" config key: the PhysicalSystem field it sets, and its rule
+# (see _CONFIG); parse_frequency, then _as_vec3, checks a trap frequency
 _SYSTEM_KEYS = {
-    "atom_mass_kg": ("atom_mass", {"type": "number"}),
-    "nu_a": ("nu_a", _FREQ_OR_VEC),
-    "nu_b": ("nu_b", _FREQ_OR_VEC),
-    "atom_number": ("atom_number", {"type": "integer"}),
-    "peak_density_m3": ("peak_density", {"type": "number"}),
-    "a_aa_m": ("a_aa", {"type": "number"}),
-    "a_bb_m": ("a_bb", {"type": "number"}),
-    "a_ab_m": ("a_ab", {"type": "number"}),
-    "mu_override_J": ("mu_override", {"type": ["number", "null"]}),
+    "atom_mass_kg": ("atom_mass", Real),
+    "nu_a": ("nu_a", None),
+    "nu_b": ("nu_b", None),
+    "atom_number": ("atom_number", int),
+    "peak_density_m3": ("peak_density", Real),
+    "a_aa_m": ("a_aa", Real),
+    "a_bb_m": ("a_bb", Real),
+    "a_ab_m": ("a_ab", Real),
+    "mu_override_J": ("mu_override", (Real, type(None))),
 }
 
 # the propagate and check sections name two frequency parameters without
@@ -67,74 +63,37 @@ _SYSTEM_KEYS = {
 _FREQUENCY_PARAMS = {"omega_hat": "omega_hat_rad_s", "delta_hat": "delta_hat_rad_s"}
 _SECTION_KEYS = {name: key for key, name in _FREQUENCY_PARAMS.items()}
 
-# every parameter of every protocol, under its propagate-section key; their
-# values are checked by Protocol.params, as a sweep's fixed values are
-_PROTOCOL_PARAMS = {_SECTION_KEYS.get(name, name): {}
-                    for entry in PROTOCOLS.values()
-                    for name in (*entry.required, *entry.defaults)}
+# the keys a sweep and an optimize section share
+_RUN_KEYS = {"protocol": list(PROTOCOLS), "target": None, "fixed": dict}
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "preset": {"type": "string"},
-        "frequency_units": {"enum": ["angular_khz", "two_pi_khz"]},
-        "system": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {key: schema for key, (_, schema) in _SYSTEM_KEYS.items()},
-        },
-        "omega_l": _FREQ,
-        "protocol": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["type"],
-            "properties": {
-                "type": {"enum": [*PROTOCOLS, "schedule"]},
-                "target": {"type": "integer"},
-                "schedule": {},  # read and checked by schedule_from_dict
-                **_PROTOCOL_PARAMS,
-            },
-            # a schedule section holds its schedule and nothing else
-            "if": {"properties": {"type": {"const": "schedule"}}},
-            "then": {"required": ["schedule"], "additionalProperties": False,
-                     "properties": {"type": True, "schedule": True}},
-        },
-        "sweep": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["protocol", "axes"],
-            "properties": {
-                "protocol": {"enum": list(PROTOCOLS)},
-                "target": {"type": "integer"},
-                "axes": {"type": "array", "items": _AXIS_SCHEMA, "minItems": 1,
-                         "maxItems": 2},
-                "fixed": {"type": "object"},
-            },
-        },
-        "optimize": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["protocol", "bounds", "budget"],
-            "properties": {
-                "protocol": {"enum": list(PROTOCOLS)},
-                "target": {"type": "integer"},
-                "bounds": {
-                    "type": "object",
-                    "additionalProperties": {
-                        "type": "array", "items": {"type": "number"},
-                        "minItems": 2, "maxItems": 2,
-                    },
-                },
-                "budget": {"type": "integer"},
-                "fixed": {"type": "object"},
-            },
-        },
-        "output_dir": {"type": "string"},
-        "seed": {"type": "integer", "minimum": 0},
-        "threads": {"type": "integer", "minimum": 1},
-    },
-}
+# what validate_config checks of a config.  A key's rule is a JSON type (a
+# key of _TYPE_NAMES), a list of the values it takes, a _Section, or None
+# where the code that reads the value checks it: parse_frequency a
+# frequency, Protocol.params a protocol parameter or a fixed value,
+# schedule_from_dict a schedule, AxisSpec an axis, _level a target and
+# optimize_pulse a bound
+_CONFIG = _Section((), {
+    "preset": str,
+    "frequency_units": ["angular_khz", "two_pi_khz"],
+    "system": _Section((), {key: rule for key, (_, rule) in _SYSTEM_KEYS.items()}),
+    "omega_l": None,
+    "protocol": _Section(("type",), {
+        "type": [*PROTOCOLS, "schedule"], "target": None, "schedule": None,
+        **{_SECTION_KEYS.get(name, name): None for entry in PROTOCOLS.values()
+           for name in (*entry.required, *entry.defaults)}}),
+    "sweep": _Section(("protocol", "axes"), {
+        **_RUN_KEYS,
+        "axes": _Section(("name", "min", "max", "points"),
+                         dict.fromkeys(("name", "min", "max", "points", "scale")),
+                         counts=(1, 2))}),
+    "optimize": _Section(("protocol", "bounds", "budget"),
+                         {**_RUN_KEYS, "bounds": dict, "budget": int}),
+    "output_dir": str,
+    "seed": int,
+    "threads": int,
+})
+# a schedule section holds its schedule and nothing else
+_SCHEDULE_SECTION = _Section(("type", "schedule"), {"type": None, "schedule": None})
 
 _FREQ_RE = re.compile(
     r"^\s*(?P<twopi>2\s*pi\s*\*)?\s*(?P<value>[-+0-9.eE]+)\s*(?P<unit>Hz|kHz|MHz|rad/s)?\s*$"
@@ -179,28 +138,49 @@ def _parse_freq_or_vec(value, convention: str):
     return parse_frequency(value, convention)
 
 
-@functools.cache
-def _validator():
-    """The class jsonschema.validate picks, built once, on first use.
-
-    The schema is a constant, so the metaschema check validate repeats per
-    call is a test instead.  jsonschema is imported here, not at module
-    level: it would be about a third of the CLI's import time.
-    """
-    from jsonschema.validators import validator_for
-
-    return validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+def _walk(value, rule, path: str) -> None:
+    """Raise ConfigError where value breaks rule (see _CONFIG); path is
+    where value sits, its keys joined by dots."""
+    if rule is None:
+        return
+    if isinstance(rule, list):
+        if value not in rule:
+            raise ConfigError(f"invalid config: {path}: {value!r} is not one of {rule}")
+        return
+    if isinstance(rule, _Section) and rule.counts:
+        least, most = rule.counts
+        if not isinstance(value, list) or not least <= len(value) <= most:
+            raise ConfigError(f"invalid config: {path}: {value!r} is not an array "
+                              f"of {least} to {most} objects")
+        for index, item in enumerate(value):
+            _walk(item, rule._replace(counts=None), f"{path}.{index}")
+        return
+    kind = dict if isinstance(rule, _Section) else rule
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"invalid config: {path}: {value!r} is not {_TYPE_NAMES[kind]}")
+    if isinstance(rule, _Section):
+        owner = path or "the config"
+        missing = [key for key in rule.required if key not in value]
+        if missing:
+            raise ConfigError(f"invalid config: {owner} requires the key {missing[0]!r}")
+        unknown = [key for key in value if key not in rule.keys]
+        if unknown:
+            raise ConfigError(f"invalid config: {owner} has unknown key(s) "
+                              f"{unknown}; it takes {list(rule.keys)}")
+        for key, item in value.items():
+            _walk(item, rule.keys[key], f"{path}.{key}" if path else key)
 
 
 def validate_config(config: dict) -> dict:
-    """Schema-validate a raw config dict; unknown keys are rejected."""
-    from jsonschema.exceptions import best_match
-
-    error = best_match(_validator().iter_errors(config))
-    if error is not None:
-        key = ".".join(map(str, error.absolute_path))
-        raise ConfigError(f"invalid config: {key + ': ' if key else ''}"
-                          f"{error.message}") from error
+    """Check a raw config dict's keys and JSON types against _CONFIG, and the
+    least seed and thread count; ConfigError names the first key at fault."""
+    _walk(config, _CONFIG, "")
+    if config.get("protocol", {}).get("type") == "schedule":
+        _walk(config["protocol"], _SCHEDULE_SECTION, "protocol")
+    for key, least in (("seed", 0), ("threads", 1)):
+        if config.get(key, least) < least:
+            raise ConfigError(f"invalid config: {key}: {config[key]} is less than "
+                              f"the minimum of {least}")
     return config
 
 
@@ -246,9 +226,8 @@ def resolve_preset(config: dict) -> Preset:
     if system_cfg:
         changes = {}
         for key, value in system_cfg.items():
-            name, schema = _SYSTEM_KEYS[key]
-            changes[name] = (_parse_freq_or_vec(value, convention)
-                             if schema is _FREQ_OR_VEC else value)
+            name, rule = _SYSTEM_KEYS[key]
+            changes[name] = value if rule else _parse_freq_or_vec(value, convention)
         try:
             system = replace(preset.system, **changes)
             derive_all(system)

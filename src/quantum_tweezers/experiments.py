@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from numbers import Real
+from numbers import Integral, Real
 from operator import attrgetter
 
 import numpy as np
@@ -38,6 +38,7 @@ from .pulses import (
     LinearRamp,
     PulseSchedule,
     TanhPlateau,
+    _float,
     build_pi_pulse,
     build_scrap_schedule,
     build_two_atom_scrap_schedule,
@@ -84,7 +85,9 @@ _OPTIMIZER_STEP_CONTROL = replace(_SWEEP_STEP_CONTROL, spectral=True)
 
 @dataclass(frozen=True)
 class AxisSpec:
-    """One sweep axis: name, range, point count and linear/log spacing."""
+    """One sweep axis, and the one check of it: a string name, finite real
+    ends (minimum below maximum), an integer of at least 2 points and a
+    linear or log scale."""
 
     name: str
     minimum: float
@@ -93,9 +96,14 @@ class AxisSpec:
     scale: str = "linear"
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ConfigError(f"an axis name must be a string, not {self.name!r}")
+        if isinstance(self.points, bool) or not isinstance(self.points, Integral):
+            raise ConfigError(f"axis {self.name!r} needs an integer number of "
+                              f"points, not {self.points!r}")
         if self.points < 2:
             raise ConfigError(f"axis {self.name!r} needs at least 2 points")
-        if not -math.inf < self.minimum < self.maximum < math.inf:
+        if not -math.inf < _float(self.minimum) < _float(self.maximum) < math.inf:
             raise ConfigError(f"axis {self.name!r} needs a finite minimum below a "
                               f"finite maximum, not {self.minimum!r} and {self.maximum!r}")
         if self.scale not in ("linear", "log"):
@@ -456,7 +464,8 @@ def _level(protocol: str, target: int | None) -> int:
     entry = PROTOCOLS.get(protocol)
     if entry is None:
         raise ConfigError(f"unknown protocol {protocol!r}")
-    if target not in (None, 1, 2):
+    if target is not None and (isinstance(target, bool) or not isinstance(
+            target, Integral) or target not in (1, 2)):
         raise ConfigError(f"target must be 1 or 2, not {target!r}")
     if target is not None and entry.target not in (None, target):
         raise ConfigError(f"protocol {protocol!r} reports level {entry.target}; "
@@ -815,10 +824,10 @@ def optimize_pulse(protocol, bounds: dict[str, tuple[float, float]],
     deterministic for fixed inputs and seed, and the best-so-far history is
     monotone non-decreasing.  If the budget runs out before the simplex
     collapses, the best point found so far is returned with converged=False.
-    A budget under 10, no bounds, a bound that is not finite or not
-    low < high, or a first point (each bounded name at its low bound) that
-    Protocol.params rejects raises ConfigError.  If no evaluation of a
-    named protocol succeeds, the first one's error is raised.
+    A budget under 10, no bounds, a bound that is not [low, high] of finite
+    numbers with low < high, or a first point (each bounded name at its low
+    bound) that Protocol.params rejects raises ConfigError.  If no
+    evaluation of a named protocol succeeds, the first one's error is raised.
     """
     target = target if callable(protocol) else _level(protocol, target)
     if budget < 10:
@@ -826,12 +835,13 @@ def optimize_pulse(protocol, bounds: dict[str, tuple[float, float]],
     names = sorted(bounds)
     if not names:
         raise ConfigError("no parameters to optimize")
-    lows = np.array([float(bounds[k][0]) for k in names])
-    highs = np.array([float(bounds[k][1]) for k in names])
-    if not np.all(np.isfinite(lows)) or not np.all(np.isfinite(highs)):
-        raise ConfigError("bounds must be finite")
-    if not np.all(highs > lows):
-        raise ConfigError("each bound must satisfy low < high")
+    box = [list(map(_float, bound)) if isinstance(bound, (list, tuple, np.ndarray))
+           else [] for bound in map(bounds.get, names)]
+    for name, pair in zip(names, box):
+        if len(pair) != 2 or not -math.inf < pair[0] < pair[1] < math.inf:
+            raise ConfigError(f"bound {name!r} must be [low, high], two finite "
+                              f"numbers with low < high, not {bounds[name]!r}")
+    lows, highs = np.array(box).T
 
     failures = 0
     first_error = None

@@ -292,10 +292,19 @@ def _only(data: dict, keys: list, owner: str) -> None:
         raise ConfigError(f"{owner} has unknown key(s) {unknown}; it takes {keys}")
 
 
+def _float(raw) -> float:
+    """A real number as a float: NaN for a bool or a value that is not a real
+    number, and an infinity for an int too large for a float."""
+    try:
+        return float(raw) if isinstance(raw, Real) and not isinstance(raw, bool) else math.nan
+    except OverflowError:
+        return math.inf if raw > 0 else -math.inf
+
+
 def _finite(raw, name: str) -> float:
-    if isinstance(raw, bool) or not isinstance(raw, Real) or not math.isfinite(raw):
+    if not math.isfinite(value := _float(raw)):
         raise ConfigError(f"{name} must be a finite number, not {raw!r}")
-    return float(raw)
+    return value
 
 
 def envelope_from_dict(data: dict, name: str = "an envelope") -> Envelope:

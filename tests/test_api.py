@@ -62,17 +62,6 @@ def test_importing_the_package_leaves_optimizer_integrator_and_pool_unloaded():
     assert run.returncode == 0, run.stderr
 
 
-def test_importing_the_cli_leaves_jsonschema_unloaded():
-    # config imports jsonschema when it first validates a config
-    src = Path(quantum_tweezers.__file__).parents[1]
-    code = ("import sys, quantum_tweezers.cli; "
-            "assert not [m for m in sys.modules if m.split('.')[0] == 'jsonschema']")
-    run = subprocess.run([sys.executable, "-c", code],
-                         env={**os.environ, "PYTHONPATH": str(src)},
-                         capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-
-
 # an optimize run in a fresh interpreter, on the config and out dir in argv
 _OPTIMIZE_WITHOUT_SCIPY = """
 import sys
@@ -96,7 +85,10 @@ def test_an_optimize_run_loads_no_scipy(tmp_path):
     assert (tmp_path / "optimize.json").is_file()
 
 
-def test_no_module_imports_scipy():
+# numpy is the one runtime dependency: scipy is a test extra, and config
+# checks a config's keys and types itself
+@pytest.mark.parametrize("package", ["scipy", "jsonschema"])
+def test_no_module_imports(package):
     imports = []
     for path in sorted(Path(quantum_tweezers.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -107,7 +99,7 @@ def test_no_module_imports_scipy():
             else:
                 continue
             imports += [f"{path.name}:{node.lineno}: {name}" for name in names
-                        if name.split(".")[0] == "scipy"]
+                        if name.split(".")[0] == package]
     assert imports == []
 
 

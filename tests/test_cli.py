@@ -1,6 +1,7 @@
 """Command-line interface: configs, outputs, exit codes, determinism."""
 
 import contextlib
+import copy
 import io
 import json
 import math
@@ -11,13 +12,11 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from jsonschema.validators import validator_for
 
 from quantum_tweezers import StepControl, get_preset, propagate, validity_check
 from quantum_tweezers.cli import main
 from quantum_tweezers.config import (
     _SYSTEM_KEYS,
-    CONFIG_SCHEMA,
     ConfigError,
     parse_frequency,
     resolve_preset,
@@ -82,10 +81,6 @@ class TestConfigValidation:
 
     def test_empty_config_ok(self):
         assert validate_config({}) == {}
-
-    def test_schema_is_valid_against_its_metaschema(self):
-        # validate_config builds its validator once and skips this check
-        validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
 
 
 class TestParamsCommand:
@@ -518,11 +513,11 @@ _SCHEDULE = {"detuning": {"type": "constant", "value": 0.0},
      "parameter(s) ['t_omega_s'] both fixed and varied"),
     ("propagate", {"protocol": {"type": "schedule", "t_omega_s": 1e-3,
                                 "schedule": _SCHEDULE}},
-     "invalid config: protocol: Additional properties are not allowed "
-     "('t_omega_s' was unexpected)"),
+     "invalid config: protocol has unknown key(s) ['t_omega_s']; it takes "
+     "['type', 'schedule']"),
     ("check", {"protocol": {"type": "schedule", "target": 2, "schedule": _SCHEDULE}},
-     "invalid config: protocol: Additional properties are not allowed "
-     "('target' was unexpected)"),
+     "invalid config: protocol has unknown key(s) ['target']; it takes "
+     "['type', 'schedule']"),
     ("propagate", {"protocol": {"type": "schedule",
                                 "schedule": {**_SCHEDULE, "bogus": [1, "x"]}}},
      "a schedule has unknown key(s) ['bogus']; it takes ['detuning', 'rabi', 'window']"),
@@ -535,6 +530,91 @@ def test_a_value_no_run_reads_exits_2(tmp_path, capsys, command, config, message
     path = write_config(tmp_path, {"preset": "fig7", **config})
     assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+_SWEEP = {"protocol": "pi_pulse", "axes": [PROTOCOL_AXES["pi_pulse"]]}
+_OPTIMIZE = {"protocol": "pi_pulse", "budget": 10, "bounds": {"t_omega_s": [1e-3, 2e-3]}}
+
+
+# the schema's "integer" took a whole-number float: the first four of these
+# ended in a traceback and the next three ran to exit 0
+@pytest.mark.parametrize("command, config, message", [
+    ("sweep", {"sweep": {**_SWEEP, "axes": [{**PROTOCOL_AXES["pi_pulse"], "points": 3.0}]}},
+     "axis 't_omega_s' needs an integer number of points, not 3.0"),
+    ("optimize", {"seed": 1.0, "optimize": _OPTIMIZE},
+     "invalid config: seed: 1.0 is not an integer"),
+    ("sweep", {"threads": 2.0, "sweep": _SWEEP},
+     "invalid config: threads: 2.0 is not an integer"),
+    ("sweep", {"sweep": {"protocol": "ramp", "target": 2.0,
+                         "axes": [PROTOCOL_AXES["ramp"]]}},
+     "target must be 1 or 2, not 2.0"),
+    ("optimize", {"optimize": {**_OPTIMIZE, "budget": 10.0}},
+     "invalid config: optimize.budget: 10.0 is not an integer"),
+    ("params", {"system": {"atom_number": 1000.0}},
+     "invalid config: system.atom_number: 1000.0 is not an integer"),
+    ("propagate", {"protocol": {"type": "pi_pulse", "target": 1.0}},
+     "target must be 1 or 2, not 1.0"),
+    ("sweep", {"sweep": {**_SWEEP, "axes": [{**PROTOCOL_AXES["pi_pulse"], "points": True}]}},
+     "axis 't_omega_s' needs an integer number of points, not True"),
+    ("propagate", {"protocol": {"type": "pi_pulse", "target": True}},
+     "target must be 1 or 2, not True"),
+], ids=["points", "seed", "threads", "sweep_target", "budget", "atom_number",
+        "propagate_target", "points_bool", "target_bool"])
+def test_an_integer_key_takes_no_float_or_bool(tmp_path, capsys, command, config,
+                                                message):
+    path = write_config(tmp_path, {"preset": "fig7", **config})
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+# a value of another JSON type for each key that config._CONFIG types (a
+# JSON type or a list of values), a valid section around it
+_WRONG_JSON_TYPES = {
+    "preset": 1, "frequency_units": 1, "system": [], "protocol": [], "sweep": [],
+    "optimize": [], "output_dir": 1, "seed": "1", "threads": "1",
+    "system.atom_mass_kg": "1", "system.atom_number": "1",
+    "system.peak_density_m3": "1", "system.a_aa_m": "1", "system.a_bb_m": "1",
+    "system.a_ab_m": "1", "system.mu_override_J": "1", "protocol.type": 1,
+    "sweep.protocol": 1, "sweep.axes": {}, "sweep.axes.0": 1, "sweep.fixed": [],
+    "optimize.protocol": 1, "optimize.bounds": [], "optimize.budget": "1",
+    "optimize.fixed": [],
+}
+_VALID_SECTIONS = {"system": {}, "protocol": {"type": "pi_pulse"}, "sweep": _SWEEP,
+             "optimize": _OPTIMIZE}
+
+
+@pytest.mark.parametrize("key_path", sorted(_WRONG_JSON_TYPES))
+def test_a_value_of_the_wrong_json_type_names_its_key(tmp_path, capsys, key_path):
+    keys = key_path.split(".")
+    config = {"preset": "fig7", "output_dir": str(tmp_path / "out"),
+              keys[0]: copy.deepcopy(_VALID_SECTIONS.get(keys[0]))}
+    node = config
+    for key in keys[:-1]:
+        node = node[int(key) if isinstance(node, list) else key]
+    node[int(keys[-1]) if isinstance(node, list) else keys[-1]] = _WRONG_JSON_TYPES[key_path]
+    path = write_config(tmp_path, config)
+    assert main(["params", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: invalid config: {key_path}: "), err
+    assert err.count("\n") == 1 and not (tmp_path / "out").exists()
+
+
+def test_the_wrong_type_cases_cover_every_typed_key():
+    from quantum_tweezers.config import _CONFIG, _Section
+
+    def typed(section, path):
+        for key, rule in section.keys.items():
+            where = f"{path}{key}"
+            if rule is not None:
+                yield where
+            if isinstance(rule, _Section) and rule.counts:
+                yield f"{where}.0"
+                yield from typed(rule, f"{where}.0.")
+            elif isinstance(rule, _Section):
+                yield from typed(rule, f"{where}.")
+
+    assert sorted(typed(_CONFIG, "")) == sorted(_WRONG_JSON_TYPES)
 
 
 # an output directory under a file raised NotADirectoryError after the sweep
@@ -551,22 +631,28 @@ def test_an_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "file"]
 
 
-@pytest.mark.parametrize("protocol", [
-    {"type": "schedule"},
-    {"type": "schedule", "schedule": {
+# a section without a type was taken for a schedule section: "protocol:
+# 'schedule' is a required property"
+@pytest.mark.parametrize("protocol, message", [
+    ({"type": "schedule"}, "invalid config: protocol requires the key 'schedule'"),
+    ({"type": "schedule", "schedule": {
         "detuning": {"type": "constant"}, "rabi": {"type": "constant", "value": 1e3},
         "window": [0.0, 1e-4]}},
-    {"type": "schedule", "schedule": {
+     "a 'constant' envelope requires the key 'value'"),
+    ({"type": "schedule", "schedule": {
         "detuning": {"type": "constant", "value": 0.0},
         "rabi": {"type": "constant", "value": 1e3}}},
-    {"type": "schedule", "schedule": {
+     "a schedule requires the key 'window'"),
+    ({"type": "schedule", "schedule": {
         "detuning": {"type": "chirp"}, "rabi": {"type": "constant", "value": 1e3},
         "window": [0.0, 1e-4]}},
-], ids=["no_schedule", "envelope_field", "no_window", "unknown_envelope"])
-def test_malformed_schedule_exit_2(tmp_path, capsys, protocol):
+     "unknown envelope type 'chirp'"),
+    ({}, "invalid config: protocol requires the key 'type'"),
+], ids=["no_schedule", "envelope_field", "no_window", "unknown_envelope", "no_type"])
+def test_malformed_schedule_exit_2(tmp_path, capsys, protocol, message):
     path = write_config(tmp_path, {"preset": "fig3a", "protocol": protocol})
     assert main(["propagate", "--config", path, "--out", str(tmp_path)]) == 2
-    assert "config error" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 _RABI = {"type": "constant", "value": 1e3}

@@ -252,8 +252,10 @@ class TestSpecValidation:
     # exceed minimum"
     @pytest.mark.parametrize("minimum, maximum, scale", [
         (1.0, math.inf, "linear"), (1.0, math.inf, "log"), (-math.inf, 1.0, "linear"),
-        (math.nan, 1.0, "linear"), (2.0, 1.0, "linear")],
-        ids=["inf_max", "inf_max_log", "minus_inf_min", "nan_min", "reversed"])
+        (math.nan, 1.0, "linear"), (2.0, 1.0, "linear"), (1.0, 10 ** 400, "linear"),
+        ("1", 2.0, "linear"), (False, 1.0, "linear")],
+        ids=["inf_max", "inf_max_log", "minus_inf_min", "nan_min", "reversed",
+             "huge_int_max", "string_min", "bool_min"])
     def test_an_axis_range_that_is_not_finite_and_ordered_is_named(self, minimum,
                                                                    maximum, scale):
         with pytest.raises(ConfigError) as info:
@@ -261,11 +263,39 @@ class TestSpecValidation:
         assert str(info.value) == ("axis 'x' needs a finite minimum below a finite "
                                    f"maximum, not {minimum!r} and {maximum!r}")
 
+    # a huge int max, a float or a bool point count, and a number for a name
+    # were taken, and values() or the sweep raised a bare numpy or Python error
+    @pytest.mark.parametrize("name, points, message", [
+        ("x", 3.0, "axis 'x' needs an integer number of points, not 3.0"),
+        ("x", True, "axis 'x' needs an integer number of points, not True"),
+        (5, 3, "an axis name must be a string, not 5"),
+    ], ids=["float_points", "bool_points", "number_name"])
+    def test_axis_points_and_name_are_checked(self, name, points, message):
+        with pytest.raises(ConfigError) as info:
+            AxisSpec(name, 1.0, 2.0, points)
+        assert str(info.value) == message
+
+    def test_numpy_integer_points_are_taken(self):
+        assert AxisSpec("x", 1.0, 2.0, np.int64(3)).values().tolist() == [1.0, 1.5, 2.0]
+
+    # a string or a too-large int was read by float(), and a bound of three
+    # numbers by its first two
+    @pytest.mark.parametrize("bound", [("1e-3", 2e-3), (1e-3, 10 ** 400), (1e-3, 2e-3, 3e-3),
+                                       1e-3, (2e-3, 1e-3), (True, 2e-3)],
+                             ids=["string", "huge_int", "three", "number", "reversed",
+                                  "bool"])
+    def test_a_bound_that_is_not_a_finite_pair_is_named(self, fig3a, bound):
+        with pytest.raises(ConfigError) as info:
+            optimize_pulse("pi_pulse", {"t_omega_s": bound}, 10, preset=fig3a)
+        assert str(info.value) == (f"bound 't_omega_s' must be [low, high], two finite "
+                                   f"numbers with low < high, not {bound!r}")
+
     @pytest.mark.parametrize("protocol", ["ramp", "pi_pulse"])
-    @pytest.mark.parametrize("target", [0, 3])
+    @pytest.mark.parametrize("target", [0, 3, 1.0, 2.0, True])
     def test_target_outside_the_ladder_rejected(self, protocol, target):
         # a ramp sweep stopped on a ValueError from its schedule builder,
-        # and a pi pulse at target 0 reported P0
+        # and a pi pulse at target 0 reported P0; a float equal to a level,
+        # or a bool, was taken for one (a ramp's 2.0 then raised IndexError)
         with pytest.raises(ConfigError, match=f"target must be 1 or 2, not {target}"):
             SweepSpec(protocol, (AxisSpec("t_omega_s", 1e-3, 2e-3, 2),), target=target)
 

@@ -290,6 +290,15 @@ class TestSerialization:
             schedule_from_dict(data)
         assert str(info.value) == message
 
+    # 10**400 raised a bare OverflowError from math.isfinite
+    @pytest.mark.parametrize("value", [10 ** 400, -10 ** 400, True],
+                             ids=["huge_int", "huge_negative_int", "bool"])
+    def test_a_field_that_is_not_a_finite_float_is_named(self, value):
+        with pytest.raises(ConfigError) as info:
+            envelope_from_dict({"type": "constant", "value": value})
+        assert str(info.value) == (f"a 'constant' envelope's 'value' must be a "
+                                   f"finite number, not {value!r}")
+
     def test_an_envelope_that_is_not_an_object_is_named(self):
         with pytest.raises(ConfigError, match="^an envelope must be a JSON object, "
                                               "not 'constant'$"):
