@@ -537,7 +537,8 @@ _OPTIMIZE = {"protocol": "pi_pulse", "budget": 10, "bounds": {"t_omega_s": [1e-3
 
 
 # the schema's "integer" took a whole-number float: the first four of these
-# ended in a traceback and the next three ran to exit 0
+# ended in a traceback and the next three ran to exit 0 (the schema rejected
+# the two bools, with another message)
 @pytest.mark.parametrize("command, config, message", [
     ("sweep", {"sweep": {**_SWEEP, "axes": [{**PROTOCOL_AXES["pi_pulse"], "points": 3.0}]}},
      "axis 't_omega_s' needs an integer number of points, not 3.0"),
@@ -581,7 +582,7 @@ _WRONG_JSON_TYPES = {
     "optimize.fixed": [],
 }
 _VALID_SECTIONS = {"system": {}, "protocol": {"type": "pi_pulse"}, "sweep": _SWEEP,
-             "optimize": _OPTIMIZE}
+                   "optimize": _OPTIMIZE}
 
 
 @pytest.mark.parametrize("key_path", sorted(_WRONG_JSON_TYPES))
@@ -783,7 +784,7 @@ def test_an_integer_too_large_for_a_float_exits_2(tmp_path, capsys, command, con
 ], ids=["reversed_window", "empty_window", "zero_width", "negative_inner_width",
         "zero_ramp_time", "nan_value", "nan_t_ref", "infinite_window"])
 def test_schedule_values_exit_2(tmp_path, capsys, schedule, field):
-    # these pass the schema and used to end in ValueError or OverflowError
+    # these passed the schema and used to end in ValueError or OverflowError
     # tracebacks (exit 1, which is check's validity warning)
     path = write_config(tmp_path, {"preset": "fig3a", "protocol": {
         "type": "schedule", "schedule": schedule}})
