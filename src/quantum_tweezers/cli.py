@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Subcommands: params | propagate | sweep | check | optimize.  Every command
-is a pure function of its resolved configuration: identical inputs produce
+Subcommands: params | propagate | sweep | check | optimize, each declared
+once in COMMANDS.  Every command takes --config, --preset and --out; only
+sweep takes --threads and only optimize --seed.  Every command is a pure
+function of its resolved configuration: identical inputs produce
 identical outputs and exit codes.  File outputs are written to a temporary
 file and renamed, so an interrupted run never leaves a partial artifact.
 
@@ -30,8 +32,8 @@ from .analytics import THRESHOLD_PROBABILITY, validity_check
 from .config import (
     _FREQUENCY_PARAMS,
     ConfigError,
+    _frequency,
     load_config,
-    parse_frequency,
     resolve_preset,
     validate_config,
 )
@@ -100,7 +102,7 @@ def _protocol_point(config: dict) -> dict:
     frequency string parsed to rad/s; Protocol.params checks the values."""
     convention = config.get("frequency_units", "angular_khz")
     return {_FREQUENCY_PARAMS.get(k, k):
-            parse_frequency(v, convention)
+            _frequency(v, convention, f"protocol.{k}")
             if k in _FREQUENCY_PARAMS and isinstance(v, str) else v
             for k, v in config["protocol"].items() if k not in ("type", "target")}
 
@@ -118,9 +120,7 @@ def cmd_params(config: dict, preset: Preset, out_dir: str) -> int:
 
 
 def cmd_propagate(config: dict, preset: Preset, out_dir: str) -> int:
-    protocol = config.get("protocol")
-    if not protocol:
-        raise ConfigError("propagate requires a 'protocol' section")
+    protocol = config["protocol"]
     kind = protocol["type"]
     model = preset_model(preset)
     if kind == "schedule":
@@ -138,48 +138,34 @@ def cmd_propagate(config: dict, preset: Preset, out_dir: str) -> int:
         (schedule,) = entry.schedules(model=model, preset=preset,
                                       params=entry.params(preset, point), target=target)
     trajectory = propagate(model, schedule, step_control=_PROPAGATE_STEP_CONTROL)
-    csv_text = trajectory_to_csv(trajectory)
-    _atomic_write(os.path.join(out_dir, "trajectory.csv"), csv_text)
-    finals = {f"p{n}": transfer_probability(trajectory, n)
-              for n in range(model.dim)}
-    finals["n_steps"] = trajectory.n_steps
-    finals["step_s"] = trajectory.step
-    finals["norm_drift"] = trajectory.norm_drift
+    _atomic_write(os.path.join(out_dir, "trajectory.csv"), trajectory_to_csv(trajectory))
+    finals = {f"p{n}": transfer_probability(trajectory, n) for n in range(model.dim)}
+    finals.update(n_steps=trajectory.n_steps, step_s=trajectory.step,
+                  norm_drift=trajectory.norm_drift)
     _atomic_write(os.path.join(out_dir, "final.json"), _json_text(finals))
     print("final populations: "
           + ", ".join(f"p{n} = {finals[f'p{n}']:.6f}" for n in range(model.dim)))
     return EXIT_OK
 
 
-def cmd_sweep(config: dict, preset: Preset, out_dir: str, threads: int) -> int:
-    sweep_cfg = config.get("sweep")
-    if not sweep_cfg:
-        raise ConfigError("sweep requires a 'sweep' section")
-    axes = tuple(
-        AxisSpec(name=a["name"], minimum=a["min"], maximum=a["max"],
-                 points=a["points"], scale=a.get("scale", "linear"))
-        for a in sweep_cfg["axes"])
-    spec = SweepSpec(protocol=sweep_cfg["protocol"], axes=axes,
-                     target=sweep_cfg.get("target"),
-                     fixed=sweep_cfg.get("fixed", {}),
-                     preset_name=preset.name)
+def cmd_sweep(config: dict, preset: Preset, out_dir: str) -> int:
+    sweep_cfg = config["sweep"]
+    axes = tuple(AxisSpec(a["name"], a["min"], a["max"], a["points"],
+                          a.get("scale", "linear")) for a in sweep_cfg["axes"])
+    spec = SweepSpec(sweep_cfg["protocol"], axes, target=sweep_cfg.get("target"),
+                     fixed=sweep_cfg.get("fixed", {}), preset_name=preset.name)
     started = time.perf_counter()
-    result = run_sweep(spec, preset, threads=threads)
+    result = run_sweep(spec, preset, threads=config.get("threads", 1))
     wall_ms = 1e3 * (time.perf_counter() - started)
     _atomic_write(os.path.join(out_dir, "sweep.csv"), result.to_csv_text())
-    meta = result.metadata_dict()
-    meta["wall_ms"] = wall_ms
-    meta["version"] = __version__
+    meta = {**result.metadata_dict(), "wall_ms": wall_ms, "version": __version__}
     _atomic_write(os.path.join(out_dir, "sweep_meta.json"), _json_text(meta))
     finite = result.p[np.isfinite(result.p)]
     if finite.size == 0:
         print("sweep failed at every grid point", file=sys.stderr)
         return EXIT_NUMERICAL
-    max_p = float(np.max(finite))
-    area = region_area_fraction(result.p, 0.99)
-    print(f"sweep complete: max P = {max_p:.6f}, "
-          f"P>0.99 region fraction = {area:.4f}, "
-          f"{len(result.failures)} failed points")
+    print(f"sweep complete: max P = {np.max(finite):.6f}, P>0.99 region fraction = "
+          f"{region_area_fraction(result.p, 0.99):.4f}, {len(result.failures)} failed points")
     return EXIT_OK
 
 
@@ -233,25 +219,33 @@ def cmd_check(config: dict, preset: Preset, out_dir: str) -> int:
     return EXIT_OK if report.all_strong else EXIT_VALIDITY
 
 
-def cmd_optimize(config: dict, preset: Preset, out_dir: str, seed: int) -> int:
-    opt_cfg = config.get("optimize")
-    if not opt_cfg:
-        raise ConfigError("optimize requires an 'optimize' section")
+def cmd_optimize(config: dict, preset: Preset, out_dir: str) -> int:
+    opt_cfg = config["optimize"]
     result = optimize_pulse(opt_cfg["protocol"], opt_cfg["bounds"], opt_cfg["budget"],
-                            preset=preset,
-                            target=opt_cfg.get("target"),
-                            seed=seed, fixed=opt_cfg.get("fixed"))
-    payload = {
-        "params": result.params,
-        "probability": result.probability,
-        "converged": result.converged,
-        "n_evaluations": result.n_evaluations,
-    }
+                            preset=preset, target=opt_cfg.get("target"),
+                            seed=config.get("seed", 0), fixed=opt_cfg.get("fixed"))
+    payload = {key: getattr(result, key)
+               for key in ("params", "probability", "converged", "n_evaluations")}
     _atomic_write(os.path.join(out_dir, "optimize.json"), _json_text(payload))
     print(f"best P = {result.probability:.6f} at "
           + ", ".join(f"{k} = {v:.6g}" for k, v in sorted(result.params.items()))
           + f" (converged = {result.converged}, {result.n_evaluations} evals)")
     return EXIT_OK
+
+
+# each subcommand: its handler, its help, the config section it requires,
+# and the config keys it takes as flags beside --config, --preset and --out,
+# each with the flag's help
+COMMANDS = {
+    "params": (cmd_params, "derive and report every model parameter", None, {}),
+    "propagate": (cmd_propagate, "integrate one schedule and write the trajectory CSV",
+                  "protocol", {}),
+    "sweep": (cmd_sweep, "run a parameter sweep and write CSV + metadata", "sweep",
+              {"threads": "worker processes for sweeps (default 1)"}),
+    "check": (cmd_check, "evaluate analytic validity margins and flags", None, {}),
+    "optimize": (cmd_optimize, "maximize transfer probability over pulse parameters",
+                 "optimize", {"seed": "seed for the optimizer start point"}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,22 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "steep trap from an atom reservoir")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("params", "derive and report every model parameter"),
-        ("propagate", "integrate one schedule and write the trajectory CSV"),
-        ("sweep", "run a parameter sweep and write CSV + metadata"),
-        ("check", "evaluate analytic validity margins and flags"),
-        ("optimize", "maximize transfer probability over pulse parameters"),
-    ]:
+    for name, (_, helptext, _, flags) in COMMANDS.items():
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--config", help="path to a JSON run configuration")
         cmd.add_argument("--preset", help="named preset (fig3a, fig3b, fig4, "
                                           "fig6, fig7)")
         cmd.add_argument("--out", help="output directory (default: output_dir, else .)")
-        cmd.add_argument("--threads", type=int, default=None,
-                         help="worker processes for sweeps (default 1)")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="seed for the optimizer start point")
+        for key, flag_help in flags.items():
+            cmd.add_argument(f"--{key}", type=int, help=flag_help)
     return parser
 
 
@@ -287,6 +273,7 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    run, _, section, own_flags = COMMANDS[args.command]
     # a warning (a steep trap that does not dominate) as one line
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
@@ -294,15 +281,13 @@ def main(argv=None) -> int:
             config = load_config(args.config) if args.config else {}
             # a flag replaces its config key and is held to the key's bounds
             flags = {"preset": args.preset, "output_dir": args.out,
-                     "threads": args.threads, "seed": args.seed}
+                     **{key: getattr(args, key) for key in own_flags}}
             config = validate_config(
                 {**config, **{k: v for k, v in flags.items() if v is not None}})
             preset = resolve_preset(config)
             out_dir = config.get("output_dir", ".")
-            threads = config.get("threads", 1)
-            seed = config.get("seed", 0)
             # a process pool forks all its workers at once
-            if threads > (os.cpu_count() or 1):
+            if (threads := config.get("threads", 1)) > (os.cpu_count() or 1):
                 raise ConfigError(f"threads = {threads} exceeds the "
                                   f"{os.cpu_count()} CPUs of this machine")
             try:
@@ -310,15 +295,10 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise ConfigError(f"cannot make the output directory "
                                   f"{out_dir}: {exc.strerror}") from exc
-            if args.command == "params":
-                return cmd_params(config, preset, out_dir)
-            if args.command == "propagate":
-                return cmd_propagate(config, preset, out_dir)
-            if args.command == "sweep":
-                return cmd_sweep(config, preset, out_dir, threads)
-            if args.command == "check":
-                return cmd_check(config, preset, out_dir)
-            return cmd_optimize(config, preset, out_dir, seed)
+            if section and not config.get(section):
+                article = "an" if section[0] in "aeiou" else "a"
+                raise ConfigError(f"{args.command} requires {article} {section!r} section")
+            return run(config, preset, out_dir)
         except (ConfigError, InfeasibleScheduleError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

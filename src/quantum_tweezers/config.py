@@ -132,10 +132,15 @@ def parse_frequency(value, convention: str = "angular_khz") -> float:
     return result
 
 
-def _parse_freq_or_vec(value, convention: str):
-    if isinstance(value, (list, tuple)):
-        return tuple(parse_frequency(v, convention) for v in value)
-    return parse_frequency(value, convention)
+def _frequency(value, convention: str, path: str, vector: bool = False):
+    """parse_frequency of a config key's value, with vector a list of them as
+    a tuple; ConfigError puts the key path before the reason, as _walk does."""
+    try:
+        if vector and isinstance(value, (list, tuple)):
+            return tuple(parse_frequency(v, convention) for v in value)
+        return parse_frequency(value, convention)
+    except ConfigError as exc:
+        raise ConfigError(f"invalid config: {path}: {exc}") from None
 
 
 def _walk(value, rule, path: str) -> None:
@@ -227,7 +232,8 @@ def resolve_preset(config: dict) -> Preset:
         changes = {}
         for key, value in system_cfg.items():
             name, rule = _SYSTEM_KEYS[key]
-            changes[name] = value if rule else _parse_freq_or_vec(value, convention)
+            changes[name] = (value if rule else
+                             _frequency(value, convention, f"system.{key}", vector=True))
         try:
             system = replace(preset.system, **changes)
             derive_all(system)
@@ -235,6 +241,5 @@ def resolve_preset(config: dict) -> Preset:
             raise ConfigError(f"system: {exc}") from exc
         preset = replace(preset, system=system)
     if "omega_l" in config:
-        preset = replace(preset,
-                         omega_l=parse_frequency(config["omega_l"], convention))
+        preset = replace(preset, omega_l=_frequency(config["omega_l"], convention, "omega_l"))
     return preset

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from numbers import Integral, Real
+from numbers import Integral
 from operator import attrgetter
 
 import numpy as np
@@ -39,6 +39,7 @@ from .pulses import (
     PulseSchedule,
     TanhPlateau,
     _float,
+    _shown,
     build_pi_pulse,
     build_scrap_schedule,
     build_two_atom_scrap_schedule,
@@ -105,7 +106,8 @@ class AxisSpec:
             raise ConfigError(f"axis {self.name!r} needs at least 2 points")
         if not -math.inf < _float(self.minimum) < _float(self.maximum) < math.inf:
             raise ConfigError(f"axis {self.name!r} needs a finite minimum below a "
-                              f"finite maximum, not {self.minimum!r} and {self.maximum!r}")
+                              f"finite maximum, not {_shown(self.minimum)} and "
+                              f"{_shown(self.maximum)}")
         if self.scale not in ("linear", "log"):
             raise ConfigError(f"unknown axis scale {self.scale!r}")
         if self.scale == "log" and self.minimum <= 0:
@@ -396,8 +398,8 @@ class Protocol:
 
         ConfigError for an unknown name, a missing required one, or a value
         of another type than its default's: one of TRANSITIONS for a string,
-        a bool, else a real number (or null, where the default is null); a
-        drive frequency (*_rad_s) that is not finite, too."""
+        a bool, else a finite real number (or null, where the default is
+        null).  The values are returned as given."""
         accepted = [*self.required, *self.defaults]
         unknown = sorted(set(point) - set(accepted))
         if unknown:
@@ -412,13 +414,11 @@ class Protocol:
                 accepts = isinstance(value, bool)
             elif isinstance(default, str):
                 accepts = isinstance(value, str) and value in TRANSITIONS
-            else:
+            else:  # _float is NaN for a bool or a value that is not a real number
                 accepts = ((default is None and value is None)
-                           or (isinstance(value, Real) and not isinstance(value, bool)))
+                           or math.isfinite(_float(value)))
             if not accepts:
-                raise ConfigError(f"parameter {name!r} cannot be {value!r}")
-            if name.endswith("_rad_s") and value is not None and not math.isfinite(value):
-                raise ConfigError(f"frequency {value!r} is not finite")
+                raise ConfigError(f"parameter {name!r} cannot be {_shown(value)}")
         params = {name: default(preset) if callable(default) else default
                   for name, default in self.defaults.items()}
         params.update(point)
@@ -466,7 +466,7 @@ def _level(protocol: str, target: int | None) -> int:
         raise ConfigError(f"unknown protocol {protocol!r}")
     if target is not None and (isinstance(target, bool) or not isinstance(
             target, Integral) or target not in (1, 2)):
-        raise ConfigError(f"target must be 1 or 2, not {target!r}")
+        raise ConfigError(f"target must be 1 or 2, not {_shown(target)}")
     if target is not None and entry.target not in (None, target):
         raise ConfigError(f"protocol {protocol!r} reports level {entry.target}; "
                           f"it cannot report target {target}")
@@ -840,7 +840,7 @@ def optimize_pulse(protocol, bounds: dict[str, tuple[float, float]],
     for name, pair in zip(names, box):
         if len(pair) != 2 or not -math.inf < pair[0] < pair[1] < math.inf:
             raise ConfigError(f"bound {name!r} must be [low, high], two finite "
-                              f"numbers with low < high, not {bounds[name]!r}")
+                              f"numbers with low < high, not {_shown(bounds[name])}")
     lows, highs = np.array(box).T
 
     failures = 0

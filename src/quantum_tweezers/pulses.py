@@ -301,9 +301,21 @@ def _float(raw) -> float:
         return math.inf if raw > 0 else -math.inf
 
 
+def _shown(value) -> str:
+    """repr(value), but an int past Python's int-to-string limit, alone or in
+    a list, as its digit count, which is counted without that string."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            return "[" + ", ".join(map(_shown, value)) + "]"
+        digits = int(abs(value).bit_length() * math.log10(2)) + 1  # exact, or one over
+        return f"a {digits - (abs(value) < 10 ** (digits - 1))}-digit integer"
+
+
 def _finite(raw, name: str) -> float:
     if not math.isfinite(value := _float(raw)):
-        raise ConfigError(f"{name} must be a finite number, not {raw!r}")
+        raise ConfigError(f"{name} must be a finite number, not {_shown(raw)}")
     return value
 
 

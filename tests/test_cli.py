@@ -1,5 +1,6 @@
 """Command-line interface: configs, outputs, exit codes, determinism."""
 
+import argparse
 import contextlib
 import copy
 import io
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantum_tweezers import StepControl, get_preset, propagate, validity_check
-from quantum_tweezers.cli import main
+from quantum_tweezers.cli import COMMANDS, build_parser, main
 from quantum_tweezers.config import (
     _SYSTEM_KEYS,
     ConfigError,
@@ -421,10 +422,63 @@ def test_malformed_parameters_exit_2(tmp_path, command, section):
 @pytest.mark.parametrize("config, flags", [({"threads": 2}, []),
                                            ({}, ["--threads", "2"])],
                          ids=["config", "flag"])
-def test_threads_above_cpu_count_exit_2(tmp_path, monkeypatch, config, flags):
+def test_threads_above_cpu_count_exit_2(tmp_path, monkeypatch, capsys, config, flags):
     monkeypatch.setattr("os.cpu_count", lambda: 1)
-    path = write_config(tmp_path, config)
-    assert main(["params", "--config", path, "--out", str(tmp_path), *flags]) == 2
+    path = write_config(tmp_path, {**config, "sweep": {
+        "protocol": "ramp", "axes": [PROTOCOL_AXES["ramp"]]}})
+    assert main(["sweep", "--config", path, "--out", str(tmp_path), *flags]) == 2
+    assert capsys.readouterr().err == ("config error: threads = 2 exceeds the 1 CPUs "
+                                       "of this machine\n")
+
+
+def _subparsers():
+    (action,) = (a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_each_subcommand_offers_the_flags_its_table_entry_names():
+    # beside --config, --preset and --out, only the config keys a command
+    # reads: --threads on sweep and --seed on optimize, 17 flags in all
+    parsers = _subparsers()
+    assert list(parsers) == list(COMMANDS)
+    for name, (_, _, _, flags) in COMMANDS.items():
+        offered = {option for action in parsers[name]._actions
+                   for option in action.option_strings} - {"-h", "--help"}
+        assert offered == {"--config", "--preset", "--out", *(f"--{k}" for k in flags)}
+    assert sum(3 + len(flags) for _, _, _, flags in COMMANDS.values()) == 17
+
+
+# both flags were taken by every command and read by one; params --threads 99
+# exited 2 for the CPU count
+@pytest.mark.parametrize("argv", [["params", "--threads", "2"], ["sweep", "--seed", "1"],
+                                  ["check", "--seed", "1"]],
+                         ids=["params_threads", "sweep_seed", "check_seed"])
+def test_a_flag_its_command_does_not_read_is_refused(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: unrecognized arguments: {' '.join(argv[1:])}\n")
+
+
+# the section check runs once, in main, after the CPU count and the output
+# directory: a config that breaks both reports the CPU count
+@pytest.mark.parametrize("command, message", [
+    ("propagate", "propagate requires a 'protocol' section"),
+    ("sweep", "sweep requires a 'sweep' section"),
+    ("optimize", "optimize requires an 'optimize' section"),
+])
+def test_a_command_without_its_section_names_it(tmp_path, monkeypatch, capsys, command,
+                                                message):
+    path = write_config(tmp_path, {"preset": "fig3a"})
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert COMMANDS[command][2] in message
+    monkeypatch.setattr("os.cpu_count", lambda: 1)
+    path = write_config(tmp_path, {"preset": "fig3a", "threads": 2})
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+    assert "exceeds the 1 CPUs" in capsys.readouterr().err
 
 
 # "--seed -1" ended in numpy's ValueError traceback, and "--threads 0" or
@@ -616,6 +670,27 @@ def test_the_wrong_type_cases_cover_every_typed_key():
                 yield from typed(rule, f"{where}.")
 
     assert sorted(typed(_CONFIG, "")) == sorted(_WRONG_JSON_TYPES)
+
+
+# parse_frequency's reason came without its key, so a config with several
+# frequencies did not say which one was at fault
+@pytest.mark.parametrize("command, config, message", [
+    ("params", {"omega_l": [1]}, "omega_l: frequency [1] is not a number or a string"),
+    ("params", {"system": {"nu_a": {}}},
+     "system.nu_a: frequency {} is not a number or a string"),
+    ("params", {"system": {"nu_b": "fast"}}, "system.nu_b: cannot parse frequency 'fast'"),
+    ("params", {"system": {"nu_a": ["1 kHz", "fast", 1e3]}},
+     "system.nu_a: cannot parse frequency 'fast'"),
+    ("propagate", {"protocol": {"type": "pi_pulse", "omega_hat": "fast"}},
+     "protocol.omega_hat: cannot parse frequency 'fast'"),
+    ("check", {"protocol": {"type": "scrap_1atom", "delta_hat": "1e999 kHz"}},
+     "protocol.delta_hat: frequency '1e999 kHz' is not finite"),
+], ids=["omega_l", "nu_a", "nu_b", "nu_a_vector", "omega_hat", "delta_hat"])
+def test_a_frequency_error_names_its_key(tmp_path, capsys, command, config, message):
+    path = write_config(tmp_path, {"preset": "fig4", **config})
+    assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: invalid config: {message}\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
 
 
 # an output directory under a file raised NotADirectoryError after the sweep
@@ -1154,12 +1229,12 @@ def test_target_a_fixed_level_protocol_cannot_report_exits_2(tmp_path, capsys,
     ({"system": {"a_aa_m": -5e-9}, "protocol": {"type": "scrap_2atom"}},
      "not anharmonic"),
     ({"protocol": {"type": "ramp", "ramp_rate_rad_s2": math.nan}},
-     "ramp_time must be strictly positive"),
+     "parameter 'ramp_rate_rad_s2' cannot be nan"),
 ], ids=["fig3b_two_atom_chirp", "negative_anharmonicity_ramp",
         "negative_anharmonicity_two_atom_chirp", "nan_ramp_rate"])
 def test_pulse_that_cannot_be_built_exits_2(tmp_path, capsys, config, reason):
-    # the first three exited 3 with an "error:" line; a NaN rate passes the
-    # ramp's own check and is caught by its gate envelope's
+    # the first three exited 3 with an "error:" line; a NaN rate, which its
+    # gate envelope's check caught, is refused as a point by Protocol.params
     path = write_config(tmp_path, config)
     assert main(["propagate", "--config", path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -1171,28 +1246,34 @@ def test_pulse_that_cannot_be_built_exits_2(tmp_path, capsys, config, reason):
 _RAMP = {"type": "ramp", "ramp_rate_rad_s2": 3e5}
 
 
-@pytest.mark.parametrize("command, config, value", [
-    ("check", {"preset": "fig4", "protocol": {**_RAMP, "omega_l_rad_s": math.nan}}, "nan"),
-    ("check", {"protocol": {**_RAMP, "omega_l_rad_s": math.inf}}, "inf"),
-    ("propagate", {"protocol": {**_RAMP, "omega_l_rad_s": math.nan}}, "nan"),
-    ("propagate", {"protocol": {**_RAMP, "omega_l_rad_s": math.inf}}, "inf"),
+@pytest.mark.parametrize("command, config, name, value", [
+    ("check", {"preset": "fig4", "protocol": {**_RAMP, "omega_l_rad_s": math.nan}},
+     "omega_l_rad_s", "nan"),
+    ("check", {"protocol": {**_RAMP, "omega_l_rad_s": math.inf}}, "omega_l_rad_s", "inf"),
+    ("propagate", {"protocol": {**_RAMP, "omega_l_rad_s": math.nan}}, "omega_l_rad_s",
+     "nan"),
+    ("propagate", {"protocol": {**_RAMP, "omega_l_rad_s": math.inf}}, "omega_l_rad_s",
+     "inf"),
     ("sweep", {"sweep": {"protocol": "ramp", "axes": [_axis("ramp_rate_rad_s2", 3e5, 6e5)],
-                         "fixed": {"omega_l_rad_s": math.nan}}}, "nan"),
+                         "fixed": {"omega_l_rad_s": math.nan}}}, "omega_l_rad_s", "nan"),
     ("sweep", {"preset": "fig4", "sweep": {
         "protocol": "scrap_1atom", "axes": [_axis("t_omega_s", 1e-3, 2e-3)],
-        "fixed": {"omega_hat_rad_s": math.nan}}}, "nan"),
+        "fixed": {"omega_hat_rad_s": math.nan}}}, "omega_hat_rad_s", "nan"),
     ("optimize", {"optimize": {"protocol": "ramp", "budget": 10,
                                "bounds": {"ramp_rate_rad_s2": [3e5, 6e5]},
-                               "fixed": {"omega_l_rad_s": math.nan}}}, "nan"),
+                               "fixed": {"omega_l_rad_s": math.nan}}}, "omega_l_rad_s",
+     "nan"),
 ], ids=["check_nan", "check_inf", "propagate_nan", "propagate_inf", "ramp_sweep_nan",
         "chirp_sweep_nan", "optimize_nan"])
-def test_drive_frequency_not_finite_exits_2(tmp_path, capsys, command, config, value):
-    # a ramp's omega_l_rad_s and a fixed omega_hat_rad_s are rejected as the
-    # config's omega_l is; they exited 0, 1 or 3, or 2 without naming the drive
+def test_drive_frequency_not_finite_exits_2(tmp_path, capsys, command, config, name,
+                                            value):
+    # a ramp's omega_l_rad_s and a fixed omega_hat_rad_s are refused as every
+    # real parameter that is not finite is; they exited 0, 1 or 3, or 2
+    # without naming the drive
     path = write_config(tmp_path, config)
     assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err == f"config error: frequency {value} is not finite\n"
+    assert err == f"config error: parameter {name!r} cannot be {value}\n"
     assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
 
 
@@ -1454,9 +1535,9 @@ def test_propagate_takes_the_sweep_step_count(tmp_path):
 
 
 # Protocol.params is the one check of a protocol point.  For every protocol:
-# a boolean or a string where a number goes, a number or "0-2" where a bool
-# or a transition goes, a NaN frequency and a name the protocol does not
-# take.  evaluate_point, run_sweep and optimize_pulse (the value fixed,
+# a boolean, a string, a NaN or an infinity where a number goes (an infinite
+# width or delay ran to exit 3), a number or "0-2" where a bool or a
+# transition goes, and a name the protocol does not take.  evaluate_point, run_sweep and optimize_pulse (the value fixed,
 # another number varied) raise the same ConfigError, and propagate and check
 # (a ramp with and without its rate) exit 2 with its message
 def _bad_points():
@@ -1468,7 +1549,7 @@ def _bad_points():
             if name not in _numbers(entry):
                 values = [1.0, "0-2"]
             else:
-                values = [True, "0-2"] + ([math.nan] if name.endswith("_rad_s") else [])
+                values = [True, "0-2", math.nan, math.inf]
             cases += [(protocol, name, value) for value in values]
         other = next(n for n in ("delta_tau_s", "omit_second", "ramp_rate_rad_s2")
                      if n not in own)

@@ -1,8 +1,10 @@
 """Sweeps, region extraction and the pulse-parameter optimizer."""
 
 import dataclasses
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from quantum_tweezers.experiments import (
     threshold_contours,
 )
 from quantum_tweezers.propagator import propagate
+from quantum_tweezers.pulses import _shown, schedule_from_dict
 
 
 @pytest.fixture(scope="module")
@@ -299,6 +302,56 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match=f"target must be 1 or 2, not {target}"):
             SweepSpec(protocol, (AxisSpec("t_omega_s", 1e-3, 2e-3, 2),), target=target)
 
+    # a huge int was taken for a number: it ended in a bare OverflowError, as
+    # a drive from math.isfinite and a width from its builder; an infinite
+    # width or delay ran, and the point failed on its grid
+    @pytest.mark.parametrize("protocol, point, name", [
+        ("pi_pulse", {"t_omega_s": 1e-3, "omega_hat_rad_s": 10 ** 400}, "omega_hat_rad_s"),
+        ("pi_pulse", {"t_omega_s": 10 ** 400}, "t_omega_s"),
+        ("pi_pulse", {"t_omega_s": -math.inf}, "t_omega_s"),
+        ("delay_scan", {"delta_tau_s": math.inf}, "delta_tau_s"),
+    ], ids=["huge_int_drive", "huge_int_width", "infinite_width", "infinite_delay"])
+    def test_a_parameter_that_is_not_a_finite_number_is_named(self, protocol, point, name):
+        with pytest.raises(ConfigError) as info:
+            evaluate_point(get_preset("fig4"), protocol, point)
+        assert str(info.value) == f"parameter {name!r} cannot be {point[name]!r}"
+
+    def test_a_finite_parameter_is_passed_on_as_given(self, fig3a):
+        params = PROTOCOLS["pi_pulse"].params(fig3a, {"t_omega_s": 2, "omega_hat_rad_s": None})
+        assert type(params["t_omega_s"]) is int and params["omega_hat_rad_s"] is None
+
+    # each formatted the int with repr and ended in "ValueError: Exceeds the
+    # limit (4300 digits) for integer string conversion"
+    @pytest.mark.parametrize("call, message", [
+        (lambda preset: AxisSpec("x", 1.0, 10 ** 5000, 3),
+         "axis 'x' needs a finite minimum below a finite maximum, not 1.0 and "
+         "a 5001-digit integer"),
+        (lambda preset: optimize_pulse("pi_pulse", {"t_omega_s": [1e-3, -10 ** 5000]}, 10,
+                                       preset=preset),
+         "bound 't_omega_s' must be [low, high], two finite numbers with low < high, "
+         "not [0.001, a 5001-digit integer]"),
+        (lambda preset: schedule_from_dict({
+            "detuning": {"type": "constant", "value": 0.0},
+            "rabi": {"type": "constant", "value": 10 ** 5000}, "window": [0.0, 1e-4]}),
+         "a 'constant' envelope's 'value' must be a finite number, not a 5001-digit "
+         "integer"),
+        (lambda preset: evaluate_point(preset, "pi_pulse", {"t_omega_s": 10 ** 5000}),
+         "parameter 't_omega_s' cannot be a 5001-digit integer"),
+        (lambda preset: evaluate_point(preset, "pi_pulse", {}, target=10 ** 5000),
+         "target must be 1 or 2, not a 5001-digit integer"),
+    ], ids=["axis", "optimize_bound", "schedule", "protocol_point", "target"])
+    def test_an_int_past_the_string_limit_is_shown_by_its_digits(self, fig3a, call,
+                                                                 message):
+        with pytest.raises(ConfigError) as info:
+            call(fig3a)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("digits", [4301, 5000, 12345])
+    def test_the_digit_count_is_exact_at_a_power_of_ten(self, digits):
+        assert _shown(10 ** digits - 1) == f"a {digits}-digit integer"
+        assert _shown(-10 ** (digits - 1)) == f"a {digits}-digit integer"
+        assert _shown(10 ** digits) == f"a {digits + 1}-digit integer"
+
     def test_arbitrary_spacing_rejected(self, fig3a):
         with pytest.raises(ValueError, match="spaced"):
             ramp_rate_sweep(fig3a, np.array([1e6, 2e6, 7e6]))
@@ -484,38 +537,14 @@ def test_sweep_point_matches_fourth_order_reference(name, protocol, point, targe
     assert abs(p - abs(state[entry.target or target]) ** 2) < 1e-11
 
 
-def _published_sample(seed=0):
-    """20 points drawn over the paper's ranges: (preset, protocol, point, target).
-
-    Each range is (low, high) for a uniform draw, or (low, high, "log").
-    The delays stay in criterion 7's -6 to 2 ms; longer ones are left out
-    (see ROADMAP.md, items 3 and 4).
-    """
-    ranges = [
-        ("fig3a", "ramp", 1, {"ramp_rate_rad_s2": (3e5, 1.2e7, "log")}, 3),
-        ("fig3a", "ramp", 2, {"ramp_rate_rad_s2": (1e6, 8e6, "log")}, 2),
-        ("fig4", "scrap_1atom", 1, {"omega_hat_rad_s": (1e3, 2.9e4),
-                                    "t_omega_s": (2.5e-4, 3.25e-3)}, 4),
-        ("fig4", "delay_scan", 1, {"delta_tau_s": (-6e-3, 2e-3)}, 4),
-        ("fig6", "scrap_2atom", 2, {"omega_hat_rad_s": (1e4, 2e4),
-                                    "t_omega_s": (1e-3, 2e-3)}, 3),
-        ("fig7", "pi_pulse", 1, {"omega_hat_rad_s": (5e2, 5e3),
-                                 "t_omega_s": (1e-3, 3e-3)}, 2),
-        ("fig7", "sequential_pi", 2, {"t_omega_s": (1e-3, 4e-3)}, 2),
-    ]
-    rng = np.random.default_rng(seed)
-    sample = []
-    for preset, protocol, target, axes, count in ranges:
-        for _ in range(count):
-            point = {}
-            for name, (low, high, *log) in axes.items():
-                u = float(rng.random())
-                point[name] = low * (high / low) ** u if log else low + (high - low) * u
-            sample.append((preset, protocol, point, target))
-    return sample
+# the accuracy audit's seeded draw over the paper's ranges (its RANGES)
+_SPEC = importlib.util.spec_from_file_location(
+    "audit", Path(__file__).parent / "accuracy" / "audit.py")
+audit = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(audit)
 
 
-@pytest.mark.parametrize("name, protocol, point, target", _published_sample(),
+@pytest.mark.parametrize("name, protocol, point, target", audit.published_sample(),
                          ids=lambda value: value if isinstance(value, str) else None)
 def test_published_sample_meets_the_accuracy_bar(name, protocol, point, target):
     # a sweep point against the same sixth-order scheme, chained as the sweep
