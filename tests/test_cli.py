@@ -431,16 +431,11 @@ def test_threads_above_cpu_count_exit_2(tmp_path, monkeypatch, capsys, config, f
                                        "of this machine\n")
 
 
-def _subparsers():
-    (action,) = (a for a in build_parser()._actions
-                 if isinstance(a, argparse._SubParsersAction))
-    return action.choices
-
-
 def test_each_subcommand_offers_the_flags_its_table_entry_names():
     # beside --config, --preset and --out, only the config keys a command
     # reads: --threads on sweep and --seed on optimize, 17 flags in all
-    parsers = _subparsers()
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsers = sub.choices
     assert list(parsers) == list(COMMANDS)
     for name, (_, _, _, flags) in COMMANDS.items():
         offered = {option for action in parsers[name]._actions
