@@ -17,7 +17,7 @@ from dataclasses import replace
 from numbers import Real
 from typing import NamedTuple
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, _float, _shown
 from .experiments import PROTOCOLS
 from .params import derive_all
 from .presets import Preset, get_preset
@@ -110,9 +110,9 @@ def parse_frequency(value, convention: str = "angular_khz") -> float:
     Any other value, or a result that is not finite, raises ConfigError.
     """
     if isinstance(value, Real) and not isinstance(value, bool):
-        result = float(value)
+        result = _float(value)  # an infinity for an int too large for a float
     elif not isinstance(value, str):
-        raise ConfigError(f"frequency {value!r} is not a number or a string")
+        raise ConfigError(f"frequency {_shown(value)} is not a number or a string")
     else:
         match = _FREQ_RE.match(value)
         if not match:
@@ -128,7 +128,7 @@ def parse_frequency(value, convention: str = "angular_khz") -> float:
         elif unit in ("Hz", "kHz", "MHz") and convention == "two_pi_khz":
             result *= 2.0 * math.pi
     if not math.isfinite(result):
-        raise ConfigError(f"frequency {value!r} is not finite")
+        raise ConfigError(f"frequency {_shown(value)} is not finite")
     return result
 
 
@@ -150,19 +150,20 @@ def _walk(value, rule, path: str) -> None:
         return
     if isinstance(rule, list):
         if value not in rule:
-            raise ConfigError(f"invalid config: {path}: {value!r} is not one of {rule}")
+            raise ConfigError(f"invalid config: {path}: {_shown(value)} is not one of {rule}")
         return
     if isinstance(rule, _Section) and rule.counts:
         least, most = rule.counts
         if not isinstance(value, list) or not least <= len(value) <= most:
-            raise ConfigError(f"invalid config: {path}: {value!r} is not an array "
+            raise ConfigError(f"invalid config: {path}: {_shown(value)} is not an array "
                               f"of {least} to {most} objects")
         for index, item in enumerate(value):
             _walk(item, rule._replace(counts=None), f"{path}.{index}")
         return
     kind = dict if isinstance(rule, _Section) else rule
     if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"invalid config: {path}: {value!r} is not {_TYPE_NAMES[kind]}")
+        raise ConfigError(f"invalid config: {path}: {_shown(value)} is not "
+                          f"{_TYPE_NAMES[kind]}")
     if isinstance(rule, _Section):
         owner = path or "the config"
         missing = [key for key in rule.required if key not in value]
@@ -184,7 +185,7 @@ def validate_config(config: dict) -> dict:
         _walk(config["protocol"], _SCHEDULE_SECTION, "protocol")
     for key, least in (("seed", 0), ("threads", 1)):
         if config.get(key, least) < least:
-            raise ConfigError(f"invalid config: {key}: {config[key]} is less than "
+            raise ConfigError(f"invalid config: {key}: {_shown(config[key])} is less than "
                               f"the minimum of {least}")
     return config
 

@@ -29,7 +29,7 @@ from .analytics import (
     sequential_lz,
     validity_check,
 )
-from .exceptions import ConfigError, InfeasibleScheduleError, TweezersError
+from .exceptions import ConfigError, InfeasibleScheduleError, TweezersError, _float, _shown
 from .levels import LevelModel, build_level_model, rabi_coupling, resonance_detunings
 from .params import derive_all
 from .presets import Preset, RampGeometry
@@ -38,8 +38,6 @@ from .pulses import (
     LinearRamp,
     PulseSchedule,
     TanhPlateau,
-    _float,
-    _shown,
     build_pi_pulse,
     build_scrap_schedule,
     build_two_atom_scrap_schedule,
@@ -82,13 +80,14 @@ _PROPAGATE_STEP_CONTROL = replace(_SWEEP_STEP_CONTROL, sample_cap=StepControl.sa
 # perfbench's chirp_optimize workload exits in its speed probe (ROADMAP.md,
 # item 1); once that is mended, spectral=True goes and the two are one
 _OPTIMIZER_STEP_CONTROL = replace(_SWEEP_STEP_CONTROL, spectral=True)
+_MAX_AXIS_POINTS = 10_000
 
 
 @dataclass(frozen=True)
 class AxisSpec:
     """One sweep axis, and the one check of it: a string name, finite real
-    ends (minimum below maximum), an integer of at least 2 points and a
-    linear or log scale."""
+    ends (minimum below maximum), an integer of 2 to _MAX_AXIS_POINTS points
+    and a linear or log scale."""
 
     name: str
     minimum: float
@@ -104,6 +103,9 @@ class AxisSpec:
                               f"points, not {self.points!r}")
         if self.points < 2:
             raise ConfigError(f"axis {self.name!r} needs at least 2 points")
+        if self.points > _MAX_AXIS_POINTS:
+            raise ConfigError(f"axis {self.name!r} takes at most {_MAX_AXIS_POINTS} "
+                              f"points, not {_shown(self.points)}")
         if not -math.inf < _float(self.minimum) < _float(self.maximum) < math.inf:
             raise ConfigError(f"axis {self.name!r} needs a finite minimum below a "
                               f"finite maximum, not {_shown(self.minimum)} and "

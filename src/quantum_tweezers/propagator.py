@@ -46,15 +46,15 @@ points per period and at least 1000 steps; a schedule that is not finite
 at the probe times raises IntegrationError, and so does a step, of the rule,
 of h_override or of a grid of the estimate below, that rounds to 0 or needs
 more than 2^24 steps (_MAX_STEPS).  The sixth order takes its step
-count from an error estimate: grids of 64, 128, 256 and 512 steps run in
-one _finals call, and 256 is accepted when its final populations differ
-from the 128-step grid's by at most 63 x 1e-11, which bounds its own error
-by about 1e-11 (step doubling: at the sixth order, halving the step divides
+count from an error estimate: grids of 128, 256 and 512 steps run in one
+_finals call, and 512 is accepted when its final populations differ from
+the 256-step grid's by at most 63 x 1e-11, which bounds its own error by
+about 1e-11 (step doubling: at the sixth order, halving the step divides
 the error by 64; Hairer, Norsett & Wanner, Solving ODEs I, II.4).  The
-64-step grid checks that fall: where the changes fall by less than 64, the
-divisor is the ratio seen, less one.  Otherwise 512 is tested the same way,
-from the same call, and past it each grid of twice the steps runs in a call
-of its own; past 2^24 steps the run raises IntegrationError.  A sampled
+128-step grid checks that fall: where the changes fall by less than 64, the
+divisor is the ratio seen, less one.  Otherwise each grid of twice the
+steps runs in a call of its own and is tested the same way; past 2^24
+steps the run raises IntegrationError.  A sampled
 sixth-order trajectory re-runs the accepted count, and the grid of half
 of it, at the same sample times: where the populations inside the window
 are not within about 1e-10 by the same step-doubling estimate, the grid and
@@ -107,7 +107,7 @@ _N_PROBE = 257  # window samples that estimate omega_max
 # the sixth-order estimate: the coarsest pilot grid, the error targets of the
 # final populations and of the populations sampled inside the window, and
 # the most steps a grid may take
-_START = 64
+_START = 128
 _TOLERANCE = 1e-11
 _SAMPLE_TOLERANCE = 1e-10
 _MAX_STEPS = 1 << 24
@@ -564,19 +564,18 @@ def _controlled(model: LevelModel, schedule: PulseSchedule,
                 psi: np.ndarray) -> tuple[int, np.ndarray]:
     """The sixth-order step count that meets _TOLERANCE, and its final state.
 
-    Grids of _START, 2 _START, 4 _START and 8 _START steps (the last only if
-    at most _MAX_STEPS) run in one _finals call; each has the state it would
-    have alone.  The first three are tested first.  The error of the finest,
-    n steps, is estimated from the largest changes of the final populations,
+    Grids of _START, 2 _START and 4 _START steps run in one _finals call;
+    each has the state it would have alone.  The error of the finest, n
+    steps, is estimated from the largest changes of the final populations,
     d from n / 2 to n steps and d' from n / 4 to n / 2: at the sixth order
     d' / d is about 64 and the error about d / 63.
     Below that ratio the grids are not yet in the sixth-order regime, and
     the divisor is d' / d - 1, at least 1.  Above it (the n / 4 grid does not
     yet resolve the drive, and the error collapses once a grid does) the
     divisor stays 63.  The grid is accepted when the estimate is at most
-    _TOLERANCE; otherwise the grid of 2 n steps is tested in turn, run in a
-    call of its own past 8 _START, up to _MAX_STEPS.  A call that fails
-    probes the schedule first (_probe).
+    _TOLERANCE; otherwise the grid of 2 n steps runs in a call of its own
+    and is tested in turn, up to _MAX_STEPS.  A call that fails probes the
+    schedule first (_probe).
     """
     def run(grids: list[int]) -> np.ndarray:
         try:
@@ -585,26 +584,19 @@ def _controlled(model: LevelModel, schedule: PulseSchedule,
             _probe(schedule)
             raise
 
-    counts = [_START, 2 * _START, 4 * _START]
-    if 8 * _START <= _MAX_STEPS:
-        counts.append(8 * _START)
-    finals = list(run(counts))
-    k = 2  # the finest grid of the three tested
+    n = 4 * _START
+    finals = list(run([_START, 2 * _START, n]))
     while True:
-        coarse_gap, gap = np.max(np.abs(np.diff(np.abs(finals[k - 2:k + 1]) ** 2, axis=0)),
-                                 axis=1)
+        coarse_gap, gap = np.max(np.abs(np.diff(np.abs(finals[-3:]) ** 2, axis=0)), axis=1)
         estimate = gap / (min(64.0, max(2.0, coarse_gap / gap)) - 1.0) if gap else 0.0
         if estimate <= _TOLERANCE:
-            return counts[k], finals[k]
-        if 2 * counts[k] > _MAX_STEPS:
+            return n, finals[-1]
+        if 2 * n > _MAX_STEPS:
             raise IntegrationError(
                 f"no sixth-order grid of up to {_MAX_STEPS} steps meets the "
-                f"{_TOLERANCE:.0e} target: error estimate {estimate:.3e} "
-                f"at {counts[k]} steps")
-        k += 1
-        if k == len(counts):
-            counts.append(2 * counts[-1])
-            finals.append(run(counts[-1:])[0])
+                f"{_TOLERANCE:.0e} target: error estimate {estimate:.3e} at {n} steps")
+        n *= 2
+        finals.append(run([n])[0])
 
 
 def _sampled(model: LevelModel, schedule: PulseSchedule, psi: np.ndarray,

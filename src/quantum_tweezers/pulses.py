@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields
-from numbers import Real
 
 import numpy as np
 
 from .constants import HBAR
-from .exceptions import ConfigError, InfeasibleScheduleError
+from .exceptions import ConfigError, InfeasibleScheduleError, _float, _shown
 from .levels import LevelModel, resonance_detunings
 
 __all__ = [
@@ -290,27 +289,6 @@ def _only(data: dict, keys: list, owner: str) -> None:
     unknown = [key for key in data if key not in keys]
     if unknown:
         raise ConfigError(f"{owner} has unknown key(s) {unknown}; it takes {keys}")
-
-
-def _float(raw) -> float:
-    """A real number as a float: NaN for a bool or a value that is not a real
-    number, and an infinity for an int too large for a float."""
-    try:
-        return float(raw) if isinstance(raw, Real) and not isinstance(raw, bool) else math.nan
-    except OverflowError:
-        return math.inf if raw > 0 else -math.inf
-
-
-def _shown(value) -> str:
-    """repr(value), but an int past Python's int-to-string limit, alone or in
-    a list, as its digit count, which is counted without that string."""
-    try:
-        return repr(value)
-    except ValueError:
-        if not isinstance(value, int):
-            return "[" + ", ".join(map(_shown, value)) + "]"
-        digits = int(abs(value).bit_length() * math.log10(2)) + 1  # exact, or one over
-        return f"a {digits - (abs(value) < 10 ** (digits - 1))}-digit integer"
 
 
 def _finite(raw, name: str) -> float:

@@ -14,10 +14,13 @@ the largest |P_n - P_n(reference)| over the levels at the end of the
 window, and for propagate's samples over every stored sample too.
 
 Per protocol it prints each point's accepted step counts (one per pulse)
-and errors, the worst error of each kind, and every point past its target:
-1e-11 for a final population, 1e-10 for a sample.  The package is imported
-from the src/ of the checkout that holds this script, and the output holds
-no timing, so two runs print the same bytes and two commits can be diffed.
+and errors, the worst error of each kind, the steps the sweep control
+computed (every grid of its estimate, counted by wrapping
+propagator._finals) next to the steps it accepted, and every point past
+its target: 1e-11 for a final population, 1e-10 for a sample.  The
+package is imported from the src/ of the checkout that holds this script,
+and the output holds no timing, so two runs print the same bytes and two
+commits can be diffed.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
 
+from quantum_tweezers import propagator  # noqa: E402
 from quantum_tweezers.experiments import (  # noqa: E402
     _PROPAGATE_STEP_CONTROL,
     _SWEEP_STEP_CONTROL,
@@ -59,6 +63,19 @@ RANGES = [
 ]
 LONG_DELAYS = (-0.2493, -0.4995, -1.0)  # s
 
+_COMPUTED = [0]  # the steps of every grid _finals has run since main wrapped it
+
+
+def _count_computed_steps() -> None:
+    """Wrap propagator._finals so that each call adds its grids' steps to _COMPUTED."""
+    finals = propagator._finals
+
+    def counted(model, schedule, psi, counts, order):
+        _COMPUTED[0] += sum(counts)
+        return finals(model, schedule, psi, counts, order)
+
+    propagator._finals = counted
+
 
 def published_sample(seed: int = 0) -> list[tuple[str, str, dict, int]]:
     """(preset, protocol, point, target) for each point drawn over RANGES."""
@@ -84,14 +101,17 @@ def audit_points(seed: int = 0) -> list[tuple[str, str, dict, int]]:
                for omega in (omega_low, omega_high) for t in (t_low, t_high)])
 
 
-def chain_errors(model, schedules, control) -> tuple[list[int], float, float | None]:
+def chain_errors(model, schedules, control) -> tuple[list[int], float, float | None, int]:
     """Each schedule in turn from |0> under control, each against a reference
     from its start state at a sixteenth of its accepted step: the accepted
-    step counts, the worst final error and the worst sample error (None
-    where only the final state is kept)."""
-    state, steps, final_error, sample_error = None, [], 0.0, None
+    step counts, the worst final error, the worst sample error (None where
+    only the final state is kept) and the steps _finals computed for the
+    runs under control, the references not counted."""
+    state, steps, final_error, sample_error, computed = None, [], 0.0, None, 0
     for schedule in schedules:
+        before = _COMPUTED[0]
         run = propagate(model, schedule, initial_state=state, step_control=control)
+        computed += _COMPUTED[0] - before
         samples = 2 if control.sample_cap == 2 else len(run.times)
         reference = propagate(model, schedule, initial_state=state, step_control=replace(
             control, h_override=run.step / 16, sample_cap=samples))
@@ -104,7 +124,7 @@ def chain_errors(model, schedules, control) -> tuple[list[int], float, float | N
             sample_error = max(sample_error or 0.0, float(np.max(error)))
         steps.append(run.n_steps)
         state = run.final_state
-    return steps, final_error, sample_error
+    return steps, final_error, sample_error, computed
 
 
 def _label(point: dict) -> str:
@@ -112,6 +132,7 @@ def _label(point: dict) -> str:
 
 
 def main(seed: int = 0) -> None:
+    _count_computed_steps()
     print(f"accuracy audit, seed {seed}: each run against order 6 at 1/16 of its "
           f"accepted step; targets {FINAL_TARGET:.0e} (final), {SAMPLE_TARGET:.0e} "
           f"(propagate samples)")
@@ -124,15 +145,18 @@ def main(seed: int = 0) -> None:
         print(f"  {'preset':6} {'point':44} {'sweep steps':>12} {'error':>8} "
               f"{'propagate steps':>16} {'error':>8} {'samples':>8}")
         worst = [0.0, 0.0, 0.0]
-        past = []
+        past, computed, accepted = [], 0, 0
         for preset_name, point, target in points:
             preset = get_preset(preset_name)
             model = preset_model(preset)
             schedules = entry.schedules(model=model, preset=preset,
                                         params=entry.params(preset, point), target=target)
-            sweep_steps, sweep_error, _ = chain_errors(model, schedules, _SWEEP_STEP_CONTROL)
-            steps, final_error, sample_error = chain_errors(model, schedules,
-                                                            _PROPAGATE_STEP_CONTROL)
+            sweep_steps, sweep_error, _, sweep_computed = chain_errors(
+                model, schedules, _SWEEP_STEP_CONTROL)
+            steps, final_error, sample_error, _ = chain_errors(model, schedules,
+                                                               _PROPAGATE_STEP_CONTROL)
+            computed += sweep_computed
+            accepted += sum(sweep_steps)
             label = _label(point)
             print(f"  {preset_name:6} {label:44} {'/'.join(map(str, sweep_steps)):>12} "
                   f"{sweep_error:8.1e} {'/'.join(map(str, steps)):>16} "
@@ -147,6 +171,7 @@ def main(seed: int = 0) -> None:
                                                        sample_error))]
         print(f"  worst: sweep final {worst[0]:.2e}, propagate final {worst[1]:.2e}, "
               f"propagate samples {worst[2]:.2e}")
+        print(f"  sweep steps: {computed} computed for {accepted} accepted")
         print("\n".join(past) if past else "  no point past its target")
 
 

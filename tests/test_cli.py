@@ -1345,9 +1345,9 @@ def test_random_propagate_and_check_exit_codes(random_section_dir, run):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("config, reason", [
     ({"preset": "fig3a", "protocol": {"type": "pi_pulse", "omega_hat": 1e300}},
-     "propagation produced non-finite amplitudes (steps=64,"),
+     "propagation produced non-finite amplitudes (steps=128,"),
     ({"preset": "fig3a", "protocol": {"type": "pi_pulse", "omega_hat": 1e12}},
-     "propagation produced non-finite amplitudes (steps=64,"),
+     "propagation produced non-finite amplitudes (steps=128,"),
     ({"preset": "fig4", "protocol": {"type": "scrap_1atom", "t_omega_s": 5e-324}},
      "at the 0.000e+00 s step"),
 ], ids=["omega_hat_1e300", "omega_hat_1e12", "t_omega_5e-324"])

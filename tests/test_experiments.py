@@ -19,7 +19,9 @@ from quantum_tweezers import (
     scrap_contour,
     sequential_pi,
 )
-from quantum_tweezers.exceptions import ConfigError, InfeasibleScheduleError
+from quantum_tweezers import propagator
+from quantum_tweezers.config import parse_frequency, resolve_preset, validate_config
+from quantum_tweezers.exceptions import ConfigError, InfeasibleScheduleError, _shown
 from quantum_tweezers.experiments import (
     _SWEEP_STEP_CONTROL,
     PROTOCOLS,
@@ -35,7 +37,7 @@ from quantum_tweezers.experiments import (
     threshold_contours,
 )
 from quantum_tweezers.propagator import propagate
-from quantum_tweezers.pulses import _shown, schedule_from_dict
+from quantum_tweezers.pulses import schedule_from_dict
 
 
 @pytest.fixture(scope="module")
@@ -266,13 +268,15 @@ class TestSpecValidation:
         assert str(info.value) == ("axis 'x' needs a finite minimum below a finite "
                                    f"maximum, not {minimum!r} and {maximum!r}")
 
-    # a huge int max, a float or a bool point count, and a number for a name
-    # were taken, and values() or the sweep raised a bare numpy or Python error
+    # a huge int max, a float, a bool or a huge point count, and a number for
+    # a name were taken, and values() or the sweep raised a bare numpy or
+    # Python error
     @pytest.mark.parametrize("name, points, message", [
         ("x", 3.0, "axis 'x' needs an integer number of points, not 3.0"),
         ("x", True, "axis 'x' needs an integer number of points, not True"),
         (5, 3, "an axis name must be a string, not 5"),
-    ], ids=["float_points", "bool_points", "number_name"])
+        ("x", 10 ** 5000, "axis 'x' takes at most 10000 points, not a 5001-digit integer"),
+    ], ids=["float_points", "bool_points", "number_name", "huge_points"])
     def test_axis_points_and_name_are_checked(self, name, points, message):
         with pytest.raises(ConfigError) as info:
             AxisSpec(name, 1.0, 2.0, points)
@@ -321,7 +325,8 @@ class TestSpecValidation:
         assert type(params["t_omega_s"]) is int and params["omega_hat_rad_s"] is None
 
     # each formatted the int with repr and ended in "ValueError: Exceeds the
-    # limit (4300 digits) for integer string conversion"
+    # limit (4300 digits) for integer string conversion"; a frequency, too
+    # large for a float as well, ended in a bare OverflowError first
     @pytest.mark.parametrize("call, message", [
         (lambda preset: AxisSpec("x", 1.0, 10 ** 5000, 3),
          "axis 'x' needs a finite minimum below a finite maximum, not 1.0 and "
@@ -339,7 +344,21 @@ class TestSpecValidation:
          "parameter 't_omega_s' cannot be a 5001-digit integer"),
         (lambda preset: evaluate_point(preset, "pi_pulse", {}, target=10 ** 5000),
          "target must be 1 or 2, not a 5001-digit integer"),
-    ], ids=["axis", "optimize_bound", "schedule", "protocol_point", "target"])
+        (lambda preset: parse_frequency(10 ** 5000),
+         "frequency a 5001-digit integer is not finite"),
+        (lambda preset: resolve_preset({"omega_l": -10 ** 5000}),
+         "invalid config: omega_l: frequency a 5001-digit integer is not finite"),
+        (lambda preset: validate_config({"output_dir": 10 ** 5000}),
+         "invalid config: output_dir: a 5001-digit integer is not a string"),
+        (lambda preset: validate_config({"output_dir": {"x": [10 ** 5000]}}),
+         "invalid config: output_dir: {'x': [a 5001-digit integer]} is not a string"),
+        (lambda preset: validate_config({"frequency_units": 10 ** 5000}),
+         "invalid config: frequency_units: a 5001-digit integer is not one of "
+         "['angular_khz', 'two_pi_khz']"),
+        (lambda preset: validate_config({"seed": -10 ** 5000}),
+         "invalid config: seed: a 5001-digit integer is less than the minimum of 0"),
+    ], ids=["axis", "optimize_bound", "schedule", "protocol_point", "target", "frequency",
+            "omega_l", "output_dir", "output_dir_object", "frequency_units", "seed"])
     def test_an_int_past_the_string_limit_is_shown_by_its_digits(self, fig3a, call,
                                                                  message):
         with pytest.raises(ConfigError) as info:
@@ -563,6 +582,25 @@ def test_published_sample_meets_the_accuracy_bar(name, protocol, point, target):
         state = propagate(model, schedule, initial_state=state,
                           step_control=control).final_state
     assert abs(p - abs(state[target]) ** 2) < 1e-10
+
+
+def test_sweep_control_accepts_a_grid_of_at_least_512_steps_as_run_alone():
+    # every audit point, chained as the sweep chains: the first call's finest
+    # grid has 512 steps, and the accepted grid's final state has the bits
+    # of that grid run alone
+    for name, protocol, point, target in audit.audit_points(0):
+        preset = get_preset(name)
+        entry = PROTOCOLS[protocol]
+        model = preset_model(preset)
+        state = np.array([1.0, 0.0, 0.0], dtype=complex)
+        for schedule in entry.schedules(model=model, preset=preset,
+                                        params=entry.params(preset, point), target=target):
+            run = propagate(model, schedule, initial_state=state,
+                            step_control=_SWEEP_STEP_CONTROL)
+            assert run.n_steps >= 512, (protocol, point)
+            (alone,) = propagator._finals(model, schedule, state, [run.n_steps], 6)
+            assert run.final_state.tobytes() == alone.tobytes(), (protocol, point)
+            state = run.final_state
 
 
 @pytest.mark.parametrize("omega_hat, t_omega", [

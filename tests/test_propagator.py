@@ -271,6 +271,47 @@ class TestKernel:
             bound = 1e-14 * max(1.0, np.linalg.norm(a[k], ord=2))
             assert np.max(np.abs(u[..., k] - expm(-1j * a[k]))) <= bound
 
+    @staticmethod
+    def _unitary(rng):
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    @classmethod
+    def _close_eigenvalues(cls, rng):
+        # two or three eigenvalues a gap of 1e-12 to 1 apart, at 1-norms of
+        # about 1e-3 to 100, in a random eigenbasis
+        matrices = []
+        for gap in np.geomspace(1e-12, 1.0, 25):
+            for scale in (1e-3, 0.3, 3.0, 30.0):
+                base = scale * rng.uniform(-1.0, 1.0)
+                for third in (2.0 * gap, scale * rng.uniform(1.0, 2.0)):
+                    u = cls._unitary(rng)
+                    matrices.append((u * (base + np.array([0.0, gap, third]))) @ u.conj().T)
+        return matrices
+
+    @classmethod
+    def _degenerate_or_diagonal(cls, rng):
+        matrices = []
+        for scale in (0.0, 1e-8, 0.2, 3.0, 30.0):
+            u = cls._unitary(rng)
+            matrices += [scale * np.eye(3), np.diag(scale * rng.uniform(-1.0, 1.0, 3)),
+                         (u * (scale * np.array([1.0, 1.0, -0.5]))) @ u.conj().T,
+                         (u * (scale * np.array([0.7, 0.7, 0.7]))) @ u.conj().T]
+        return matrices
+
+    @pytest.mark.parametrize("kind", ["close_eigenvalues", "degenerate_or_diagonal"])
+    def test_exponential_of_close_and_degenerate_eigenvalues(self, kind):
+        # exp(-iA) for Hermitian A within 1e-14 max(1, |A|_1) of scipy's, in
+        # the 1-norm: the accuracy a replacement of the kernel must keep
+        from scipy.linalg import expm
+        a = np.array(getattr(self, "_" + kind)(np.random.default_rng(5)))
+        a = (a + a.conj().transpose(0, 2, 1)) / 2.0
+        u = propagator._expm(np.ascontiguousarray((-1j * a).transpose(1, 2, 0)))
+        u = u.transpose(2, 0, 1)
+        for k in range(a.shape[0]):
+            error = np.abs(u[k] - expm(-1j * a[k])).sum(axis=0).max()
+            assert error <= 1e-14 * max(1.0, np.abs(a[k]).sum(axis=0).max())
+
     def test_warm_exponential_takes_no_new_arrays(self):
         # from a fresh thread, once the workspace has settled, a call leaves
         # it holding the arrays it found and traces less than one stack
@@ -688,13 +729,13 @@ class TestSixthOrder:
     def test_step_rule_has_no_floor(self):
         # a fig4 chirp at t_omega = 0.25 ms: the fourth-order floor of 1000
         # steps decides there; the sixth-order error estimate has no floor
-        # and accepts its 256-step pilot grid
+        # and accepts the finest grid of its first call, 512 steps
         model, schedule = _fig4_chirp(2.5e-4)
         fourth = propagate(model, schedule, step_control=StepControl(sample_cap=2))
         sixth = propagate(model, schedule,
                           step_control=StepControl(sample_cap=2, order=6))
         assert fourth.n_steps in (1000, 1001)  # window / (window / 1000), rounded up
-        assert sixth.n_steps < fourth.n_steps / 2
+        assert sixth.n_steps == 512 < fourth.n_steps
         assert np.max(np.abs(sixth.populations[-1] - fourth.populations[-1])) < 1e-9
 
 
@@ -754,14 +795,14 @@ class TestFinalStates:
         assert np.array_equal(reference.times, sampled.times)
         assert np.max(np.abs(reference.populations - sampled.populations)) < 1e-10
 
-    @pytest.mark.parametrize("power, accepted", [(6, 256), (2, 1024)])
+    @pytest.mark.parametrize("power, accepted", [(6, 512), (2, 2048)])
     def test_estimate_divides_by_63_only_at_a_sixth_order_fall(self, monkeypatch,
                                                                power, accepted):
         # final populations 0.5 -+ c n^-power, scaled so that they move by
-        # 63 x 0.5e-11 from 128 to 256 steps: a sixth-order fall accepts 256
+        # 63 x 0.5e-11 from 256 to 512 steps: a sixth-order fall accepts 512
         # steps, a second-order one (each change a quarter of the one
-        # before) divides the change by 3 and doubles on until 1024 steps
-        c = 63 * 0.5e-11 / (128.0 ** -power - 256.0 ** -power)
+        # before) divides the change by 3 and doubles on until 2048 steps
+        c = 63 * 0.5e-11 / (256.0 ** -power - 512.0 ** -power)
 
         def finals(model, schedule, psi, counts, order):
             p = 0.5 + c * np.asarray(counts, dtype=float) ** -power
@@ -782,10 +823,11 @@ class TestFinalStates:
         assert np.max(np.abs(traj.populations[-1] - estimated.populations[-1])) < 1e-10
 
     def test_step_limit_raises(self, monkeypatch):
-        # the 1 ms fig4 chirp needs more than the 256-step pilot grid
+        # below the 512 steps of the first call's finest grid, that call
+        # stops on its step check before any grid runs
         model, schedule = _fig4_chirp(1.0e-3)
         monkeypatch.setattr(propagator, "_MAX_STEPS", 256)
-        with pytest.raises(IntegrationError, match="error estimate .* at 256 steps"):
+        with pytest.raises(IntegrationError, match="no grid of up to 256 steps spans"):
             propagate(model, schedule, step_control=StepControl(sample_cap=2, order=6))
 
 
@@ -803,30 +845,35 @@ def _counted_finals(monkeypatch):
 
 
 class TestFirstCall:
-    """The controller's first _finals call runs the 64- to 512-step grids."""
+    """The controller's first _finals call runs the 128- to 512-step grids."""
 
     @pytest.mark.parametrize("omega_hat, t_omega, accepted, calls", [
-        (1.5e4, 0.5e-3, 256, 1), (1.5e4, 1.0e-3, 512, 1), (1e4 / 3, 3.25e-3, 1024, 2)])
+        (1.5e4, 0.5e-3, 512, 1), (1.5e4, 1.0e-3, 512, 1), (1e4 / 3, 3.25e-3, 1024, 2)])
     def test_calls_per_accepted_count(self, monkeypatch, omega_hat, t_omega,
                                       accepted, calls):
         model, schedule = _fig4_chirp(t_omega, omega_hat)
         requests = _counted_finals(monkeypatch)
         traj = propagate(model, schedule, step_control=StepControl(sample_cap=2, order=6))
         assert traj.n_steps == accepted
-        assert requests[0] == [64, 128, 256, 512] and len(requests) == calls
+        assert requests[0] == [128, 256, 512] and len(requests) == calls
         # the accepted grid's state is the one it has alone
         (alone,) = propagator._finals(model, schedule, traj.states[0], [accepted], 6)
         assert traj.final_state.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("limit", [256, 512])
     def test_no_grid_above_the_step_limit(self, monkeypatch, limit):
-        # the point needs 1024 steps
+        # the point needs 1024 steps; a limit below the first call's finest
+        # grid stops that call on its step check, before any grid runs
         model, schedule = _fig4_chirp(3.25e-3, 1e4 / 3)
         monkeypatch.setattr(propagator, "_MAX_STEPS", limit)
         requests = _counted_finals(monkeypatch)
-        with pytest.raises(IntegrationError, match=f"at {limit} steps"):
+        match = f"no grid of up to {limit} steps spans" if limit < 512 else f"at {limit} steps"
+        with pytest.raises(IntegrationError, match=match):
             propagate(model, schedule, step_control=StepControl(sample_cap=2, order=6))
-        assert max(max(counts) for counts in requests) == limit
+        if limit < 512:
+            assert requests == [[128, 256, 512]]
+        else:
+            assert max(max(counts) for counts in requests) == limit
 
     def test_a_pilot_grid_may_drift(self):
         # the fig4 chirp with its pump 1 s before the crossings: alone, the
