@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 import warnings
 from dataclasses import asdict
@@ -69,15 +68,25 @@ EXIT_NUMERICAL = 3
 
 
 def _atomic_write(path: str, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    """Write text to a temporary file beside path, then rename it over path.
+
+    The temporary file is made with the mode a plain open(path, "w") gives,
+    so the output keeps the umask's permissions.  A write that fails raises
+    ConfigError and leaves no temporary file behind.
+    """
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f"tmp{os.urandom(8).hex()}.tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
             os.unlink(tmp)
-        raise
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _json_text(payload) -> str:

@@ -207,8 +207,12 @@ def load_config(path: str) -> dict:
             config = json.load(handle, parse_int=_json_int)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} nests too deeply to parse") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
     return config

@@ -28,16 +28,59 @@ def test_every_all_name_resolves(name):
 
 
 def test_package_exports_are_public_in_their_home_module():
-    tree = ast.parse(Path(quantum_tweezers.__file__).read_text())
-    imports = [node for node in tree.body
-               if isinstance(node, ast.ImportFrom) and node.level == 1]
-    assert imports
-    stale = []
-    for node in imports:
-        module = importlib.import_module(f"quantum_tweezers.{node.module}")
-        stale += [f"{node.module}.{alias.name}" for alias in node.names
-                  if alias.name not in _public(module)]
+    exports = quantum_tweezers._EXPORTS
+    assert exports
+    stale = [f"{home}.{name}" for name, home in exports.items()
+             if name not in _public(importlib.import_module(f"quantum_tweezers.{home}"))]
     assert stale == []
+
+
+def test_each_export_is_its_home_module_object():
+    for name, home in quantum_tweezers._EXPORTS.items():
+        module = importlib.import_module(f"quantum_tweezers.{home}")
+        assert getattr(quantum_tweezers, name) is getattr(module, name), name
+
+
+def test_dir_and_all_list_every_export():
+    assert quantum_tweezers.__all__ == list(quantum_tweezers._EXPORTS)
+    assert set(quantum_tweezers._EXPORTS) <= set(dir(quantum_tweezers))
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        quantum_tweezers.no_such_name
+    assert not hasattr(quantum_tweezers, "no_such_name")
+
+
+def test_a_star_import_binds_every_export():
+    namespace = {}
+    exec("from quantum_tweezers import *", namespace)
+    assert {name: namespace.get(name) for name in quantum_tweezers._EXPORTS} == {
+        name: getattr(quantum_tweezers, name) for name in quantum_tweezers._EXPORTS}
+
+
+# perfbench/setup_probe.py's calls in a fresh interpreter: they load only the
+# modules on their path, and a submodule still loads as an attribute
+_SETUP_IMPORTS = """
+import sys
+import quantum_tweezers as qt
+preset = qt.get_preset("fig4")
+model = qt.build_level_model(qt.derive_all(preset.system), n_max=2)
+qt.propagate(model, qt.build_pi_pulse(model, (0, 1), preset.pi.t_omega))
+loaded = sorted(name for name in sys.modules if name.startswith("quantum_tweezers."))
+assert loaded == ["quantum_tweezers." + name for name in (
+    "constants", "exceptions", "levels", "params", "presets", "propagator", "pulses")
+], loaded
+assert qt.experiments is sys.modules["quantum_tweezers.experiments"]
+"""
+
+
+def test_the_setup_path_leaves_experiments_analytics_config_and_cli_unloaded():
+    src = Path(quantum_tweezers.__file__).parents[1]
+    run = subprocess.run([sys.executable, "-c", _SETUP_IMPORTS],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 # run in a fresh interpreter, so no other test has imported these yet

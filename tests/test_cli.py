@@ -6,7 +6,9 @@ import copy
 import io
 import json
 import math
+import os
 import re
+import stat
 import time
 from dataclasses import fields
 
@@ -702,6 +704,29 @@ def test_an_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "file"]
 
 
+# an output path that is a directory ended in an IsADirectoryError
+# traceback from the rename, exit 1
+def test_an_output_file_that_cannot_be_written_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "params.json").mkdir(parents=True)
+    assert main(["params", "--preset", "fig4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot write {out / 'params.json'}: Is a directory\n"
+    assert [p.name for p in out.iterdir()] == ["params.json"]
+
+
+# every output was written -rw------- through mkstemp, whatever the umask
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask_022", "umask_077"])
+def test_outputs_keep_the_umask_mode(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        assert main(["params", "--preset", "fig4", "--out", str(tmp_path)]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "params.json").stat().st_mode) == mode
+
+
 # a section without a type was taken for a schedule section: "protocol:
 # 'schedule' is a required property"
 @pytest.mark.parametrize("protocol, message", [
@@ -1052,14 +1077,26 @@ def test_typed_parameters_exit_2(tmp_path, capsys, command, section, name):
                                "bounds": {"t_omega_s": [math.nan, 1e-3]}}}),
     ("optimize", {"optimize": {"protocol": "pi_pulse", "budget": 10,
                                "bounds": {}}}),
+    ("params", b"\xff\xfe"),
+    ("params", b'{"preset": ' + b"[" * 100_000),
 ], ids=["zero_trap", "nan_mass", "infinite_trap", "trap_overflows_model",
-        "nan_drive", "infinite_drive", "reversed_bound", "nan_bound", "no_bounds"])
+        "nan_drive", "infinite_drive", "reversed_bound", "nan_bound", "no_bounds",
+        "not_utf8", "nested_too_deep"])
 def test_malformed_values_exit_2(tmp_path, capsys, command, config):
     # the system and bounds cases ended in a ValueError traceback; the drives
-    # exited 1 and wrote check.json, with a bare NaN (not JSON) for NaN
-    path = write_config(tmp_path, {"preset": "fig3a", **config})
+    # exited 1 and wrote check.json, with a bare NaN (not JSON) for NaN; the
+    # two files json cannot read ended in a UnicodeDecodeError and a
+    # RecursionError traceback
+    if isinstance(config, bytes):
+        path = tmp_path / "config.json"
+        path.write_bytes(config)
+        path = str(path)
+    else:
+        path = write_config(tmp_path, {"preset": "fig3a", **config})
     assert main([command, "--config", path, "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert isinstance(config, dict) or f"config {path} " in err
     assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
 
 
