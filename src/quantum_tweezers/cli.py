@@ -7,10 +7,11 @@ function of its resolved configuration: identical inputs produce
 identical outputs and exit codes.  File outputs are written to a temporary
 file and renamed, so an interrupted run never leaves a partial artifact.
 
-Exit codes: 0 success, 1 validity warning, 2 configuration error or a
-pulse that cannot be built, 3 numerical failure.  A Python warning, such
-as a steep trap that does not dominate the reservoir, is printed to
-standard error as one "warning: " line, without its source location.
+Exit codes: 0 success, 1 validity warning, 2 configuration error, a pulse
+that cannot be built or an output that cannot be written, 3 numerical
+failure.  A Python warning, such as a steep trap that does not dominate
+the reservoir, is printed to standard error as one "warning: " line,
+without its source location.
 """
 
 from __future__ import annotations
@@ -70,21 +71,20 @@ EXIT_NUMERICAL = 3
 def _atomic_write(path: str, text: str) -> None:
     """Write text to a temporary file beside path, then rename it over path.
 
-    The temporary file is made with the mode a plain open(path, "w") gives,
-    so the output keeps the umask's permissions.  A write that fails raises
-    ConfigError and leaves no temporary file behind.
+    The temporary file is opened like a plain open(path, "w"), so the output
+    keeps the umask's mode.  A write that fails raises ConfigError and
+    leaves no temporary file behind.
     """
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                        f"tmp{os.urandom(8).hex()}.tmp")
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            with open(tmp, "x", encoding="utf-8") as handle:
                 handle.write(text)
             os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
