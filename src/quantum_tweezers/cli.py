@@ -17,6 +17,7 @@ without its source location.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -257,6 +258,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qtweezers",

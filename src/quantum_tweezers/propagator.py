@@ -54,11 +54,11 @@ the error by 64; Hairer, Norsett & Wanner, Solving ODEs I, II.4).  The
 128-step grid checks that fall: where the changes fall by less than 64, the
 divisor is the ratio seen, less one.  Otherwise each grid of twice the
 steps runs in a call of its own and is tested the same way; past 2^24
-steps the run raises IntegrationError.  A sampled
-sixth-order trajectory re-runs the accepted count, and the grid of half
-of it, at the same sample times: where the populations inside the window
-are not within about 1e-10 by the same step-doubling estimate, the grid and
-the stride between samples double until they are (_dense).  The final
+steps the run raises IntegrationError.  A sampled sixth-order trajectory
+runs each later grid once, sampled, its last sample its final state; where
+the accepted grid's populations inside the window are not within about
+1e-10 by the same estimate from half its steps at the same times, the grid
+and the stride between samples double until they are.  The final
 states of a call are checked at once for non-finite amplitudes, and the
 finest grid's for norm drift too (a coarser pilot grid may leave the unit
 sphere where the finest does not); only when one fails are they checked
@@ -133,8 +133,9 @@ class StepControl:
     def __post_init__(self):
         if self.order not in _GENERATORS:
             raise ValueError(f"order must be 4 or 6, not {self.order!r}")
-        if not self.sample_cap >= 2:
-            raise ValueError(f"sample_cap must be at least 2, not {self.sample_cap!r}")
+        cap = self.sample_cap  # an integer as operator.index takes it, not a bool
+        if isinstance(cap, bool) or not hasattr(cap, "__index__") or cap.__index__() < 2:
+            raise ValueError(f"sample_cap must be an integer of at least 2, not {cap!r}")
         if self.h_override is not None and not self.h_override > 0:
             raise ValueError(f"h_override must be positive, not {self.h_override!r}")
 
@@ -560,9 +561,9 @@ def _finals(model: LevelModel, schedule: PulseSchedule, psi: np.ndarray,
     return finals
 
 
-def _controlled(model: LevelModel, schedule: PulseSchedule,
-                psi: np.ndarray) -> tuple[int, np.ndarray]:
-    """The sixth-order step count that meets _TOLERANCE, and its final state.
+def _controlled(model: LevelModel, schedule: PulseSchedule, psi: np.ndarray,
+                sample_cap: int = 2) -> tuple[int, np.ndarray, tuple | None]:
+    """The sixth-order step count that meets the targets, its final state and samples.
 
     Grids of _START, 2 _START and 4 _START steps run in one _finals call;
     each has the state it would have alone.  The error of the finest, n
@@ -575,28 +576,69 @@ def _controlled(model: LevelModel, schedule: PulseSchedule,
     divisor stays 63.  The grid is accepted when the estimate is at most
     _TOLERANCE; otherwise the grid of 2 n steps runs in a call of its own
     and is tested in turn, up to _MAX_STEPS.  A call that fails probes the
-    schedule first (_probe).
+    schedule first (_probe).  The samples are None at sample_cap = 2.
+
+    Otherwise each grid after the first call is sampled (_sampled) every
+    ceil(n / (sample_cap - 1)) steps, and its last sample is its final state.
+    The populations inside the window can be much less accurate (a pi pulse's
+    end population is stationary in its area, its middle is not), so the
+    grids of the accepted n and n / 2 steps, from the ladder where it holds
+    them, are compared at n's stride: the finer samples' error is about the
+    largest change of their populations at the shared times over 63.  While
+    that is above _SAMPLE_TOLERANCE, grid and stride double (the samples keep
+    their times), up to _MAX_STEPS steps.
     """
-    def run(grids: list[int]) -> np.ndarray:
+    def stride(n: int) -> int:
+        return math.ceil(n / (sample_cap - 1))
+
+    def run(*grids: int) -> tuple[np.ndarray, tuple | None]:  # final states, samples
         try:
-            return _finals(model, schedule, psi, grids, 6)
+            if sample_cap == 2 or len(grids) > 1:
+                return _finals(model, schedule, psi, list(grids), 6), None
+            (n,) = grids
+            _check_step(schedule.duration, schedule.duration / n)
+            steps, states = _sampled(model, schedule, psi, n, stride(n), 6)
+            _norm_drift(states[-1:], n, schedule.duration / n)  # as _finals checks it
+            return states[-1:], (steps, states)
         except IntegrationError:
             _probe(schedule)
             raise
 
     n = 4 * _START
-    finals = list(run([_START, 2 * _START, n]))
+    finals = list(run(_START, 2 * _START, n)[0])
+    rungs = {}  # (steps, stride) -> sample steps and states, of the last two grids
     while True:
         coarse_gap, gap = np.max(np.abs(np.diff(np.abs(finals[-3:]) ** 2, axis=0)), axis=1)
         estimate = gap / (min(64.0, max(2.0, coarse_gap / gap)) - 1.0) if gap else 0.0
         if estimate <= _TOLERANCE:
-            return n, finals[-1]
+            break
         if 2 * n > _MAX_STEPS:
             raise IntegrationError(
                 f"no sixth-order grid of up to {_MAX_STEPS} steps meets the "
                 f"{_TOLERANCE:.0e} target: error estimate {estimate:.3e} at {n} steps")
         n *= 2
-        finals.append(run([n])[0])
+        final, rungs[n, stride(n)] = run(n)
+        rungs.pop((n // 4, stride(n // 4)), None)
+        finals.extend(final)
+    if sample_cap == 2:
+        return n, finals[-1], None
+    step = stride(n)
+    coarse_steps, coarse = (rungs.get((n // 2, step))
+                            or _sampled(model, schedule, psi, n // 2, step, 6))
+    steps, states = rungs.get((n, step)) or _sampled(model, schedule, psi, n, step, 6)
+    while True:
+        shared = np.isin(steps, 2 * coarse_steps)
+        estimate = np.max(np.abs(np.abs(states[shared]) ** 2 - np.abs(coarse) ** 2)) / 63.0
+        if not estimate > _SAMPLE_TOLERANCE:  # a non-finite state fails later
+            return n, states[-1], (steps, states)
+        if 2 * n > _MAX_STEPS:
+            raise IntegrationError(
+                f"no sixth-order grid of up to {_MAX_STEPS} steps meets the "
+                f"{_SAMPLE_TOLERANCE:.0e} target inside the window: error estimate "
+                f"{estimate:.3e} at {n} steps")
+        coarse_steps, coarse = steps, states
+        n, step = 2 * n, 2 * step
+        steps, states = _sampled(model, schedule, psi, n, step, 6)
 
 
 def _sampled(model: LevelModel, schedule: PulseSchedule, psi: np.ndarray,
@@ -632,35 +674,6 @@ def _sampled(model: LevelModel, schedule: PulseSchedule, psi: np.ndarray,
         sample += count
         psi = states[sample - 1]
     return sample_steps, states
-
-
-def _dense(model: LevelModel, schedule: PulseSchedule, psi: np.ndarray,
-           n_steps: int, stride: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """The step count, sample steps and states of samples that meet _SAMPLE_TOLERANCE.
-
-    n_steps is the count _controlled accepted for the final populations.
-    Inside the window the populations can be much less accurate (a pi
-    pulse's end population is stationary in its area, its middle is not),
-    so the grid of n_steps is sampled every stride steps, and so is the grid
-    of n_steps / 2; at the sixth order the error of the finer samples is
-    about the largest change of their populations at the shared times over
-    63.  While that is above _SAMPLE_TOLERANCE the grid and its stride are
-    doubled, so the samples keep their times, up to _MAX_STEPS steps.
-    """
-    coarse_steps, coarse = _sampled(model, schedule, psi, n_steps // 2, stride, 6)
-    while True:
-        steps, states = _sampled(model, schedule, psi, n_steps, stride, 6)
-        shared = np.isin(steps, 2 * coarse_steps)
-        estimate = np.max(np.abs(np.abs(states[shared]) ** 2 - np.abs(coarse) ** 2)) / 63.0
-        if not estimate > _SAMPLE_TOLERANCE:  # a non-finite state fails later
-            return n_steps, steps, states
-        if 2 * n_steps > _MAX_STEPS:
-            raise IntegrationError(
-                f"no sixth-order grid of up to {_MAX_STEPS} steps meets the "
-                f"{_SAMPLE_TOLERANCE:.0e} target inside the window: error estimate "
-                f"{estimate:.3e} at {n_steps} steps")
-        coarse_steps, coarse = steps, states
-        n_steps, stride = 2 * n_steps, 2 * stride
 
 
 def _drifts(states: np.ndarray) -> np.ndarray:
@@ -715,9 +728,9 @@ def propagate(model: LevelModel, schedule: PulseSchedule,
     # so numpy's warnings are silenced, once per propagation:
     # an errstate on every envelope call made envelope evaluation about 40% slower
     with np.errstate(over="ignore", invalid="ignore"):
-        final = None
+        final = samples = None
         if control.order == 6 and control.h_override is None and not control.spectral:
-            n_steps, final = _controlled(model, schedule, psi)
+            n_steps, final, samples = _controlled(model, schedule, psi, control.sample_cap)
         else:
             n_steps = _choose_step(model, schedule, control)
         if control.sample_cap == 2:
@@ -726,11 +739,8 @@ def propagate(model: LevelModel, schedule: PulseSchedule,
             sample_steps, states = np.array([0, n_steps]), np.stack([psi, final])
         else:
             stride = math.ceil(n_steps / (control.sample_cap - 1))
-            if final is None:
-                sample_steps, states = _sampled(model, schedule, psi, n_steps, stride,
-                                                control.order)
-            else:
-                n_steps, sample_steps, states = _dense(model, schedule, psi, n_steps, stride)
+            sample_steps, states = samples or _sampled(model, schedule, psi, n_steps, stride,
+                                                       control.order)
     h = schedule.duration / n_steps
     drift = _norm_drift(states, n_steps, h)
     return Trajectory(

@@ -14,9 +14,9 @@ the largest |P_n - P_n(reference)| over the levels at the end of the
 window, and for propagate's samples over every stored sample too.
 
 Per protocol it prints each point's accepted step counts (one per pulse)
-and errors, the worst error of each kind, the steps the sweep control
-computed (every grid of its estimate, counted by wrapping
-propagator._finals) next to the steps it accepted, and every point past
+and errors, the worst error of each kind, the steps each control computed
+(every grid of its estimate, counted by wrapping propagator._finals and
+propagator._sampled) next to the steps it accepted, and every point past
 its target: 1e-11 for a final population, 1e-10 for a sample.  The
 package is imported from the src/ of the checkout that holds this script,
 and the output holds no timing, so two runs print the same bytes and two
@@ -63,18 +63,23 @@ RANGES = [
 ]
 LONG_DELAYS = (-0.2493, -0.4995, -1.0)  # s
 
-_COMPUTED = [0]  # the steps of every grid _finals has run since main wrapped it
+_COMPUTED = [0]  # the steps of every grid run since main wrapped the kernels
 
 
 def _count_computed_steps() -> None:
-    """Wrap propagator._finals so that each call adds its grids' steps to _COMPUTED."""
-    finals = propagator._finals
+    """Wrap propagator._finals and propagator._sampled so that each call adds
+    its grids' steps to _COMPUTED."""
+    finals, sampled = propagator._finals, propagator._sampled
 
-    def counted(model, schedule, psi, counts, order):
+    def counted_finals(model, schedule, psi, counts, order):
         _COMPUTED[0] += sum(counts)
         return finals(model, schedule, psi, counts, order)
 
-    propagator._finals = counted
+    def counted_sampled(model, schedule, psi, n_steps, stride, order):
+        _COMPUTED[0] += n_steps
+        return sampled(model, schedule, psi, n_steps, stride, order)
+
+    propagator._finals, propagator._sampled = counted_finals, counted_sampled
 
 
 def published_sample(seed: int = 0) -> list[tuple[str, str, dict, int]]:
@@ -105,8 +110,8 @@ def chain_errors(model, schedules, control) -> tuple[list[int], float, float | N
     """Each schedule in turn from |0> under control, each against a reference
     from its start state at a sixteenth of its accepted step: the accepted
     step counts, the worst final error, the worst sample error (None where
-    only the final state is kept) and the steps _finals computed for the
-    runs under control, the references not counted."""
+    only the final state is kept) and the steps computed for the runs under
+    control, the references not counted."""
     state, steps, final_error, sample_error, computed = None, [], 0.0, None, 0
     for schedule in schedules:
         before = _COMPUTED[0]
@@ -145,7 +150,7 @@ def main(seed: int = 0) -> None:
         print(f"  {'preset':6} {'point':44} {'sweep steps':>12} {'error':>8} "
               f"{'propagate steps':>16} {'error':>8} {'samples':>8}")
         worst = [0.0, 0.0, 0.0]
-        past, computed, accepted = [], 0, 0
+        past, computed, accepted = [], [0, 0], [0, 0]  # sweep, propagate
         for preset_name, point, target in points:
             preset = get_preset(preset_name)
             model = preset_model(preset)
@@ -153,10 +158,10 @@ def main(seed: int = 0) -> None:
                                         params=entry.params(preset, point), target=target)
             sweep_steps, sweep_error, _, sweep_computed = chain_errors(
                 model, schedules, _SWEEP_STEP_CONTROL)
-            steps, final_error, sample_error, _ = chain_errors(model, schedules,
-                                                               _PROPAGATE_STEP_CONTROL)
-            computed += sweep_computed
-            accepted += sum(sweep_steps)
+            steps, final_error, sample_error, propagate_computed = chain_errors(
+                model, schedules, _PROPAGATE_STEP_CONTROL)
+            computed = [computed[0] + sweep_computed, computed[1] + propagate_computed]
+            accepted = [accepted[0] + sum(sweep_steps), accepted[1] + sum(steps)]
             label = _label(point)
             print(f"  {preset_name:6} {label:44} {'/'.join(map(str, sweep_steps)):>12} "
                   f"{sweep_error:8.1e} {'/'.join(map(str, steps)):>16} "
@@ -171,7 +176,8 @@ def main(seed: int = 0) -> None:
                                                        sample_error))]
         print(f"  worst: sweep final {worst[0]:.2e}, propagate final {worst[1]:.2e}, "
               f"propagate samples {worst[2]:.2e}")
-        print(f"  sweep steps: {computed} computed for {accepted} accepted")
+        print(f"  sweep steps: {computed[0]} computed for {accepted[0]} accepted")
+        print(f"  propagate steps: {computed[1]} computed for {accepted[1]} accepted")
         print("\n".join(past) if past else "  no point past its target")
 
 

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from quantum_tweezers import (
     Constant,
+    Envelope,
     Gaussian,
     IntegrationError,
     LinearRamp,
@@ -28,6 +30,11 @@ from quantum_tweezers import (
     transfer_probability,
 )
 from quantum_tweezers import propagator
+from quantum_tweezers.experiments import (
+    _PROPAGATE_STEP_CONTROL,
+    gated_ramp_schedule,
+    preset_model,
+)
 from quantum_tweezers.levels import (
     hamiltonian_stack,
     rabi_coupling,
@@ -392,7 +399,9 @@ class TestOutput:
         assert traj.times[0] == schedule.t_start
         assert traj.times[-1] == pytest.approx(schedule.t_end, rel=1e-12)
 
-    @pytest.mark.parametrize("sample_cap", [1, 0, -3])
+    # an infinite cap passed, to divide by zero in the sampled kernel, and
+    # 2.5 stored 3 samples
+    @pytest.mark.parametrize("sample_cap", [1, 0, -3, math.inf, 2.5])
     def test_sample_cap_keeps_both_ends(self, sample_cap):
         with pytest.raises(ValueError, match="sample_cap"):
             StepControl(sample_cap=sample_cap)
@@ -905,6 +914,125 @@ class TestFirstCall:
         with np.errstate(invalid="ignore"), pytest.raises(
                 IntegrationError, match=rf"non-finite amplitudes \(steps={named},"):
             propagator._finals(fig3a_model, schedule, psi, counts, 6)
+
+
+def _ramp_cli_propagate():
+    """The model and schedule of the fig3a ramp at 3e5 rad/s^2, qtweezers propagate's run."""
+    preset = get_preset("fig3a")
+    model = preset_model(preset)
+    return model, gated_ramp_schedule(model, preset.omega_l, 3e5, geometry=preset.ramp)
+
+
+class TestOneLadder:
+    """A sampled sixth-order run computes each grid of its estimate once."""
+
+    def test_each_grid_once(self, monkeypatch):
+        # the first call's three grids hold final states only; 1024 and 2048
+        # steps run sampled, and those samples serve both estimates.  Each
+        # grid was run twice (7040 steps): for its final state, then sampled
+        model, schedule = _ramp_cli_propagate()
+        calls = []
+        finals, sampled = propagator._finals, propagator._sampled
+
+        def counted_finals(model, schedule, psi, counts, order):
+            calls.append(("final", list(counts)))
+            return finals(model, schedule, psi, counts, order)
+
+        def counted_sampled(model, schedule, psi, n_steps, stride, order):
+            calls.append(("sampled", n_steps))
+            return sampled(model, schedule, psi, n_steps, stride, order)
+
+        monkeypatch.setattr(propagator, "_finals", counted_finals)
+        monkeypatch.setattr(propagator, "_sampled", counted_sampled)
+        traj = propagate(model, schedule, step_control=_PROPAGATE_STEP_CONTROL)
+        assert traj.n_steps == 2048 and len(traj.times) == 2049
+        assert calls == [("final", [128, 256, 512]), ("sampled", 1024), ("sampled", 2048)]
+        assert sum(sum(n) if kind == "final" else n for kind, n in calls) == 3968
+
+    def test_stride_that_does_not_match_recomputes_the_half_grid(self, monkeypatch):
+        # at a cap of 1536 samples, the 1024-step rung is sampled at stride 1
+        # and the 2048-step one at stride 2, so the sample test runs the
+        # 1024-step grid again at stride 2; the samples are those of a run
+        # that samples the accepted grids alone
+        model, schedule = _ramp_cli_propagate()
+        control = StepControl(sample_cap=1536, order=6)
+        strides = []
+        sampled = propagator._sampled
+
+        def counted(model, schedule, psi, n_steps, stride, order):
+            strides.append((n_steps, stride))
+            return sampled(model, schedule, psi, n_steps, stride, order)
+
+        monkeypatch.setattr(propagator, "_sampled", counted)
+        traj = propagate(model, schedule, step_control=control)
+        assert strides == [(1024, 1), (2048, 2), (1024, 2)]
+        alone = propagator._sampled(model, schedule, traj.states[0], 2048, 2, 6)
+        assert traj.n_steps == 2048
+        assert traj.states.tobytes() == alone[1].tobytes()
+
+
+@dataclass(frozen=True)
+class Sech(Envelope):
+    """peak sech(t / width)."""
+
+    peak: float
+    width: float
+
+    def __call__(self, t):
+        return self.peak / np.cosh(np.asarray(t, dtype=float) / self.width)
+
+
+# (T, g0 T, delta T): both pulse widths, each pulse area and detuning once
+_ROSEN_ZENER = [(1e-4, 0.5, 2.0), (1e-4, 1.0, 0.0), (1e-4, 1.7, 0.3), (1e-4, 3.0, 1.0),
+                (1e-4, 5.3, 4.0), (3e-4, 0.5, 1.0), (3e-4, 1.0, 4.0), (3e-4, 1.7, 2.0),
+                (3e-4, 3.0, 0.3), (3e-4, 5.3, 0.0)]
+_SIXTH_ORDER = [StepControl(order=6), StepControl(order=6, sample_cap=2)]
+
+
+class TestClosedForms:
+    """The sixth-order estimate against closed forms, at its 1e-11 target.
+
+    A drive g(t) = g0 sech(t / T) at a constant detuning delta from
+    resonance ends in p = sin^2(pi g0 T / 2) sech^2(pi delta T / 2) (Rosen &
+    Zener, Phys. Rev. 40, 502 (1932)); the window of +-40 T leaves out about
+    e^-40 of the pulse.  Both step controls of the estimate are run, the
+    sampled one (propagate's) and the final-state one (the sweeps').
+    """
+
+    @staticmethod
+    def _schedule(model, width, area, offset, rabi):
+        # rabi: the two-level Rabi frequency per unit of Omega_L
+        gap = (model.bare_energies[1] - model.bare_energies[0]) / model.hbar
+        return PulseSchedule(Constant(gap - offset / width),
+                             Sech(area / width / rabi, width), -40 * width, 40 * width)
+
+    @staticmethod
+    def _p(area, offset):
+        return math.sin(math.pi * area / 2) ** 2 / math.cosh(math.pi * offset / 2) ** 2
+
+    @pytest.mark.parametrize("control", _SIXTH_ORDER, ids=["sampled", "final"])
+    @pytest.mark.parametrize("width, area, offset", _ROSEN_ZENER)
+    def test_rosen_zener(self, two_level, control, width, area, offset):
+        schedule = self._schedule(two_level, width, area, offset, two_level.rabi_units[0])
+        traj = propagate(two_level, schedule, step_control=control)
+        p = self._p(area, offset)
+        assert np.max(np.abs(traj.populations[-1] - [1 - p, p])) < 1e-11
+
+    @pytest.mark.parametrize("control", _SIXTH_ORDER, ids=["sampled", "final"])
+    @pytest.mark.parametrize("width, area, offset", _ROSEN_ZENER)
+    def test_spin_1(self, control, width, area, offset):
+        # equally spaced levels and equal couplings u: the spin-1 image of a
+        # two-level problem of Rabi frequency u Omega_L / sqrt 2 (Majorana,
+        # Nuovo Cimento 9, 43 (1932)), which from |0> ends in (1 - p)^2,
+        # 2 p (1 - p) and p^2
+        model, _ = _fig4_chirp()
+        e1, u = model.bare_energies[1] - model.bare_energies[0], model.rabi_units[0]
+        model = replace(model, bare_energies=(0.0, e1, 2 * e1), rabi_units=(u, u))
+        schedule = self._schedule(model, width, area, offset, u / math.sqrt(2))
+        traj = propagate(model, schedule, step_control=control)
+        p = self._p(area, offset)
+        expected = [(1 - p) ** 2, 2 * p * (1 - p), p ** 2]
+        assert np.max(np.abs(traj.populations[-1] - expected)) < 1e-11
 
 
 def _mirrored(envelope, end):
