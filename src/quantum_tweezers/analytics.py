@@ -64,23 +64,21 @@ def dressed(model: LevelModel, detuning: float, omega_l: float) -> DressedPair:
         eps_pm = hbar Delta1 / 2 +- (hbar/2) sqrt(Delta1^2 + Omega01^2)
         tan(2 theta) = Omega01 / Delta1,   theta in [0, pi/2].
     """
-    hbar = model.hbar
-    delta1 = detuning - model.derived.e1 / hbar
+    delta1 = detuning - model.derived.e1 / HBAR
     omega01 = rabi_coupling(model, 0, omega_l)
     root = math.hypot(delta1, omega01)
-    eps_plus = 0.5 * hbar * delta1 + 0.5 * hbar * root
-    eps_minus = 0.5 * hbar * delta1 - 0.5 * hbar * root
+    eps_plus = 0.5 * HBAR * delta1 + 0.5 * HBAR * root
+    eps_minus = 0.5 * HBAR * delta1 - 0.5 * HBAR * root
     theta = 0.5 * math.atan2(abs(omega01), delta1)
     return DressedPair(
         epsilon_plus=eps_plus,
         epsilon_minus=eps_minus,
         theta=theta,
-        delta=hbar * root,
+        delta=HBAR * root,
     )
 
 
-def adiabaticity_parameter(splitting: float, ramp_rate: float,
-                           hbar: float = HBAR) -> float:
+def adiabaticity_parameter(splitting: float, ramp_rate: float) -> float:
     """alpha = pi delta^2 / (2 hbar^2 |rate|) for splitting delta (J).
 
     A non-zero rate whose denominator underflows to 0, or a splitting whose
@@ -88,7 +86,7 @@ def adiabaticity_parameter(splitting: float, ramp_rate: float,
     """
     if ramp_rate == 0:
         return math.inf
-    denominator = 2.0 * hbar**2 * abs(ramp_rate)
+    denominator = 2.0 * HBAR**2 * abs(ramp_rate)
     if denominator == 0:
         raise InfeasibleScheduleError(
             f"ramp rate {ramp_rate!r} rad/s^2 underflows the adiabaticity parameter")
@@ -100,8 +98,7 @@ def adiabaticity_parameter(splitting: float, ramp_rate: float,
     return math.pi * splitting_squared / denominator
 
 
-def lz_probability(splitting: float, ramp_rate: float,
-                   hbar: float = HBAR) -> float:
+def lz_probability(splitting: float, ramp_rate: float) -> float:
     """Asymptotic transfer probability 1 - exp(-alpha) through one crossing.
 
     splitting is the minimum energy gap (J) and ramp_rate the detuning
@@ -112,7 +109,7 @@ def lz_probability(splitting: float, ramp_rate: float,
         warnings.warn("zero ramp rate: returning the adiabatic limit P = 1",
                       stacklevel=2)
         return 1.0
-    return 1.0 - math.exp(-adiabaticity_parameter(splitting, ramp_rate, hbar))
+    return 1.0 - math.exp(-adiabaticity_parameter(splitting, ramp_rate))
 
 
 def sequential_lz(model: LevelModel, omega_l: float, ramp_rate: float) -> float:
@@ -121,13 +118,12 @@ def sequential_lz(model: LevelModel, omega_l: float, ramp_rate: float) -> float:
     The splittings are hbar |Omega01| and hbar |Omega12| = sqrt(2) times
     larger, so the second crossing is automatically more adiabatic.
     """
-    hbar = model.hbar
-    d1 = hbar * abs(rabi_coupling(model, 0, omega_l))
-    d2 = hbar * abs(rabi_coupling(model, 1, omega_l))
-    return lz_probability(d1, ramp_rate, hbar) * lz_probability(d2, ramp_rate, hbar)
+    d1 = HBAR * abs(rabi_coupling(model, 0, omega_l))
+    d2 = HBAR * abs(rabi_coupling(model, 1, omega_l))
+    return lz_probability(d1, ramp_rate) * lz_probability(d2, ramp_rate)
 
 
-def ramp_rate_bound(splitting: float, p0: float, hbar: float = HBAR) -> float:
+def ramp_rate_bound(splitting: float, p0: float) -> float:
     """Largest sweep rate (rad/s^2) reaching threshold probability p0.
 
     pi (E/hbar)^2 / (2 |ln(1 - p0)|) for a splitting-scale energy E (J).
@@ -137,10 +133,10 @@ def ramp_rate_bound(splitting: float, p0: float, hbar: float = HBAR) -> float:
     """
     if not 0.0 < p0 < 1.0:
         raise ValueError("threshold probability must lie strictly in (0, 1)")
-    return math.pi * (splitting / hbar) ** 2 / (2.0 * abs(math.log1p(-p0)))
+    return math.pi * (splitting / HBAR) ** 2 / (2.0 * abs(math.log1p(-p0)))
 
 
-def min_transfer_time(delta_e2: float, p0: float, hbar: float = HBAR) -> float:
+def min_transfer_time(delta_e2: float, p0: float) -> float:
     """Minimum single-atom sweep duration (s) for threshold probability p0.
 
     (2/pi) |ln(1 - p0)| / (|dE2|/hbar); equivalently (|dE2|/hbar) divided
@@ -148,7 +144,7 @@ def min_transfer_time(delta_e2: float, p0: float, hbar: float = HBAR) -> float:
     """
     if not 0.0 < p0 < 1.0:
         raise ValueError("threshold probability must lie strictly in (0, 1)")
-    return (2.0 / math.pi) * abs(math.log1p(-p0)) / (abs(delta_e2) / hbar)
+    return (2.0 / math.pi) * abs(math.log1p(-p0)) / (abs(delta_e2) / HBAR)
 
 
 def scrap_crossing_slope(delta_hat: float, t_delta: float, tau: float) -> float:
@@ -170,7 +166,7 @@ def scrap_crossing_slope(delta_hat: float, t_delta: float, tau: float) -> float:
 
 
 def scrap_adiabatic_condition(delta_hat: float, t_delta: float, tau: float,
-                              delta_e2: float, hbar: float = HBAR) -> float:
+                              delta_e2: float) -> float:
     """Margin of the Stark-chirp adiabaticity condition at the first crossing.
 
     Compares pi dE2^2 / (4 hbar^2) against half the crossing slope,
@@ -180,7 +176,7 @@ def scrap_adiabatic_condition(delta_hat: float, t_delta: float, tau: float,
     """
     if not (t_delta > 0 and tau > 0):
         raise InfeasibleScheduleError("t_delta and tau must be strictly positive")
-    lhs = math.pi * (delta_e2 / hbar) ** 2 / 4.0
+    lhs = math.pi * (delta_e2 / HBAR) ** 2 / 4.0
     rhs = scrap_crossing_slope(delta_hat, t_delta, tau) / 2.0
     if rhs == 0.0:
         return math.inf
@@ -272,7 +268,7 @@ class AdiabaticityReport:
 
 def _anharmonicity(model: LevelModel) -> float:
     """(E2 - 2 E1) / hbar in rad/s; ConfigError if it is zero."""
-    delta_e2_over_hbar = (model.derived.e2 - 2.0 * model.derived.e1) / model.hbar
+    delta_e2_over_hbar = (model.derived.e2 - 2.0 * model.derived.e1) / HBAR
     if delta_e2_over_hbar == 0.0:
         raise ConfigError("the anharmonicity E2 - 2 E1 is zero: no crossing "
                           "selects an atom number")
@@ -291,30 +287,29 @@ def validity_check(model: LevelModel, omega_l: float,
     diabaticity of the second crossing.  A model with no anharmonicity
     (E2 = 2 E1) has no finite transfer time and raises ConfigError.
     """
-    hbar = model.hbar
     omega01 = abs(rabi_coupling(model, 0, omega_l))
     delta_e2_over_hbar = _anharmonicity(model)
-    delta_e2 = hbar * delta_e2_over_hbar
+    delta_e2 = HBAR * delta_e2_over_hbar
     report = AdiabaticityReport(
         omega01=omega01,
         two_level_margin=math.inf if omega01 == 0 else delta_e2_over_hbar / omega01,
         single_particle_margin=(math.inf if omega01 == 0
                                 else min(model.derived.system.nu_a) / omega01),
-        ramp_rate_limit=ramp_rate_bound(delta_e2, THRESHOLD_PROBABILITY, hbar),
-        tau_min=min_transfer_time(delta_e2, THRESHOLD_PROBABILITY, hbar))
+        ramp_rate_limit=ramp_rate_bound(delta_e2, THRESHOLD_PROBABILITY),
+        tau_min=min_transfer_time(delta_e2, THRESHOLD_PROBABILITY))
     if scrap is None:
         return report
     omega_eff = abs(rabi_coupling(model, 0, scrap.omega_hat))
     ad_margin = scrap_adiabatic_condition(
-        scrap.delta_hat, scrap.t_delta, scrap.tau, delta_e2, hbar)
+        scrap.delta_hat, scrap.t_delta, scrap.tau, delta_e2)
     t_min, t_jump = scrap_pump_width_bound(
         omega_eff, scrap.delta_hat, scrap.t_delta, scrap.tau)
     # pump suppression at the second crossing, 2*tau after the first:
     # its residual coupling must be negligible for a diabatic passage.
     residual = math.exp(-(2.0 * scrap.tau / scrap.t_omega) ** 2)
     slope = scrap_crossing_slope(scrap.delta_hat, scrap.t_delta, scrap.tau)
-    alpha_first = adiabaticity_parameter(hbar * omega_eff, slope, hbar)
-    alpha_second = adiabaticity_parameter(hbar * omega_eff * residual, slope, hbar)
+    alpha_first = adiabaticity_parameter(HBAR * omega_eff, slope)
+    alpha_second = adiabaticity_parameter(HBAR * omega_eff * residual, slope)
     return replace(
         report, alpha_ad=alpha_first, scrap_adiabatic_margin=ad_margin,
         scrap_pump_width_margin=math.inf if t_min == 0 else scrap.t_omega / t_min,

@@ -1,40 +1,9 @@
-"""Physical constants (SI) and unit-system support.
-
-All internal quantities are SI: energies in J, lengths in m, frequencies
-angular in rad/s.  The :class:`UnitSystem` indirection exists so that the
-dimensional-audit tests can recompute every derived quantity in a second
-consistent unit system and compare.
-"""
-
-from dataclasses import dataclass
+"""Physical constants, all SI (J, m, s; frequencies angular in rad/s).
+hbar is the one constant HBAR; only the two Stark-chirp schedule builders
+in pulses still take it as a parameter (ROADMAP item 1)."""
 
 HBAR = 1.054571817e-34  # J s (CODATA 2018)
 ATOMIC_MASS = 1.66053906660e-27  # kg
 BOHR_RADIUS = 5.29177210903e-11  # m
 
 RB87_MASS = 86.909180531 * ATOMIC_MASS  # kg
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Scale factors from SI to a working unit system.
-
-    A quantity with dimensions kg^a m^b s^c is divided by
-    mass**a * length**b * time**c to express it in the working units.
-    """
-
-    mass: float = 1.0    # kg per mass unit
-    length: float = 1.0  # m per length unit
-    time: float = 1.0    # s per time unit
-
-    @property
-    def energy(self) -> float:
-        return self.mass * self.length**2 / self.time**2
-
-    @property
-    def hbar(self) -> float:
-        """hbar expressed in this unit system."""
-        return HBAR / (self.energy * self.time)
-
-
-SI = UnitSystem()

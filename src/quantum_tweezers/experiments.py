@@ -29,6 +29,7 @@ from .analytics import (
     sequential_lz,
     validity_check,
 )
+from .constants import HBAR
 from .exceptions import ConfigError, InfeasibleScheduleError, TweezersError, _float, _shown
 from .levels import LevelModel, build_level_model, rabi_coupling, resonance_detunings
 from .params import derive_all
@@ -135,6 +136,10 @@ class SweepSpec:
     def __post_init__(self):
         if not self.axes:
             raise ValueError("a sweep needs at least one axis")
+        names = [axis.name for axis in self.axes]
+        repeated = next((name for name in names if names.count(name) > 1), None)
+        if repeated is not None:
+            raise ConfigError(f"sweep axis {repeated!r} is given more than once")
         object.__setattr__(self, "target", _level(self.protocol, self.target))
 
     @property
@@ -209,7 +214,7 @@ def gated_ramp_schedule(model: LevelModel, omega_l: float, rate: float,
     if target not in (1, 2) or target > model.n_max:
         raise ValueError(f"unsupported ramp target {target}")
     res = resonance_detunings(model)
-    q = (model.derived.e2 - 2.0 * model.derived.e1) / model.hbar
+    q = (model.derived.e2 - 2.0 * model.derived.e1) / HBAR
     if q <= 0:
         raise InfeasibleScheduleError(
             "no level anharmonicity: crossings are degenerate, the sweep "
@@ -268,12 +273,11 @@ def _ramp_schedules(model, preset, params, target):
 
 
 def _ramp_companions(model, params, target, validity, **_):
-    hbar = model.hbar
     rate = params["ramp_rate_rad_s2"]
-    splitting = hbar * validity.omega01
+    splitting = HBAR * validity.omega01
     return {
-        "alpha_ad": adiabaticity_parameter(splitting, rate, hbar),
-        "p_lz": (lz_probability(splitting, rate, hbar) if target == 1
+        "alpha_ad": adiabaticity_parameter(splitting, rate),
+        "p_lz": (lz_probability(splitting, rate) if target == 1
                  else sequential_lz(model, params["omega_l_rad_s"], rate)),
         "two_level_margin": validity.two_level_margin,
     }
@@ -291,7 +295,7 @@ def _scrap_1atom_schedules(model, preset, params, **_):
     chirp = _chirp(preset, params)
     return (build_scrap_schedule(chirp.omega_hat, chirp.t_omega, chirp.delta_hat,
                                  chirp.t_delta, chirp.tau, params["delta_tau_s"],
-                                 model.derived.e1, hbar=model.hbar),)
+                                 model.derived.e1),)
 
 
 def _scrap_1atom_companions(model, preset, params, validity, **_):
@@ -299,7 +303,7 @@ def _scrap_1atom_companions(model, preset, params, validity, **_):
     slope = scrap_crossing_slope(chirp.delta_hat, chirp.t_delta, chirp.tau)
     return {
         "alpha_ad": validity.alpha_ad,
-        "p_lz": lz_probability(model.hbar * validity.omega01, slope, model.hbar),
+        "p_lz": lz_probability(HBAR * validity.omega01, slope),
         "two_level_margin": validity.two_level_margin,
         "scrap_adiabatic_margin": validity.scrap_adiabatic_margin,
         "scrap_pump_width_margin": validity.scrap_pump_width_margin,
@@ -314,16 +318,15 @@ def _scrap_2atom_schedules(model, preset, params, **_):
         params["omega_hat_rad_s"], t_omega, cfg.delta_hat, cfg.t_delta(t_omega),
         cfg.baseline_depth, model.derived.e1,
         model.derived.e2 - model.derived.e1,
-        ramp_time=cfg.ramp_time_factor * t_omega, hbar=model.hbar),)
+        ramp_time=cfg.ramp_time_factor * t_omega),)
 
 
 def _scrap_2atom_companions(model, preset, params, validity, **_):
-    hbar = model.hbar
     cfg = preset.scrap2
     omega_hat = params["omega_hat_rad_s"]
     t_delta = cfg.t_delta(params["t_omega_s"])
     # crossing-by-crossing sweep prediction from the pulse's local slopes
-    q_gap = (model.derived.e2 - 2.0 * model.derived.e1) / hbar
+    q_gap = (model.derived.e2 - 2.0 * model.derived.e1) / HBAR
     tau01 = t_delta * math.sqrt(math.log(cfg.delta_hat / cfg.baseline_depth))
     tau12 = t_delta * math.sqrt(
         math.log(cfg.delta_hat / (cfg.baseline_depth + q_gap)))
@@ -332,9 +335,9 @@ def _scrap_2atom_companions(model, preset, params, validity, **_):
     om01 = validity.omega01
     om12 = rabi_coupling(model, 1, omega_hat)
     return {
-        "p_lz": (lz_probability(hbar * om01, slope01, hbar)
-                 * lz_probability(hbar * om12, slope12, hbar)),
-        "alpha_ad": adiabaticity_parameter(hbar * om01, slope01, hbar),
+        "p_lz": (lz_probability(HBAR * om01, slope01)
+                 * lz_probability(HBAR * om12, slope12)),
+        "alpha_ad": adiabaticity_parameter(HBAR * om01, slope01),
         "two_level_margin": validity.two_level_margin,
     }
 
@@ -822,13 +825,15 @@ def optimize_pulse(protocol, bounds: dict[str, tuple[float, float]],
     evaluation from the preset plus the candidate parameters, and target
     resolves as SweepSpec's) or a callable mapping a parameter dict to the
     objective.  bounds maps parameter names to (low, high); candidates are
-    clamped to the box, so the result never leaves it.  The search is
-    deterministic for fixed inputs and seed, and the best-so-far history is
-    monotone non-decreasing.  If the budget runs out before the simplex
-    collapses, the best point found so far is returned with converged=False.
-    A budget under 10, no bounds, a bound that is not [low, high] of finite
-    numbers with low < high, or a first point (each bounded name at its low
-    bound) that Protocol.params rejects raises ConfigError.  If no
+    clamped to the box, so the result never leaves it.  x0, if given, maps
+    each bounded name (and no other) to a finite start, clamped to the box
+    too; else seed draws the start.  The search is deterministic for fixed
+    inputs and seed, and the best-so-far history is monotone
+    non-decreasing.  If the budget runs out before the simplex collapses,
+    the best point found so far is returned with converged=False.  A budget
+    under 10, no bounds, a bound that is not [low, high] of finite numbers
+    with low < high, any other x0, or a first point (each bounded name at
+    its low bound) that Protocol.params rejects raises ConfigError.  If no
     evaluation of a named protocol succeeds, the first one's error is raised.
     """
     target = target if callable(protocol) else _level(protocol, target)
@@ -844,6 +849,11 @@ def optimize_pulse(protocol, bounds: dict[str, tuple[float, float]],
             raise ConfigError(f"bound {name!r} must be [low, high], two finite "
                               f"numbers with low < high, not {_shown(bounds[name])}")
     lows, highs = np.array(box).T
+    if x0 is not None:
+        start = [_float(x0.get(name)) for name in names]
+        if set(x0) != set(names) or not all(map(math.isfinite, start)):
+            raise ConfigError(f"x0 must map exactly the bounded names {names} to "
+                              f"finite numbers, not {_shown(x0)}")
 
     failures = 0
     first_error = None
@@ -888,7 +898,7 @@ def optimize_pulse(protocol, bounds: dict[str, tuple[float, float]],
     dim = len(names)
     rng = np.random.default_rng(seed)
     if x0 is not None:
-        z0 = (np.array([float(x0[k]) for k in names]) - lows) / (highs - lows)
+        z0 = (np.array(start) - lows) / (highs - lows)
         z0 = np.clip(z0, 0.0, 1.0)
     else:
         z0 = 0.5 + 0.2 * (rng.random(dim) - 0.5)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import HBAR
 from .params import DerivedParams
 
 __all__ = [
@@ -49,7 +50,7 @@ class LevelModel:
 
     @property
     def hbar(self) -> float:
-        return self.derived.units.hbar
+        return HBAR
 
 
 def build_level_model(derived: DerivedParams, n_max: int = 2) -> LevelModel:
@@ -61,8 +62,7 @@ def build_level_model(derived: DerivedParams, n_max: int = 2) -> LevelModel:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    hbar = derived.units.hbar
-    half_trap = 0.5 * hbar * sum(derived.system.nu_a)
+    half_trap = 0.5 * HBAR * sum(derived.system.nu_a)
     bare = []
     for n in range(n_max + 1):
         pairs = n * (n - 1) // 2
@@ -95,10 +95,9 @@ class ResonanceDetunings:
 
 def resonance_detunings(model: LevelModel) -> ResonanceDetunings:
     """Resonant detunings d01 = E1/hbar, d02 = E2/2hbar, d12 = (E2-E1)/hbar."""
-    hbar = model.hbar
     e1, e2 = model.derived.e1, model.derived.e2
-    return ResonanceDetunings(d01=e1 / hbar, d02=e2 / (2.0 * hbar),
-                              d12=(e2 - e1) / hbar)
+    return ResonanceDetunings(d01=e1 / HBAR, d02=e2 / (2.0 * HBAR),
+                              d12=(e2 - e1) / HBAR)
 
 
 def hamiltonian_matrix(model: LevelModel, detuning: float,

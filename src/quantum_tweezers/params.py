@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import SI, UnitSystem
+from .constants import HBAR
 
 __all__ = [
     "PhysicalSystem",
@@ -104,8 +104,7 @@ class PhysicalSystem:
             )
 
 
-def oscillator_length(mass: float, angular_frequency: float,
-                      units: UnitSystem = SI) -> float:
+def oscillator_length(mass: float, angular_frequency: float) -> float:
     """Harmonic-oscillator ground-state size sqrt(hbar / (M nu)).
 
     Parameters are the atomic mass and the angular trap frequency along one
@@ -114,21 +113,20 @@ def oscillator_length(mass: float, angular_frequency: float,
     """
     if not (mass > 0 and angular_frequency > 0):
         raise ValueError("mass and angular_frequency must be positive")
-    return math.sqrt(units.hbar / (mass * angular_frequency))
+    return math.sqrt(HBAR / (mass * angular_frequency))
 
 
-def coupling_constant(mass: float, scattering_length: float,
-                      units: UnitSystem = SI) -> float:
+def coupling_constant(mass: float, scattering_length: float) -> float:
     """Contact-interaction strength g = 4 pi hbar^2 a / M (J m^3).
 
     Sign follows the sign of the scattering length.
     """
     if not mass > 0:
         raise ValueError("mass must be positive")
-    return 4.0 * math.pi * units.hbar**2 * scattering_length / mass
+    return 4.0 * math.pi * HBAR**2 * scattering_length / mass
 
 
-def chemical_potential(system: PhysicalSystem, units: UnitSystem = SI) -> float:
+def chemical_potential(system: PhysicalSystem) -> float:
     """Reservoir chemical potential (J).
 
     Uniform mean-field estimate mu = g_bb * n_b at peak density, unless the
@@ -136,7 +134,7 @@ def chemical_potential(system: PhysicalSystem, units: UnitSystem = SI) -> float:
     """
     if system.mu_override is not None:
         return system.mu_override
-    g_bb = coupling_constant(system.atom_mass, system.a_bb, units)
+    g_bb = coupling_constant(system.atom_mass, system.a_bb)
     return g_bb * system.peak_density
 
 
@@ -194,7 +192,6 @@ class DerivedParams:
     kappa: float  # dimensionless coupling overlap
     e1: float  # one-atom resonance energy (J)
     e2: float  # two-atom resonance energy (J)
-    units: UnitSystem = field(default=SI, repr=False)
 
     def e_sc(self, n: int) -> float:
         """Reservoir-collision shift for n trapped atoms (J), linear in n."""
@@ -204,7 +201,6 @@ class DerivedParams:
 
     def as_dict(self) -> dict:
         """Flat dict of the physical fields (for reports and JSON export)."""
-        hbar = self.units.hbar
         return {
             "osc_length_x_m": self.osc_lengths[0],
             "osc_length_y_m": self.osc_lengths[1],
@@ -213,19 +209,19 @@ class DerivedParams:
             "g_bb_J_m3": self.g_bb,
             "g_ab_J_m3": self.g_ab,
             "mu_J": self.mu,
-            "mu_over_hbar_rad_s": self.mu / hbar,
+            "mu_over_hbar_rad_s": self.mu / HBAR,
             "delta_e_coll_J": self.delta_e_coll,
-            "delta_e_coll_over_hbar_rad_s": self.delta_e_coll / hbar,
+            "delta_e_coll_over_hbar_rad_s": self.delta_e_coll / HBAR,
             "e_sc1_J": self.e_sc1,
             "kappa": self.kappa,
             "e1_J": self.e1,
             "e2_J": self.e2,
-            "e1_over_hbar_rad_s": self.e1 / hbar,
-            "e2_over_hbar_rad_s": self.e2 / hbar,
+            "e1_over_hbar_rad_s": self.e1 / HBAR,
+            "e2_over_hbar_rad_s": self.e2 / HBAR,
         }
 
 
-def derive_all(system: PhysicalSystem, units: UnitSystem = SI) -> DerivedParams:
+def derive_all(system: PhysicalSystem) -> DerivedParams:
     """Compute every derived parameter from the raw inputs.
 
     The resonance energies are
@@ -236,16 +232,15 @@ def derive_all(system: PhysicalSystem, units: UnitSystem = SI) -> DerivedParams:
     with the radiative dipole-dipole shift fixed to zero (negligible for
     the trap/drive regimes this model targets).
     """
-    hbar = units.hbar
-    osc = tuple(oscillator_length(system.atom_mass, nu, units) for nu in system.nu_a)
-    g_aa = coupling_constant(system.atom_mass, system.a_aa, units)
-    g_bb = coupling_constant(system.atom_mass, system.a_bb, units)
-    g_ab = coupling_constant(system.atom_mass, system.a_ab, units)
-    mu = chemical_potential(system, units)
+    osc = tuple(oscillator_length(system.atom_mass, nu) for nu in system.nu_a)
+    g_aa = coupling_constant(system.atom_mass, system.a_aa)
+    g_bb = coupling_constant(system.atom_mass, system.a_bb)
+    g_ab = coupling_constant(system.atom_mass, system.a_ab)
+    mu = chemical_potential(system)
     de_coll = collision_shift(g_aa, osc)
     e_sc1 = scattering_shift(g_ab, 1, system.peak_density)
     kappa = overlap_factor(osc, system.peak_density)
-    half_trap = 0.5 * hbar * sum(system.nu_a)
+    half_trap = 0.5 * HBAR * sum(system.nu_a)
     e1 = half_trap + e_sc1 - mu
     e2 = 2.0 * half_trap + de_coll + 2.0 * e_sc1 - 2.0 * mu
     derived = DerivedParams(
@@ -260,7 +255,6 @@ def derive_all(system: PhysicalSystem, units: UnitSystem = SI) -> DerivedParams:
         kappa=kappa,
         e1=e1,
         e2=e2,
-        units=units,
     )
     for name, value in derived.as_dict().items():
         if not math.isfinite(value):

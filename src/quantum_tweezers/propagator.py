@@ -119,7 +119,7 @@ class StepControl:
 
     sample_cap : maximum number of stored trajectory samples, at least 2
                  (the two ends of the window)
-    h_override : fixed step size in seconds, bypassing the step rule
+    h_override : fixed finite step size in seconds, bypassing the step rule
     order      : 4 or 6, the order of the Magnus scheme and of its step rule
     spectral   : at order 6, take the step from the spectral rule (20 points
                  per period) instead of the error estimate
@@ -136,8 +136,9 @@ class StepControl:
         cap = self.sample_cap  # an integer as operator.index takes it, not a bool
         if isinstance(cap, bool) or not hasattr(cap, "__index__") or cap.__index__() < 2:
             raise ValueError(f"sample_cap must be an integer of at least 2, not {cap!r}")
-        if self.h_override is not None and not self.h_override > 0:
-            raise ValueError(f"h_override must be positive, not {self.h_override!r}")
+        if self.h_override is not None and not 0 < self.h_override < math.inf:
+            raise ValueError(f"h_override must be positive and finite, not "
+                             f"{self.h_override!r}")
 
 
 @dataclass(frozen=True)

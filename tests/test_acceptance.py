@@ -159,7 +159,7 @@ def test_criterion_6_scrap_contour():
     omega_hats = np.linspace(1e3, 2.9e4, 41)    # index 20 = 1.5e4 rad/s
     t_omegas = np.linspace(2.5e-4, 3.25e-3, 41)  # index 10 = 1.0 ms
     assert omega_hats[20] == pytest.approx(1.5e4, rel=1e-12)
-    assert t_omegas[10] == pytest.approx(1.0e-3, rel=1e-12)
+    assert t_omegas[10] == pytest.approx(1.0e-3, rel=1e-12, abs=0)
     result = scrap_contour(preset, omega_hats, t_omegas)
     centre = result.p[20, 10]
     neighbourhood = result.p[19:22, 9:12]

@@ -30,7 +30,7 @@ class TestDressed:
         d01 = fig3a_model.derived.e1 / HBAR
         pair = dressed(fig3a_model, d01, fig3a.omega_l)
         coupling = rabi_coupling(fig3a_model, 0, fig3a.omega_l)
-        assert pair.delta == pytest.approx(HBAR * coupling, rel=1e-12)
+        assert pair.delta == pytest.approx(HBAR * coupling, rel=1e-12, abs=0)
         assert pair.theta == pytest.approx(math.pi / 4, rel=1e-12)
 
     def test_uncoupled_limit(self, fig3a_model):
@@ -38,7 +38,7 @@ class TestDressed:
         delta1 = 5e3
         pair = dressed(fig3a_model, d01 + delta1, 0.0)
         assert pair.theta == 0.0
-        assert pair.epsilon_plus == pytest.approx(HBAR * delta1, rel=1e-12)
+        assert pair.epsilon_plus == pytest.approx(HBAR * delta1, rel=1e-12, abs=0)
         assert pair.epsilon_minus == pytest.approx(0.0, abs=1e-45)
 
     def test_angle_branch_across_crossing(self, fig3a_model, fig3a):
@@ -117,7 +117,7 @@ class TestSequentialLz:
         rate = 1e6
         d1 = HBAR * rabi_coupling(fig3a_model, 0, fig3a.omega_l)
         d2 = HBAR * rabi_coupling(fig3a_model, 1, fig3a.omega_l)
-        assert d2 == pytest.approx(math.sqrt(2) * d1, rel=1e-12)
+        assert d2 == pytest.approx(math.sqrt(2) * d1, rel=1e-12, abs=0)
         assert adiabaticity_parameter(d2, rate) == pytest.approx(
             2 * adiabaticity_parameter(d1, rate), rel=1e-12)
 
@@ -161,12 +161,12 @@ class TestMinTransferTime:
     def test_log_term_unity(self):
         p0 = 1.0 - 1.0 / math.e
         got = min_transfer_time(HBAR * TWO_PI * 2e3, p0)
-        assert got == pytest.approx((2 / math.pi) / (TWO_PI * 2e3), rel=1e-12)
+        assert got == pytest.approx((2 / math.pi) / (TWO_PI * 2e3), rel=1e-12, abs=0)
 
     def test_inverse_scaling(self):
         one = min_transfer_time(HBAR * 1e4, 0.99)
         two = min_transfer_time(HBAR * 2e4, 0.99)
-        assert two == pytest.approx(one / 2, rel=1e-12)
+        assert two == pytest.approx(one / 2, rel=1e-12, abs=0)
 
     def test_negative_anharmonicity_gives_the_same_positive_time(self):
         # the bound depends on |dE2|, as ramp_rate_bound does through its square
@@ -226,7 +226,7 @@ class TestScrapPumpWidthBound:
         omega_eff, delta_hat, t_delta, tau = 5e3, 2e4, 2e-3, 2e-3
         _, t_jump = scrap_pump_width_bound(omega_eff, delta_hat, t_delta, tau)
         slope = 2 * delta_hat * tau / t_delta**2 * math.exp(-(tau / t_delta)**2)
-        assert t_jump == pytest.approx(2 * omega_eff / slope, rel=1e-12)
+        assert t_jump == pytest.approx(2 * omega_eff / slope, rel=1e-12, abs=0)
 
 
 class TestValidityCheck:

@@ -393,6 +393,19 @@ def test_api_rejects_a_fixed_level_target_as_the_cli_does(tmp_path, capsys):
     assert capsys.readouterr().err == f"config error: {info.value}\n"
 
 
+# a sweep over the same name twice exited 0: its CSV showed both columns, but
+# every point took the second axis's value
+def test_an_axis_given_twice_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, {"preset": "fig3a", "sweep": {
+        "protocol": "pi_pulse", "axes": [
+            {"name": "t_omega_s", "min": 1e-3, "max": 2e-3, "points": 2},
+            {"name": "t_omega_s", "min": 3e-3, "max": 4e-3, "points": 2}]}})
+    assert main(["sweep", "--config", path, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == ("config error: sweep axis 't_omega_s' is "
+                                       "given more than once\n")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 # check ignored a chirp's target and exited 1 with its margins
 @pytest.mark.parametrize("command", ["propagate", "check"])
 def test_a_target_the_protocol_cannot_report_exits_2(tmp_path, capsys, command):

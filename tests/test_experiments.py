@@ -244,6 +244,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SweepSpec(protocol="bogus", axes=(AxisSpec("x", 0, 1, 2),))
 
+    # both columns were written, but every point took the second axis's value
+    def test_an_axis_given_twice_is_named(self):
+        axes = (AxisSpec("t_omega_s", 1e-3, 2e-3, 2),
+                AxisSpec("omega_hat_rad_s", 1e3, 2e3, 2),
+                AxisSpec("t_omega_s", 3e-3, 4e-3, 2))
+        with pytest.raises(ConfigError) as info:
+            SweepSpec("pi_pulse", axes)
+        assert str(info.value) == "sweep axis 't_omega_s' is given more than once"
+
     # evaluate_point and optimize_pulse raised a bare KeyError from _level
     # as SweepSpec does
     def test_an_unknown_protocol_is_named_from_the_api(self, fig3a):
@@ -727,6 +736,30 @@ class TestOptimizer:
                                 preset=fig3a, x0={"t_omega_s": -1e-3})
         assert result.best_history[0] == 0.0
         assert result.probability > 0.5 and result.params["t_omega_s"] > 0
+
+    # a start missing a bounded name raised a bare KeyError, and a name that
+    # is not bounded was ignored
+    @pytest.mark.parametrize("x0", [{}, {"x": 0.5, "z": 0.5}, {"y": 0.5},
+                                    {"x": 0.5, "y": 0.5, "z": 0.5}],
+                             ids=["empty", "one_unknown", "one_missing", "extra"])
+    def test_a_start_must_name_exactly_the_bounded_parameters(self, x0):
+        with pytest.raises(ConfigError) as info:
+            optimize_pulse(lambda p: 0.0, {"x": (0, 1), "y": (0, 1)}, 10, x0=x0)
+        assert str(info.value) == ("x0 must map exactly the bounded names ['x', 'y'] "
+                                   f"to finite numbers, not {x0!r}")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "0.5", True, None])
+    def test_a_start_that_is_not_a_finite_number_is_named(self, value):
+        with pytest.raises(ConfigError) as info:
+            optimize_pulse(lambda p: 0.0, {"x": (0, 1)}, 10, x0={"x": value})
+        assert str(info.value) == ("x0 must map exactly the bounded names ['x'] to "
+                                   f"finite numbers, not {{'x': {value!r}}}")
+
+    def test_a_start_outside_the_box_is_clamped(self):
+        seen = []
+        optimize_pulse(lambda p: seen.append(p["x"]) or 0.0, {"x": (0, 1)}, 10,
+                       x0={"x": 2.0})
+        assert seen[0] == 1.0
 
     def test_rejects_tiny_budget(self):
         with pytest.raises(ValueError):

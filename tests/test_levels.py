@@ -95,7 +95,7 @@ class TestHamiltonianMatrix:
         # E(n, Delta) = bare(n) - n hbar Delta
         expected = sum(fig3a_model.bare_energies[n] - n * fig3a_model.hbar * detuning
                        for n in range(3))
-        assert np.trace(h) == pytest.approx(expected, rel=1e-12)
+        assert np.trace(h) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_two_level_block_eigenvalues(self, fig3a_model):
         """The {|0>,|1>} block reproduces the dressed closed form.
@@ -122,9 +122,9 @@ class TestHamiltonianMatrix:
         h = hamiltonian_matrix(fig3a_model, 0.0, omega_l)
         assert h[0, 2] == 0.0
         assert h[0, 1] == pytest.approx(
-            0.5 * HBAR * rabi_coupling(fig3a_model, 0, omega_l), rel=1e-12)
+            0.5 * HBAR * rabi_coupling(fig3a_model, 0, omega_l), rel=1e-12, abs=0)
         assert h[1, 2] == pytest.approx(
-            0.5 * HBAR * rabi_coupling(fig3a_model, 1, omega_l), rel=1e-12)
+            0.5 * HBAR * rabi_coupling(fig3a_model, 1, omega_l), rel=1e-12, abs=0)
 
 
 class TestTruncationExtrapolation:
@@ -135,7 +135,7 @@ class TestTruncationExtrapolation:
         half_trap = 0.5 * HBAR * sum(fig3a_derived.system.nu_a)
         expected = (3 * half_trap + 3 * fig3a_derived.delta_e_coll
                     + fig3a_derived.e_sc(3) - 3 * fig3a_derived.mu)
-        assert model.bare_energies[3] == pytest.approx(expected, rel=1e-12)
+        assert model.bare_energies[3] == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_rejects_trivial_ladder(self, fig3a_derived):
         with pytest.raises(ValueError):

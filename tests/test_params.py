@@ -18,7 +18,8 @@ from quantum_tweezers import (
     overlap_factor,
     scattering_shift,
 )
-from quantum_tweezers.constants import ATOMIC_MASS, UnitSystem
+from quantum_tweezers import params
+from quantum_tweezers.constants import ATOMIC_MASS
 
 TWO_PI = 2.0 * math.pi
 
@@ -32,7 +33,7 @@ class TestOscillatorLength:
     def test_frequency_scaling(self):
         base = oscillator_length(RB87_MASS, TWO_PI * 30e3)
         quadrupled = oscillator_length(RB87_MASS, 4 * TWO_PI * 30e3)
-        assert quadrupled == pytest.approx(base / 2, rel=1e-12)
+        assert quadrupled == pytest.approx(base / 2, rel=1e-12, abs=0)
 
     def test_100khz_value(self):
         got = oscillator_length(RB87_MASS, TWO_PI * 100e3)
@@ -50,12 +51,12 @@ class TestCouplingConstant:
 
     def test_hand_evaluated_value(self):
         got = coupling_constant(87 * ATOMIC_MASS, 5.3e-9)
-        assert got == pytest.approx(5.128e-51, rel=2e-3)
+        assert got == pytest.approx(5.128e-51, rel=2e-3, abs=0)
 
     def test_linearity(self):
         g1 = coupling_constant(RB87_MASS, 5.3e-9)
         g2 = coupling_constant(RB87_MASS, 10.6e-9)
-        assert g2 == pytest.approx(2 * g1, rel=1e-12)
+        assert g2 == pytest.approx(2 * g1, rel=1e-12, abs=0)
 
     def test_sign_follows_scattering_length(self):
         assert coupling_constant(RB87_MASS, -1e-9) < 0
@@ -78,7 +79,7 @@ class TestChemicalPotential:
         doubled = dataclasses.replace(fig3a.system,
                                       peak_density=2 * fig3a.system.peak_density)
         assert chemical_potential(doubled) == pytest.approx(
-            2 * chemical_potential(fig3a.system), rel=1e-12)
+            2 * chemical_potential(fig3a.system), rel=1e-12, abs=0)
 
     def test_override_wins(self, fig3a):
         import dataclasses
@@ -100,7 +101,7 @@ class TestCollisionShift:
         lengths = fig3a_derived.osc_lengths
         halved = tuple(a / 2 for a in lengths)
         assert collision_shift(g, halved) == pytest.approx(
-            8 * collision_shift(g, lengths), rel=1e-12)
+            8 * collision_shift(g, lengths), rel=1e-12, abs=0)
 
     def test_against_quadrature(self, fig3a_derived):
         # independent oracle: g_aa * integral |phi|^4 by 1-D quadratures
@@ -114,7 +115,7 @@ class TestCollisionShift:
                                epsrel=1e-12, epsabs=0)
             total *= integral
         assert collision_shift(g, fig3a_derived.osc_lengths) == pytest.approx(
-            total, rel=1e-6)
+            total, rel=1e-6, abs=0)
 
 
 class TestOverlapFactor:
@@ -149,7 +150,7 @@ class TestScatteringShift:
     def test_linear_in_n(self, fig3a_derived):
         e1 = fig3a_derived.e_sc(1)
         e2 = fig3a_derived.e_sc(2)
-        assert e2 == pytest.approx(2 * e1, rel=1e-12)
+        assert e2 == pytest.approx(2 * e1, rel=1e-12, abs=0)
 
     def test_small_against_chemical_potential(self, fig3a_derived):
         # default inter-state scattering length keeps this shift far below mu
@@ -161,7 +162,7 @@ class TestDeriveAll:
         d = fig3a_derived
         lhs = d.e2 - 2 * d.e1
         rhs = d.delta_e_coll + d.e_sc(2) - 2 * d.e_sc(1)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=0)
 
     def test_e1_dominated_by_trap_term(self, fig3a):
         d = derive_all(fig3a.system)
@@ -200,32 +201,39 @@ class TestDeriveAll:
 
 
 class TestDimensionalAudit:
-    def test_second_unit_system(self, fig3a):
-        """Recompute everything in micrometre/millisecond/amu units."""
-        units = UnitSystem(mass=ATOMIC_MASS, length=1e-6, time=1e-3)
+    def test_second_unit_system(self, fig3a, monkeypatch):
+        """Recompute everything in micrometre/millisecond/amu units.
+
+        A quantity of dimensions kg^a m^b s^c is divided by
+        mass**a * length**b * time**c to express it in these units, and
+        params.HBAR is patched to hbar in them.
+        """
+        mass, length, time = ATOMIC_MASS, 1e-6, 1e-3
+        energy = mass * length**2 / time**2
         sys_si = fig3a.system
         scaled = PhysicalSystem(
-            atom_mass=sys_si.atom_mass / units.mass,
-            nu_a=tuple(nu * units.time for nu in sys_si.nu_a),
-            nu_b=tuple(nu * units.time for nu in sys_si.nu_b),
+            atom_mass=sys_si.atom_mass / mass,
+            nu_a=tuple(nu * time for nu in sys_si.nu_a),
+            nu_b=tuple(nu * time for nu in sys_si.nu_b),
             atom_number=sys_si.atom_number,
-            peak_density=sys_si.peak_density * units.length**3,
-            a_aa=sys_si.a_aa / units.length,
-            a_bb=sys_si.a_bb / units.length,
-            a_ab=sys_si.a_ab / units.length,
+            peak_density=sys_si.peak_density * length**3,
+            a_aa=sys_si.a_aa / length,
+            a_bb=sys_si.a_bb / length,
+            a_ab=sys_si.a_ab / length,
         )
         d_si = derive_all(sys_si)
-        d_sc = derive_all(scaled, units)
-        assert d_sc.kappa == pytest.approx(d_si.kappa, rel=1e-12)
+        monkeypatch.setattr(params, "HBAR", HBAR / (energy * time))
+        d_sc = derive_all(scaled)
+        assert d_sc.kappa == pytest.approx(d_si.kappa, rel=1e-12, abs=0)
         for axis in range(3):
-            assert d_sc.osc_lengths[axis] * units.length == pytest.approx(
-                d_si.osc_lengths[axis], rel=1e-12)
+            assert d_sc.osc_lengths[axis] * length == pytest.approx(
+                d_si.osc_lengths[axis], rel=1e-12, abs=0)
         for name in ("mu", "delta_e_coll", "e_sc1", "e1", "e2"):
-            assert getattr(d_sc, name) * units.energy == pytest.approx(
-                getattr(d_si, name), rel=1e-12)
+            assert getattr(d_sc, name) * energy == pytest.approx(
+                getattr(d_si, name), rel=1e-12, abs=0)
         for name in ("g_aa", "g_bb", "g_ab"):
-            assert getattr(d_sc, name) * units.energy * units.length**3 == \
-                pytest.approx(getattr(d_si, name), rel=1e-12)
+            assert getattr(d_sc, name) * energy * length**3 == \
+                pytest.approx(getattr(d_si, name), rel=1e-12, abs=0)
 
 
 class TestPhysicalSystem:

@@ -382,7 +382,7 @@ class TestOutput:
         traj = propagate(fig3a_model, sched,
                          step_control=StepControl(sample_cap=100))
         assert traj.times.size <= 100
-        assert traj.times[-1] == pytest.approx(sched.t_end, rel=1e-12)
+        assert traj.times[-1] == pytest.approx(sched.t_end, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("sample_cap, n_steps", [
         (2, 1), (2, 511), (3, 511), (3, 512), (20, 511), (256, 255), (256, 511),
@@ -397,7 +397,7 @@ class TestOutput:
         assert traj.n_steps == n_steps
         assert 2 <= traj.times.size <= sample_cap
         assert traj.times[0] == schedule.t_start
-        assert traj.times[-1] == pytest.approx(schedule.t_end, rel=1e-12)
+        assert traj.times[-1] == pytest.approx(schedule.t_end, rel=1e-12, abs=0)
 
     # an infinite cap passed, to divide by zero in the sampled kernel, and
     # 2.5 stored 3 samples
@@ -1089,7 +1089,8 @@ class TestSmoothScheduleProperties:
 
 
 class TestOneContract:
-    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan])
+    # an infinite step was taken, and propagated the whole window in one step
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
     def test_step_override_must_be_positive(self, h):
         with pytest.raises(ValueError, match="h_override must be positive"):
             StepControl(h_override=h)
