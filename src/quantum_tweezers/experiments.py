@@ -831,12 +831,16 @@ def optimize_pulse(protocol, bounds: dict[str, tuple[float, float]],
     inputs and seed, and the best-so-far history is monotone
     non-decreasing.  If the budget runs out before the simplex collapses,
     the best point found so far is returned with converged=False.  A budget
-    under 10, no bounds, a bound that is not [low, high] of finite numbers
-    with low < high, any other x0, or a first point (each bounded name at
-    its low bound) that Protocol.params rejects raises ConfigError.  If no
-    evaluation of a named protocol succeeds, the first one's error is raised.
+    that is not an integer (a bool is not) or is under 10, no bounds, a
+    bound that is not [low, high] of finite numbers with low < high, any
+    other x0, or a first point (each bounded name at its low bound) that
+    Protocol.params rejects raises ConfigError.  If no evaluation of a named
+    protocol succeeds, the first one's error is raised; a callable objective
+    that returns NaN or -inf at every point raises ValueError.
     """
     target = target if callable(protocol) else _level(protocol, target)
+    if isinstance(budget, bool) or not hasattr(budget, "__index__"):
+        raise ConfigError(f"optimization budget must be an integer, not {_shown(budget)}")
     if budget < 10:
         raise ConfigError("optimization budget must be at least 10 evaluations")
     names = sorted(bounds)
@@ -910,6 +914,8 @@ def optimize_pulse(protocol, bounds: dict[str, tuple[float, float]],
     converged = _nelder_mead(objective, simplex, budget, xatol=1e-4, fatol=1e-10)
     if failures == evaluations:
         raise first_error
+    if best_x is None:
+        raise ValueError(f"the objective returned NaN or -inf at all {evaluations} evaluations")
     params = {k: float(best_x[d]) for d, k in enumerate(names)}
     return OptimizeResult(
         params=params,

@@ -19,22 +19,21 @@ component-major, (dim, dim, N), and multiplied by accumulating the rows of
 the inner index, one array operation per term.
 Every product of consecutive matrices is taken by one pairwise reduction
 (_reduce_runs), so a run's product does not depend on the runs beside it or
-on the block size.  The steps between two stored samples are multiplied
-into one matrix per sample (a run longer than a block in aligned pieces).
-These are scanned in groups of a fixed length: each group is reduced to one
-matrix, which carries the state from group to group, and the samples inside
-all groups are then reached at once, so no Python loop runs once per step
-or once per stored sample.  Every block-sized array of the kernel is a view
-of a per-thread workspace (seven flat arrays, about 2.2 MB for three levels
-at the fourth order), lent and given back stage by stage and kept between
-calls, so once it has settled, in a few calls, a propagation takes no new
-workspace memory.  The arithmetic is the same whichever memory holds it, so
-the results do not depend on the workspace or the block size.
-
-A final state alone (sample_cap = 2) is computed without the scan: the steps
-of one or several uniform grids over the window share each block, every
-grid's steps are multiplied into one matrix (_finals), and that matrix is
-applied to the start state.
+on the block size.  One runner, _grids, propagates one or several uniform
+grids over the window, each sampled at its own stride: the steps between
+two samples of a grid form a run, and the runs of all the grids, cut into
+aligned pieces where longer than a block, share the blocks (_products).  A
+grid sampled only at its ends (sample_cap = 2) applies its one product to
+the start state.  The runs of any other grid are scanned in groups of a
+fixed length: each group is reduced to one matrix, which carries the state
+from group to group, and the samples inside all groups are then reached at
+once, so no Python loop runs once per step or once per stored sample.
+Every block-sized array of the kernel is a view of a per-thread workspace
+(seven flat arrays, about 2.2 MB for three levels at the fourth order),
+lent and given back stage by stage and kept between calls, so once it has
+settled, in a few calls, a propagation takes no new workspace memory.  The
+arithmetic is the same whichever memory holds it, so the results do not
+depend on the workspace or the block size.
 
 The fourth order takes its step from the spectral rule
 
@@ -47,7 +46,7 @@ at the probe times raises IntegrationError, and so does a step, of the rule,
 of h_override or of a grid of the estimate below, that rounds to 0 or needs
 more than 2^24 steps (_MAX_STEPS).  The sixth order takes its step
 count from an error estimate: grids of 128, 256 and 512 steps run in one
-_finals call, and 512 is accepted when its final populations differ from
+_grids call, and 512 is accepted when its final populations differ from
 the 256-step grid's by at most 63 x 1e-11, which bounds its own error by
 about 1e-11 (step doubling: at the sixth order, halving the step divides
 the error by 64; Hairer, Norsett & Wanner, Solving ODEs I, II.4).  The
@@ -78,6 +77,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -141,13 +141,14 @@ class StepControl:
                              f"{self.h_override!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Propagated amplitudes on a decimated time grid.
 
     times has shape (S,), states (S, dim) complex, populations (S, dim).
     The last sample always coincides with the end of the window.  norm_drift
-    is the largest |<psi|psi> - 1| over the stored samples.
+    is the largest |<psi|psi> - 1| over the stored samples.  Two trajectories
+    are equal, and hash, by identity.
     """
 
     times: np.ndarray
@@ -324,21 +325,16 @@ def _expm(x: np.ndarray) -> np.ndarray:
 def _scan(runs: np.ndarray, length: int, psi: np.ndarray) -> np.ndarray:
     """States after each matrix of a (dim, dim, N) workspace stack, from psi.
 
-    The matrices are taken in groups of `length`, the last padded with
-    identities.  Each group is reduced to one matrix, which carries psi from
-    the start of its group to the next; then the matrices inside all groups
-    are applied at once, one position in the group at a time (Blelloch,
-    CMU-CS-90-190).  A group's last state is the carried one.  Returns
-    (groups * length, dim), a workspace array; runs is given back.
+    The matrices are taken in groups of `length`; N is a whole number of
+    groups (the caller pads the last with identities).  Each group is
+    reduced to one matrix, which carries psi from the start of its group to
+    the next; then the matrices inside all groups are applied at once, one
+    position in the group at a time (Blelloch, CMU-CS-90-190).  A group's
+    last state is the carried one.  Returns (N, dim), a workspace array;
+    runs is given back.
     """
     dim, _, count = runs.shape
-    groups = -(-count // length)
-    if count % length:
-        padded = _WORK.take((dim, dim, groups * length))
-        padded[..., :count] = runs
-        padded[..., count:] = np.eye(dim)[..., None]
-        _WORK.give(runs)
-        runs = padded
+    groups = count // length
     # copied before _reduce_runs, which gives runs back
     inside = _WORK.take((length - 1, dim, dim, groups))
     np.copyto(inside, runs.reshape(dim, dim, groups, length)[..., :-1].transpose(3, 0, 1, 2))
@@ -461,9 +457,12 @@ def _reduce_runs(stack: np.ndarray, runs: list[tuple[int, int]]) -> np.ndarray:
     Each level multiplies the neighbouring pairs of every run at once, after
     one identity pads each run of odd length (a reshaped copy per pair), and
     the runs down to one matrix, at the end, leave.  Returns (dim, dim, runs),
-    a workspace array; stack is given back.
+    a workspace array: stack itself when every run is one matrix, else a new
+    one, and stack is given back.
     """
     runs = [(count, length) for count, length in runs if count and length]
+    if all(length == 1 for _, length in runs):  # nothing to multiply
+        return stack
     dim = stack.shape[0]
     out = _WORK.take((dim, dim, sum(count for count, _ in runs)))
     while runs:
@@ -495,119 +494,154 @@ def _reduce_runs(stack: np.ndarray, runs: list[tuple[int, int]]) -> np.ndarray:
 
 
 def _products(model: LevelModel, schedule: PulseSchedule,
-              runs: list[tuple[int, int, float]], order: int) -> np.ndarray:
-    """Product of the steps of each run, (dim, dim, len(runs)), a workspace array.
+              runs: list[tuple[int, int, int, float]], order: int) -> np.ndarray:
+    """Product of the steps of each run, (dim, dim, runs), a workspace array.
 
-    A run is (first step, steps, h) of a uniform grid of step h, cut into
-    aligned pieces of the largest power of two of steps not above _BLOCK;
-    the runs come most pieces first.  The pieces, longest first, fill blocks
-    of at most _BLOCK steps, each one generator and one exponential stack.
-    A run's pieces, then their products, are reduced in turn: together the
-    pairwise tree of the whole run, whatever _BLOCK or the other runs.
+    runs lists (first, count, length, h) groups, most pieces per run first:
+    count runs of length steps each, one after another from step first, of
+    a uniform grid of step h.  Each run is cut into aligned pieces of the
+    largest power of two of steps not above _BLOCK.  The pieces, longest
+    first, fill blocks of at most _BLOCK steps, each one generator and one
+    exponential stack.  A run's pieces, then their products, are reduced in
+    turn: together the pairwise tree of the whole run, whatever _BLOCK or
+    the other runs.
     """
     size = 1 << (_BLOCK.bit_length() - 1)
-    pieces = [(first, min(size, start + steps - first), h)
-              for start, steps, h in runs for first in range(start, start + steps, size)]
+    pieces = []  # (first, count, length, h): count pieces of length steps, one after another
+    for first, count, length, h in runs:
+        if length <= size:
+            pieces.append((first, count, length, h))
+            continue
+        for start in range(first, first + count * length, length):  # whole pieces, then the rest
+            pieces += [(start, length // size, size, h),
+                       (start + length - length % size, 1, length % size, h)]
+    pieces = [piece for piece in pieces if piece[1] and piece[2]]
+    columns = list(accumulate([count for _, count, _, _ in pieces], initial=0))
     blocks, filled = [[]], 0
-    for j in sorted(range(len(pieces)), key=lambda j: -pieces[j][1]):
-        if filled + pieces[j][1] > _BLOCK:
-            blocks.append([])
-            filled = 0
-        blocks[-1].append(j)
-        filled += pieces[j][1]
-    products = np.empty((model.dim, model.dim, len(pieces)), dtype=complex)
+    for j in sorted(range(len(pieces)), key=lambda j: -pieces[j][2]):
+        (first, count, length, h), column = pieces[j], columns[j]
+        while count:
+            fit = min(count, (_BLOCK - filled) // length)
+            if not fit:
+                blocks.append([])
+                filled = 0
+                continue
+            blocks[-1].append((first, fit, length, h, column))
+            first, count, column = first + fit * length, count - fit, column + fit
+            filled += fit * length
+    products = np.empty((model.dim, model.dim, columns[-1]), dtype=complex)
     for block in blocks:
-        parts = [pieces[j] for j in block]
-        h = np.concatenate([np.full(length, step) for _, length, step in parts])
+        h = np.concatenate([np.full(count * length, step) for _, count, length, step, _ in block])
         times = schedule.t_start + np.concatenate(
-            [first + np.arange(length) for first, length, _ in parts]) * h
+            [np.arange(first, first + count * length) for first, count, length, *_ in block]) * h
         generator = _GENERATORS[order](model, schedule, times, h)
         exponentials = _expm(generator)
         _WORK.give(generator)
-        reduced = _reduce_runs(exponentials, [(1, length) for _, length, _ in parts])
-        products[..., block] = reduced
+        reduced = _reduce_runs(exponentials, [(count, length) for _, count, length, *_ in block])
+        done = 0
+        for _, count, _, _, column in block:
+            products[..., column:column + count] = reduced[..., done:done + count]
+            done += count
         _WORK.give(reduced)
     # taken once the blocks have given theirs back, so the workspace needs no more
     stack = _WORK.take(products.shape)
     stack[...] = products
-    return _reduce_runs(stack, [(1, -(-steps // size)) for _, steps, _ in runs])
+    return _reduce_runs(stack, [(count, -(-length // size)) for _, count, length, _ in runs])
 
 
-def _finals(model: LevelModel, schedule: PulseSchedule, psi: np.ndarray,
-            counts: list[int], order: int) -> np.ndarray:
-    """The states, (len(counts), dim), at the end of uniform grids of counts[k] steps.
+def _grids(model: LevelModel, schedule: PulseSchedule, psi: np.ndarray,
+           grids: list[tuple[int, int]], order: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The sample steps and states of uniform grids over the window, from psi.
 
-    The grids share blocks (_products); no state inside the window is
-    formed.  A step that rounds to 0 raises IntegrationError (_check_step),
-    and so does a final state that is not finite, or, of the finest grid,
-    one that drifts from the unit sphere as propagate checks its samples.
-    A coarser grid, a pilot of the finest, may drift where that one does not.
+    grids lists (steps, stride) pairs; a grid is sampled at step 0 (psi),
+    every stride steps and at its end.  Each grid is cut into runs of stride
+    steps (the last may be shorter), and the runs of all grids share blocks
+    (_products).  The one run of a grid whose stride is its step count is
+    applied to psi; every other grid is scanned (_scan).  A step that rounds
+    to 0 raises IntegrationError (_check_step), and so does a final state
+    that is not finite, or, of the finest grid, one that drifts from the
+    unit sphere as propagate checks its samples.  A coarser grid, a pilot of
+    the finest, may drift where that one does not.
     """
     window = schedule.duration
-    _check_step(window, window / max(counts))
+    finest = max(steps for steps, _ in grids)
+    _check_step(window, window / finest)
     size = 1 << (_BLOCK.bit_length() - 1)
-    # most pieces first, as _products takes them: -counts[k] // size is minus the count
-    grids = sorted(range(len(counts)), key=lambda k: -counts[k] // size)
-    reduced = _products(model, schedule,
-                        [(0, counts[k], window / counts[k]) for k in grids], order)
-    ends = np.ascontiguousarray(reduced.transpose(2, 0, 1))
+    # each grid's whole runs, then its shorter last one, most pieces first as
+    # _products takes them: -length // size is minus the piece count
+    runs = sorted([(k, first, count, length, window / steps)
+                   for k, (steps, stride) in enumerate(grids)
+                   for first, count, length in ((0, steps // stride, stride),
+                                                (steps - steps % stride, 1, steps % stride))
+                   if count and length], key=lambda run: -run[3] // size)
+    reduced = _products(model, schedule, [run[1:] for run in runs], order)
+    spans = [[] for _ in grids]  # the columns of reduced that hold each grid's runs
+    for (k, _, count, *_), end in zip(runs, accumulate(run[2] for run in runs)):
+        spans[k].append(np.arange(end - count, end))
+    samples = []
+    for (steps, stride), span in zip(grids, spans):
+        columns = np.concatenate(span) if len(span) > 1 else span[0]
+        states = np.empty((columns.size + 1, model.dim), dtype=complex)
+        states[0] = psi
+        if stride == steps:  # a contiguous copy: a strided view's product may move a bit
+            states[1] = np.ascontiguousarray(reduced[..., columns[0]]) @ psi
+        else:  # scanned in groups of whole runs, the last padded with identities
+            group = max(1, _GROUP // stride)
+            stack = _WORK.take(reduced.shape[:2] + (-(-columns.size // group) * group,))
+            stack[..., columns.size:] = np.eye(model.dim)[..., None]
+            np.take(reduced, columns, axis=2, out=stack[..., :columns.size], mode="clip")
+            scanned = _scan(stack, group, psi)
+            states[1:] = scanned[:columns.size]
+            _WORK.give(scanned)
+        samples.append((np.minimum(np.arange(0, steps + stride, stride), steps), states))
     _WORK.give(reduced)
-    finals = np.empty((len(counts), model.dim), dtype=complex)
-    for k, end in zip(grids, ends):
-        finals[k] = end @ psi
-    limits = np.where(np.array(counts) == max(counts), NORM_TOLERANCE, np.inf)
-    if not np.all(_drifts(finals) <= limits):  # a non-finite amplitude fails too
-        for k in grids:  # name the first grid that fails
-            _norm_drift(finals[k:k + 1], counts[k], window / counts[k], limits[k])
-    return finals
+    limits = [NORM_TOLERANCE if steps == finest else math.inf for steps, _ in grids]
+    if not np.all(_drifts(np.array([states[-1] for _, states in samples])) <= limits):
+        for k in dict.fromkeys(k for k, *_ in runs):  # name the first grid that fails
+            _norm_drift(samples[k][1][-1:], grids[k][0], window / grids[k][0], limits[k])
+    return samples
 
 
 def _controlled(model: LevelModel, schedule: PulseSchedule, psi: np.ndarray,
-                sample_cap: int = 2) -> tuple[int, np.ndarray, tuple | None]:
-    """The sixth-order step count that meets the targets, its final state and samples.
+                sample_cap: int = 2) -> tuple[int, np.ndarray, np.ndarray]:
+    """The sixth-order step count that meets the targets, its sample steps and states.
 
-    Grids of _START, 2 _START and 4 _START steps run in one _finals call;
-    each has the state it would have alone.  The error of the finest, n
-    steps, is estimated from the largest changes of the final populations,
-    d from n / 2 to n steps and d' from n / 4 to n / 2: at the sixth order
-    d' / d is about 64 and the error about d / 63.
+    Grids of _START, 2 _START and 4 _START steps run in one _grids call, as
+    final states; each has the state it would have alone.  The error of the
+    finest, n steps, is estimated from the largest changes of the final
+    populations, d from n / 2 to n steps and d' from n / 4 to n / 2: at the
+    sixth order d' / d is about 64 and the error about d / 63.
     Below that ratio the grids are not yet in the sixth-order regime, and
     the divisor is d' / d - 1, at least 1.  Above it (the n / 4 grid does not
     yet resolve the drive, and the error collapses once a grid does) the
     divisor stays 63.  The grid is accepted when the estimate is at most
-    _TOLERANCE; otherwise the grid of 2 n steps runs in a call of its own
-    and is tested in turn, up to _MAX_STEPS.  A call that fails probes the
-    schedule first (_probe).  The samples are None at sample_cap = 2.
+    _TOLERANCE; otherwise the grid of 2 n steps runs in a call of its own,
+    sampled every ceil(n / (sample_cap - 1)) steps, its last sample its
+    final state, and is tested in turn, up to _MAX_STEPS.  A call that fails
+    probes the schedule first (_probe).
 
-    Otherwise each grid after the first call is sampled (_sampled) every
-    ceil(n / (sample_cap - 1)) steps, and its last sample is its final state.
-    The populations inside the window can be much less accurate (a pi pulse's
-    end population is stationary in its area, its middle is not), so the
-    grids of the accepted n and n / 2 steps, from the ladder where it holds
-    them, are compared at n's stride: the finer samples' error is about the
-    largest change of their populations at the shared times over 63.  While
-    that is above _SAMPLE_TOLERANCE, grid and stride double (the samples keep
-    their times), up to _MAX_STEPS steps.
+    Above sample_cap = 2 the populations inside the window can be much less
+    accurate (a pi pulse's end population is stationary in its area, its
+    middle is not), so the grids of the accepted n and n / 2 steps, from the
+    ladder where it holds them, are compared at n's stride: the finer
+    samples' error is about the largest change of their populations at the
+    shared times over 63.  While that is above _SAMPLE_TOLERANCE, grid and
+    stride double (the samples keep their times), up to _MAX_STEPS steps.
     """
     def stride(n: int) -> int:
         return math.ceil(n / (sample_cap - 1))
 
-    def run(*grids: int) -> tuple[np.ndarray, tuple | None]:  # final states, samples
+    def run(*grids: tuple[int, int]) -> list[tuple[np.ndarray, np.ndarray]]:
         try:
-            if sample_cap == 2 or len(grids) > 1:
-                return _finals(model, schedule, psi, list(grids), 6), None
-            (n,) = grids
-            _check_step(schedule.duration, schedule.duration / n)
-            steps, states = _sampled(model, schedule, psi, n, stride(n), 6)
-            _norm_drift(states[-1:], n, schedule.duration / n)  # as _finals checks it
-            return states[-1:], (steps, states)
+            return _grids(model, schedule, psi, list(grids), 6)
         except IntegrationError:
             _probe(schedule)
             raise
 
     n = 4 * _START
-    finals = list(run(_START, 2 * _START, n)[0])
-    rungs = {}  # (steps, stride) -> sample steps and states, of the last two grids
+    first = run(*((k, k) for k in (_START, 2 * _START, n)))
+    finals = [states[-1] for _, states in first]
+    rungs = {(n, n): first[-1]}  # (steps, stride) -> samples, of the last grids
     while True:
         coarse_gap, gap = np.max(np.abs(np.diff(np.abs(finals[-3:]) ** 2, axis=0)), axis=1)
         estimate = gap / (min(64.0, max(2.0, coarse_gap / gap)) - 1.0) if gap else 0.0
@@ -618,20 +652,21 @@ def _controlled(model: LevelModel, schedule: PulseSchedule, psi: np.ndarray,
                 f"no sixth-order grid of up to {_MAX_STEPS} steps meets the "
                 f"{_TOLERANCE:.0e} target: error estimate {estimate:.3e} at {n} steps")
         n *= 2
-        final, rungs[n, stride(n)] = run(n)
+        [rungs[n, stride(n)]] = run((n, stride(n)))
         rungs.pop((n // 4, stride(n // 4)), None)
-        finals.extend(final)
-    if sample_cap == 2:
-        return n, finals[-1], None
+        finals.append(rungs[n, stride(n)][1][-1])
     step = stride(n)
-    coarse_steps, coarse = (rungs.get((n // 2, step))
-                            or _sampled(model, schedule, psi, n // 2, step, 6))
-    steps, states = rungs.get((n, step)) or _sampled(model, schedule, psi, n, step, 6)
+    if sample_cap == 2:
+        return (n, *rungs[n, step])
+    missing = [grid for grid in ((n // 2, step), (n, step)) if grid not in rungs]
+    if missing:
+        rungs.update(zip(missing, run(*missing)))
+    (coarse_steps, coarse), (steps, states) = rungs[n // 2, step], rungs[n, step]
     while True:
         shared = np.isin(steps, 2 * coarse_steps)
         estimate = np.max(np.abs(np.abs(states[shared]) ** 2 - np.abs(coarse) ** 2)) / 63.0
         if not estimate > _SAMPLE_TOLERANCE:  # a non-finite state fails later
-            return n, states[-1], (steps, states)
+            return n, steps, states
         if 2 * n > _MAX_STEPS:
             raise IntegrationError(
                 f"no sixth-order grid of up to {_MAX_STEPS} steps meets the "
@@ -639,52 +674,12 @@ def _controlled(model: LevelModel, schedule: PulseSchedule, psi: np.ndarray,
                 f"{estimate:.3e} at {n} steps")
         coarse_steps, coarse = steps, states
         n, step = 2 * n, 2 * step
-        steps, states = _sampled(model, schedule, psi, n, step, 6)
-
-
-def _sampled(model: LevelModel, schedule: PulseSchedule, psi: np.ndarray,
-             n_steps: int, stride: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Step indices and states of an n_steps grid, every stride steps and at its end."""
-    h = schedule.duration / n_steps
-    size = 1 << (_BLOCK.bit_length() - 1)
-    runs_per_group = max(1, _GROUP // stride)
-    group = runs_per_group * stride
-    # runs longer than a block go to one _products call, which packs their pieces
-    block = n_steps if stride > size else max(group, _BLOCK // group * group)
-    sample_steps = np.append(np.arange(0, n_steps, stride), n_steps)
-    states = np.empty((sample_steps.size, model.dim), dtype=complex)
-    states[0] = psi
-
-    sample = 1
-    for start in range(0, n_steps, block):
-        end = min(start + block, n_steps)
-        count = end - start
-        if stride > size:
-            runs = _products(model, schedule, [(run, min(stride, end - run), h)
-                                               for run in range(start, end, stride)], order)
-        else:
-            times = schedule.t_start + (start + np.arange(count)) * h
-            generator = _GENERATORS[order](model, schedule, times, h)
-            exponentials = _expm(generator)
-            _WORK.give(generator)
-            runs = _reduce_runs(exponentials, [(count // stride, stride), (1, count % stride)])
-        count = runs.shape[-1]
-        scanned = _scan(runs, runs_per_group, psi)
-        states[sample:sample + count] = scanned[:count]
-        _WORK.give(scanned)
-        sample += count
-        psi = states[sample - 1]
-    return sample_steps, states
+        [(steps, states)] = run((n, step))
 
 
 def _drifts(states: np.ndarray) -> np.ndarray:
     """|<psi|psi> - 1| of each state of a (S, dim) stack."""
     return np.abs(np.linalg.norm(states, axis=1) ** 2 - 1.0)
-
-
-def _drift(states: np.ndarray) -> float:
-    """The largest |<psi|psi> - 1| of a (S, dim) stack of states."""
-    return float(np.max(_drifts(states)))
 
 
 def _norm_drift(states: np.ndarray, n_steps: int, h: float,
@@ -693,7 +688,7 @@ def _norm_drift(states: np.ndarray, n_steps: int, h: float,
     if not np.all(np.isfinite(states)):
         raise IntegrationError(
             f"propagation produced non-finite amplitudes (steps={n_steps}, h={h:.3e})")
-    drift = _drift(states)
+    drift = float(np.max(_drifts(states)))
     if drift > tolerance:
         raise IntegrationError(
             f"norm drift {drift:.3e} exceeds {NORM_TOLERANCE:.0e} "
@@ -720,7 +715,7 @@ def propagate(model: LevelModel, schedule: PulseSchedule,
         psi = np.asarray(initial_state, dtype=complex).copy()
         if psi.shape != (dim,):
             raise ValueError(f"initial state must have shape ({dim},)")
-        drift = _drift(psi[None])
+        drift = float(_drifts(psi[None])[0])
         if not drift <= NORM_TOLERANCE:  # NaN fails too
             raise ValueError(f"initial state: |<psi|psi> - 1| = {drift:.3e} "
                              f"exceeds {NORM_TOLERANCE:.0e}")
@@ -729,23 +724,16 @@ def propagate(model: LevelModel, schedule: PulseSchedule,
     # so numpy's warnings are silenced, once per propagation:
     # an errstate on every envelope call made envelope evaluation about 40% slower
     with np.errstate(over="ignore", invalid="ignore"):
-        final = samples = None
         if control.order == 6 and control.h_override is None and not control.spectral:
-            n_steps, final, samples = _controlled(model, schedule, psi, control.sample_cap)
+            n_steps, steps, states = _controlled(model, schedule, psi, control.sample_cap)
         else:
             n_steps = _choose_step(model, schedule, control)
-        if control.sample_cap == 2:
-            if final is None:
-                (final,) = _finals(model, schedule, psi, [n_steps], control.order)
-            sample_steps, states = np.array([0, n_steps]), np.stack([psi, final])
-        else:
             stride = math.ceil(n_steps / (control.sample_cap - 1))
-            sample_steps, states = samples or _sampled(model, schedule, psi, n_steps, stride,
-                                                       control.order)
+            [(steps, states)] = _grids(model, schedule, psi, [(n_steps, stride)], control.order)
     h = schedule.duration / n_steps
     drift = _norm_drift(states, n_steps, h)
     return Trajectory(
-        times=schedule.t_start + sample_steps * h,
+        times=schedule.t_start + steps * h,
         states=states,
         populations=np.abs(states) ** 2,
         n_steps=n_steps,
@@ -756,8 +744,8 @@ def propagate(model: LevelModel, schedule: PulseSchedule,
 
 def transfer_probability(trajectory: Trajectory, n: int) -> float:
     """Population of level |n> at the end of the window, in [0, 1]."""
-    if not 0 <= n < trajectory.dim:
-        raise ValueError(f"level index {n} outside 0..{trajectory.dim - 1}")
+    if isinstance(n, bool) or not hasattr(n, "__index__") or not 0 <= n < trajectory.dim:
+        raise ValueError(f"level index must be an integer in 0..{trajectory.dim - 1}, not {n!r}")
     return float(trajectory.populations[-1, n])
 
 

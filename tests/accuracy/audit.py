@@ -15,12 +15,11 @@ window, and for propagate's samples over every stored sample too.
 
 Per protocol it prints each point's accepted step counts (one per pulse)
 and errors, the worst error of each kind, the steps each control computed
-(every grid of its estimate, counted by wrapping propagator._finals and
-propagator._sampled) next to the steps it accepted, and every point past
-its target: 1e-11 for a final population, 1e-10 for a sample.  The
-package is imported from the src/ of the checkout that holds this script,
-and the output holds no timing, so two runs print the same bytes and two
-commits can be diffed.
+(every grid of its estimate, counted by wrapping propagator._grids) next
+to the steps it accepted, and every point past its target: 1e-11 for a
+final population, 1e-10 for a sample.  The package is imported from the
+src/ of the checkout that holds this script, and the output holds no
+timing, so two runs print the same bytes and two commits can be diffed.
 """
 
 from __future__ import annotations
@@ -67,19 +66,15 @@ _COMPUTED = [0]  # the steps of every grid run since main wrapped the kernels
 
 
 def _count_computed_steps() -> None:
-    """Wrap propagator._finals and propagator._sampled so that each call adds
-    its grids' steps to _COMPUTED."""
-    finals, sampled = propagator._finals, propagator._sampled
+    """Wrap propagator._grids so that each call adds its grids' steps to
+    _COMPUTED."""
+    grids = propagator._grids
 
-    def counted_finals(model, schedule, psi, counts, order):
-        _COMPUTED[0] += sum(counts)
-        return finals(model, schedule, psi, counts, order)
+    def counted(model, schedule, psi, pairs, order):
+        _COMPUTED[0] += sum(steps for steps, _ in pairs)
+        return grids(model, schedule, psi, pairs, order)
 
-    def counted_sampled(model, schedule, psi, n_steps, stride, order):
-        _COMPUTED[0] += n_steps
-        return sampled(model, schedule, psi, n_steps, stride, order)
-
-    propagator._finals, propagator._sampled = counted_finals, counted_sampled
+    propagator._grids = counted
 
 
 def published_sample(seed: int = 0) -> list[tuple[str, str, dict, int]]:

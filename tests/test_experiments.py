@@ -607,8 +607,9 @@ def test_sweep_control_accepts_a_grid_of_at_least_512_steps_as_run_alone():
             run = propagate(model, schedule, initial_state=state,
                             step_control=_SWEEP_STEP_CONTROL)
             assert run.n_steps >= 512, (protocol, point)
-            (alone,) = propagator._finals(model, schedule, state, [run.n_steps], 6)
-            assert run.final_state.tobytes() == alone.tobytes(), (protocol, point)
+            [(_, alone)] = propagator._grids(model, schedule, state,
+                                             [(run.n_steps, run.n_steps)], 6)
+            assert run.final_state.tobytes() == alone[-1].tobytes(), (protocol, point)
             state = run.final_state
 
 
@@ -764,6 +765,28 @@ class TestOptimizer:
     def test_rejects_tiny_budget(self):
         with pytest.raises(ValueError):
             optimize_pulse(lambda p: 0.0, {"x": (0, 1)}, budget=5)
+
+    @pytest.mark.parametrize("budget", [math.nan, 10.5, math.inf, 12.0, True, "12", None])
+    def test_budget_must_be_an_integer(self, budget):
+        # the budget < 10 check let NaN through (2 evaluations ran), 10.5
+        # (11 ran) and inf (until the simplex collapsed)
+        calls = []
+        with pytest.raises(ConfigError, match="^optimization budget must be an integer, not "):
+            optimize_pulse(lambda p: calls.append(p) or 0.0, {"x": (0, 1)}, budget=budget)
+        assert not calls
+        result = optimize_pulse(lambda p: -p["x"], {"x": (0, 1)}, budget=np.int64(12))
+        assert result.n_evaluations <= 12
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_objective_without_a_number_raises(self, value):
+        # with NaN at every point no best point was ever set, and building
+        # the result raised a TypeError
+        calls = []
+        with pytest.raises(ValueError) as info:
+            optimize_pulse(lambda p: calls.append(p) or value, {"x": (0, 1)}, budget=10)
+        assert str(info.value) == (f"the objective returned NaN or -inf at all "
+                                   f"{len(calls)} evaluations")
+        assert 0 < len(calls) <= 10
 
 
 def _replay_problem(seed):

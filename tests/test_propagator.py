@@ -199,6 +199,25 @@ class TestTransferProbability:
         for n in range(3):
             assert 0.0 <= transfer_probability(traj, n) <= 1.0
 
+    @pytest.mark.parametrize("level", [True, 1.0, np.float64(1.0), "1", None],
+                             ids=["bool", "float", "numpy_float", "str", "none"])
+    def test_level_must_be_an_integer(self, fig3a_model, level):
+        # a bool or a float passed the range check: True then raised numpy's
+        # TypeError and 1.0 an IndexError
+        traj = propagate(fig3a_model, _resonant_schedule(fig3a_model, 4e3, 1e-4))
+        with pytest.raises(ValueError, match=r"^level index must be an integer in 0\.\.2, not "):
+            transfer_probability(traj, level)
+        assert transfer_probability(traj, np.int64(1)) == transfer_probability(traj, 1)
+
+    def test_trajectories_compare_and_hash_by_identity(self, fig3a_model):
+        # the generated __eq__ compared the array fields (ValueError for two
+        # runs of one schedule) and __hash__ hashed them (TypeError)
+        schedule = _resonant_schedule(fig3a_model, 4e3, 1e-4)
+        a, b = (propagate(fig3a_model, schedule) for _ in range(2))
+        assert a.states.tobytes() == b.states.tobytes()
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+
 
 class TestInputValidation:
     def test_unnormalized_initial_state(self, fig3a_model):
@@ -748,8 +767,14 @@ class TestSixthOrder:
         assert np.max(np.abs(sixth.populations[-1] - fourth.populations[-1])) < 1e-9
 
 
+def _final_states(model, schedule, psi, counts, order):
+    """Final states, (len(counts), dim), of grids of counts[k] steps run in one _grids call."""
+    grids = propagator._grids(model, schedule, psi, [(n, n) for n in counts], order)
+    return np.array([states[-1] for _, states in grids])
+
+
 class TestFinalStates:
-    """The final-state core, _finals, and the sixth-order step controller."""
+    """Final states of the grid runner, and the sixth-order step controller."""
 
     @pytest.mark.parametrize("order", [4, 6])
     def test_grid_alone_or_stacked_at_any_block(self, fig3a_model, monkeypatch, order):
@@ -758,21 +783,38 @@ class TestFinalStates:
         schedule, _ = _stepped(fig3a_model, 1001, 2)
         psi = np.array([0.6, 0.48j, -0.64], dtype=complex)
         counts = [64, 128, 256, 1001]
-        reference = propagator._finals(fig3a_model, schedule, psi, counts, order)
+        reference = _final_states(fig3a_model, schedule, psi, counts, order)
         for block in (1, 97, propagator._BLOCK):
             monkeypatch.setattr(propagator, "_BLOCK", block)
-            stacked = propagator._finals(fig3a_model, schedule, psi, counts[::-1], order)
+            stacked = _final_states(fig3a_model, schedule, psi, counts[::-1], order)
             assert stacked[::-1].tobytes() == reference.tobytes()
             for n, state in zip(counts, reference):
-                alone = propagator._finals(fig3a_model, schedule, psi, [n], order)
+                alone = _final_states(fig3a_model, schedule, psi, [n], order)
                 assert alone[0].tobytes() == state.tobytes()
+
+    def test_sampled_grids_alone_or_together_at_any_block(self, fig3a_model, monkeypatch):
+        # sampled and final-only grids in one call; at a block of 97 (pieces
+        # of 64 steps) the grids' runs have 5, 4 and 1 pieces, so the runner
+        # takes each grid's runs from between the others'
+        schedule, _ = _stepped(fig3a_model, 1001, 2)
+        psi = np.array([0.6, 0.48j, -0.64], dtype=complex)
+        grids = [(1001, 250), (500, 250), (300, 300), (1001, 7)]
+        reference = [propagator._grids(fig3a_model, schedule, psi, [grid], 4)[0]
+                     for grid in grids]
+        for block in (97, propagator._BLOCK):
+            monkeypatch.setattr(propagator, "_BLOCK", block)
+            together = propagator._grids(fig3a_model, schedule, psi, grids, 4)
+            for (steps, states), (alone_steps, alone) in zip(together, reference):
+                assert steps.tobytes() == alone_steps.tobytes()
+                assert states.tobytes() == alone.tobytes()
+        assert [len(steps) for steps, _ in reference] == [6, 3, 2, 144]
 
     @pytest.mark.parametrize("order", [4, 6])
     def test_final_state_matches_the_sampled_kernel(self, fig3a_model, order):
         schedule, control = _stepped(fig3a_model, 1001, 10_000)
         control = StepControl(h_override=control.h_override, order=order)
         sampled = propagate(fig3a_model, schedule, step_control=control)
-        final = propagator._finals(fig3a_model, schedule, sampled.states[0], [1001], order)
+        final = _final_states(fig3a_model, schedule, sampled.states[0], [1001], order)
         assert np.max(np.abs(final[0] - sampled.final_state)) < 1e-13
         two_ends = propagate(fig3a_model, schedule, step_control=StepControl(
             sample_cap=2, h_override=control.h_override, order=order))
@@ -813,11 +855,12 @@ class TestFinalStates:
         # before) divides the change by 3 and doubles on until 2048 steps
         c = 63 * 0.5e-11 / (256.0 ** -power - 512.0 ** -power)
 
-        def finals(model, schedule, psi, counts, order):
-            p = 0.5 + c * np.asarray(counts, dtype=float) ** -power
-            return np.stack([np.sqrt(1.0 - p), np.sqrt(p), 0.0 * p], axis=1) + 0j
+        def grids(model, schedule, psi, pairs, order):  # each grid's final state alone
+            p = 0.5 + c * np.array([steps for steps, _ in pairs], dtype=float) ** -power
+            finals = np.stack([np.sqrt(1.0 - p), np.sqrt(p), 0.0 * p], axis=1) + 0j
+            return [(None, final[None]) for final in finals]
 
-        monkeypatch.setattr(propagator, "_finals", finals)
+        monkeypatch.setattr(propagator, "_grids", grids)
         assert propagator._controlled(None, None, None)[0] == accepted
 
     def test_spectral_sixth_order_keeps_the_rule(self):
@@ -840,33 +883,37 @@ class TestFinalStates:
             propagate(model, schedule, step_control=StepControl(sample_cap=2, order=6))
 
 
-def _counted_finals(monkeypatch):
-    """Wrap _finals; returns the list of the counts of each call."""
+def _counted_grids(monkeypatch):
+    """Wrap _grids; returns the list of the (steps, stride) pairs of each call."""
     requests = []
-    finals = propagator._finals
+    grids = propagator._grids
 
-    def counted(model, schedule, psi, counts, order):
-        requests.append(list(counts))
-        return finals(model, schedule, psi, counts, order)
+    def counted(model, schedule, psi, pairs, order):
+        requests.append(list(pairs))
+        return grids(model, schedule, psi, pairs, order)
 
-    monkeypatch.setattr(propagator, "_finals", counted)
+    monkeypatch.setattr(propagator, "_grids", counted)
     return requests
 
 
+_FIRST_CALL = [(128, 128), (256, 256), (512, 512)]  # final states only
+
+
 class TestFirstCall:
-    """The controller's first _finals call runs the 128- to 512-step grids."""
+    """The controller's first _grids call runs the 128- to 512-step grids."""
 
     @pytest.mark.parametrize("omega_hat, t_omega, accepted, calls", [
         (1.5e4, 0.5e-3, 512, 1), (1.5e4, 1.0e-3, 512, 1), (1e4 / 3, 3.25e-3, 1024, 2)])
     def test_calls_per_accepted_count(self, monkeypatch, omega_hat, t_omega,
                                       accepted, calls):
         model, schedule = _fig4_chirp(t_omega, omega_hat)
-        requests = _counted_finals(monkeypatch)
+        requests = _counted_grids(monkeypatch)
         traj = propagate(model, schedule, step_control=StepControl(sample_cap=2, order=6))
         assert traj.n_steps == accepted
-        assert requests[0] == [128, 256, 512] and len(requests) == calls
+        assert requests[0] == _FIRST_CALL and len(requests) == calls
+        assert all(pairs == [(n, n)] for pairs, n in zip(requests[1:], (1024, 2048)))
         # the accepted grid's state is the one it has alone
-        (alone,) = propagator._finals(model, schedule, traj.states[0], [accepted], 6)
+        (alone,) = _final_states(model, schedule, traj.states[0], [accepted], 6)
         assert traj.final_state.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("limit", [256, 512])
@@ -875,14 +922,14 @@ class TestFirstCall:
         # grid stops that call on its step check, before any grid runs
         model, schedule = _fig4_chirp(3.25e-3, 1e4 / 3)
         monkeypatch.setattr(propagator, "_MAX_STEPS", limit)
-        requests = _counted_finals(monkeypatch)
+        requests = _counted_grids(monkeypatch)
         match = f"no grid of up to {limit} steps spans" if limit < 512 else f"at {limit} steps"
         with pytest.raises(IntegrationError, match=match):
             propagate(model, schedule, step_control=StepControl(sample_cap=2, order=6))
         if limit < 512:
-            assert requests == [[128, 256, 512]]
+            assert requests == [_FIRST_CALL]
         else:
-            assert max(max(counts) for counts in requests) == limit
+            assert max(steps for pairs in requests for steps, _ in pairs) == limit
 
     def test_a_pilot_grid_may_drift(self):
         # the fig4 chirp with its pump 1 s before the crossings: alone, the
@@ -896,8 +943,8 @@ class TestFirstCall:
                                         model.derived.e1, hbar=model.hbar)
         psi = np.array([1.0, 0.0, 0.0], dtype=complex)
         with pytest.raises(IntegrationError, match=r"norm drift .* \(steps=128,"):
-            propagator._finals(model, schedule, psi, [128], 6)
-        propagator._finals(model, schedule, psi, [64, 128, 256, 512], 6)
+            _final_states(model, schedule, psi, [128], 6)
+        _final_states(model, schedule, psi, [64, 128, 256, 512], 6)
         traj = propagate(model, schedule, step_control=StepControl(sample_cap=2, order=6))
         reference = propagate(model, schedule, step_control=StepControl(
             sample_cap=2, order=6, h_override=traj.step / 4))
@@ -913,7 +960,7 @@ class TestFirstCall:
         psi = np.array([1.0, 0.0, 0.0], dtype=complex)
         with np.errstate(invalid="ignore"), pytest.raises(
                 IntegrationError, match=rf"non-finite amplitudes \(steps={named},"):
-            propagator._finals(fig3a_model, schedule, psi, counts, 6)
+            _final_states(fig3a_model, schedule, psi, counts, 6)
 
 
 def _ramp_cli_propagate():
@@ -931,23 +978,11 @@ class TestOneLadder:
         # steps run sampled, and those samples serve both estimates.  Each
         # grid was run twice (7040 steps): for its final state, then sampled
         model, schedule = _ramp_cli_propagate()
-        calls = []
-        finals, sampled = propagator._finals, propagator._sampled
-
-        def counted_finals(model, schedule, psi, counts, order):
-            calls.append(("final", list(counts)))
-            return finals(model, schedule, psi, counts, order)
-
-        def counted_sampled(model, schedule, psi, n_steps, stride, order):
-            calls.append(("sampled", n_steps))
-            return sampled(model, schedule, psi, n_steps, stride, order)
-
-        monkeypatch.setattr(propagator, "_finals", counted_finals)
-        monkeypatch.setattr(propagator, "_sampled", counted_sampled)
+        calls = _counted_grids(monkeypatch)
         traj = propagate(model, schedule, step_control=_PROPAGATE_STEP_CONTROL)
         assert traj.n_steps == 2048 and len(traj.times) == 2049
-        assert calls == [("final", [128, 256, 512]), ("sampled", 1024), ("sampled", 2048)]
-        assert sum(sum(n) if kind == "final" else n for kind, n in calls) == 3968
+        assert calls == [_FIRST_CALL, [(1024, 1)], [(2048, 1)]]
+        assert sum(steps for pairs in calls for steps, _ in pairs) == 3968
 
     def test_stride_that_does_not_match_recomputes_the_half_grid(self, monkeypatch):
         # at a cap of 1536 samples, the 1024-step rung is sampled at stride 1
@@ -956,19 +991,13 @@ class TestOneLadder:
         # that samples the accepted grids alone
         model, schedule = _ramp_cli_propagate()
         control = StepControl(sample_cap=1536, order=6)
-        strides = []
-        sampled = propagator._sampled
-
-        def counted(model, schedule, psi, n_steps, stride, order):
-            strides.append((n_steps, stride))
-            return sampled(model, schedule, psi, n_steps, stride, order)
-
-        monkeypatch.setattr(propagator, "_sampled", counted)
+        calls = _counted_grids(monkeypatch)
         traj = propagate(model, schedule, step_control=control)
-        assert strides == [(1024, 1), (2048, 2), (1024, 2)]
-        alone = propagator._sampled(model, schedule, traj.states[0], 2048, 2, 6)
+        assert calls == [_FIRST_CALL, [(1024, 1)], [(2048, 2)], [(1024, 2)]]
+        [(steps, alone)] = propagator._grids(model, schedule, traj.states[0], [(2048, 2)], 6)
         assert traj.n_steps == 2048
-        assert traj.states.tobytes() == alone[1].tobytes()
+        assert traj.states.tobytes() == alone.tobytes()
+        assert traj.times.tobytes() == (schedule.t_start + steps * traj.step).tobytes()
 
 
 @dataclass(frozen=True)
