@@ -67,21 +67,24 @@ EXIT_OK = 0
 EXIT_VALIDITY = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+_WRITE_CHARS = 1 << 16  # characters of output text encoded and written at a time
 
 
 def _atomic_write(path: str, text: str) -> None:
     """Write text to a temporary file beside path, then rename it over path.
 
     The temporary file is opened like a plain open(path, "w"), so the output
-    keeps the umask's mode.  A write that fails raises ConfigError and
-    leaves no temporary file behind.
+    keeps the umask's mode.  The text is written in slices of _WRITE_CHARS
+    characters, so no encoded copy of the whole text is made.  A write that
+    fails raises ConfigError and leaves no temporary file behind.
     """
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
                        f"tmp{os.urandom(8).hex()}.tmp")
     try:
         try:
             with open(tmp, "x", encoding="utf-8") as handle:
-                handle.write(text)
+                for start in range(0, len(text), _WRITE_CHARS):
+                    handle.write(text[start:start + _WRITE_CHARS])
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):

@@ -621,8 +621,12 @@ def run_sweep(spec: SweepSpec, preset: Preset, threads: int = 1) -> SweepResult:
     A 1-D ramp sweep records the intervals of its axis with P > 0.99;
     a 2-D sweep records the 0.99 and 0.80 contours and the P > 0.99 area.
     A point that raises a TweezersError fails alone; any other error
-    leaves the sweep; the first point is checked before any runs.
+    leaves the sweep; the first point is checked before any runs.  threads
+    processes, at most one per point, evaluate the points; a threads that
+    is not an integer (a bool is not) or is under 1 raises ConfigError.
     """
+    if isinstance(threads, bool) or not hasattr(threads, "__index__") or threads < 1:
+        raise ConfigError(f"threads must be an integer of at least 1, not {_shown(threads)}")
     _check_first_point(spec.protocol, preset, spec.fixed,
                        {axis.name: axis.minimum for axis in spec.axes})
     axis_values = tuple(axis.values() for axis in spec.axes)
@@ -632,12 +636,13 @@ def run_sweep(spec: SweepSpec, preset: Preset, threads: int = 1) -> SweepResult:
         for d, axis in enumerate(spec.axes):
             point[axis.name] = float(axis_values[d][idx[d]])
         tasks.append((preset, spec.protocol, point, spec.target, _SWEEP_STEP_CONTROL))
-    if threads > 1:
+    workers = min(threads, len(tasks))  # a process pool forks all its workers at once
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_evaluate_task, tasks,
-                                    chunksize=max(1, len(tasks) // (threads * 8))))
+                                    chunksize=max(1, len(tasks) // (workers * 8))))
     else:
         results = [_evaluate_task(task) for task in tasks]
 
@@ -831,18 +836,21 @@ def optimize_pulse(protocol, bounds: dict[str, tuple[float, float]],
     inputs and seed, and the best-so-far history is monotone
     non-decreasing.  If the budget runs out before the simplex collapses,
     the best point found so far is returned with converged=False.  A budget
-    that is not an integer (a bool is not) or is under 10, no bounds, a
-    bound that is not [low, high] of finite numbers with low < high, any
-    other x0, or a first point (each bounded name at its low bound) that
-    Protocol.params rejects raises ConfigError.  If no evaluation of a named
-    protocol succeeds, the first one's error is raised; a callable objective
-    that returns NaN or -inf at every point raises ValueError.
+    that is not an integer (a bool is not) or is under 10, a seed that is
+    not an integer or is negative, no bounds, a bound that is not [low,
+    high] of finite numbers with low < high, any other x0, or a first point
+    (each bounded name at its low bound) that Protocol.params rejects raises
+    ConfigError.  If no evaluation of a named protocol succeeds, the first
+    one's error is raised; a callable objective that returns NaN or -inf at
+    every point raises ValueError.
     """
     target = target if callable(protocol) else _level(protocol, target)
     if isinstance(budget, bool) or not hasattr(budget, "__index__"):
         raise ConfigError(f"optimization budget must be an integer, not {_shown(budget)}")
     if budget < 10:
         raise ConfigError("optimization budget must be at least 10 evaluations")
+    if isinstance(seed, bool) or not hasattr(seed, "__index__") or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, not {_shown(seed)}")
     names = sorted(bounds)
     if not names:
         raise ConfigError("no parameters to optimize")

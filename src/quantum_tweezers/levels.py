@@ -111,17 +111,19 @@ def hamiltonian_matrix(model: LevelModel, detuning: float,
 
 
 def hamiltonian_stack(model: LevelModel, detunings: np.ndarray,
-                      omega_ls: np.ndarray) -> np.ndarray:
+                      omega_ls: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Vectorized Hamiltonians (K, dim, dim) for sampled schedule values.
 
     Same matrix as :func:`hamiltonian_matrix` for each (detuning, omega_l)
-    pair; used by the propagator's inner loop.
+    pair; used by the propagator's inner loop.  out, a (K, dim, dim) float
+    array of any strides, is filled and returned instead of a new array.
     """
     detunings = np.asarray(detunings, dtype=float)
     omega_ls = np.asarray(omega_ls, dtype=float)
     dim = model.dim
     hbar = model.hbar
-    h = np.zeros((detunings.size, dim, dim))
+    h = np.empty((detunings.size, dim, dim)) if out is None else out
+    h.fill(0.0)
     for n in range(dim):
         h[:, n, n] = model.bare_energies[n] - n * hbar * detunings
     for n in range(dim - 1):

@@ -28,12 +28,14 @@ the start state.  The runs of any other grid are scanned in groups of a
 fixed length: each group is reduced to one matrix, which carries the state
 from group to group, and the samples inside all groups are then reached at
 once, so no Python loop runs once per step or once per stored sample.
-Every block-sized array of the kernel is a view of a per-thread workspace
-(seven flat arrays, about 2.2 MB for three levels at the fourth order),
-lent and given back stage by stage and kept between calls, so once it has
-settled, in a few calls, a propagation takes no new workspace memory.  The
-arithmetic is the same whichever memory holds it, so the results do not
-depend on the workspace or the block size.
+Every block-sized array of the kernel, H at the Gauss-Legendre nodes too
+(filled in place by hamiltonian_stack), is a view of a per-thread workspace
+(seven flat arrays, for three levels about 2.1 MB at the fourth order and
+1.1 MB at the sixth on the fig4 chirp, more where a scanned grid holds
+more than a block of samples), lent and given back stage by stage and kept
+between calls, so once it has settled, in a few calls, a propagation takes
+no new workspace memory.  The arithmetic is the same whichever memory holds
+it, so the results do not depend on the workspace or the block size.
 
 The fourth order takes its step from the spectral rule
 
@@ -99,7 +101,7 @@ _GL3_NODES = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) 
 _BLOCK = 2048  # steps per vectorized block (bounds memory); a multiple of the group
 _GROUP = 32  # steps per group of the sample scan, rounded down to whole strides
 _THETA = 0.25  # 1-norm below which the Taylor polynomial is used unscaled
-_CSV_ROWS = 1024  # CSV rows formatted at a time
+_CSV_ROWS = 256  # CSV rows formatted at a time
 _TAYLOR = tuple(1.0 / math.factorial(k) for k in range(13))
 # order -> (steps per 2 pi / omega_max oscillation, least count) of the spectral rule
 _STEP_RULE = {4: (50, 1000), 6: (20, 1)}
@@ -131,14 +133,16 @@ class StepControl:
     spectral: bool = False
 
     def __post_init__(self):
-        if self.order not in _GENERATORS:
-            raise ValueError(f"order must be 4 or 6, not {self.order!r}")
+        if not hasattr(self.order, "__index__") or self.order not in _GENERATORS:
+            raise ValueError(f"order must be the integer 4 or 6, not {self.order!r}")
         cap = self.sample_cap  # an integer as operator.index takes it, not a bool
         if isinstance(cap, bool) or not hasattr(cap, "__index__") or cap.__index__() < 2:
             raise ValueError(f"sample_cap must be an integer of at least 2, not {cap!r}")
-        if self.h_override is not None and not 0 < self.h_override < math.inf:
-            raise ValueError(f"h_override must be positive and finite, not "
-                             f"{self.h_override!r}")
+        step = self.h_override  # a number, not a bool
+        if step is not None and (isinstance(step, bool) or not 0 < step < math.inf):
+            raise ValueError(f"h_override must be positive and finite, not {step!r}")
+        if not isinstance(self.spectral, bool):
+            raise ValueError(f"spectral must be a bool, not {self.spectral!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,13 +360,13 @@ def _scan(runs: np.ndarray, length: int, psi: np.ndarray) -> np.ndarray:
 
 def _hamiltonians(model: LevelModel, schedule: PulseSchedule,
                   times: np.ndarray) -> np.ndarray:
-    """H at `times`, (..., N), as a component-major (..., dim, dim, N) workspace."""
-    flat = times.reshape(-1)
-    stack = hamiltonian_stack(model, schedule.detuning(flat), schedule.rabi(flat))
-    dim = stack.shape[-1]
-    out = _WORK.take(times.shape[:-1] + (dim, dim, times.shape[-1]), float)
-    np.copyto(out, np.moveaxis(stack.reshape(times.shape + (dim, dim)), -3, -1))
-    return out
+    """H at the (nodes, N) `times`, as the (nodes, dim, dim, N) node slices of one
+    component-major (dim, dim, nodes N) workspace array that it is filled into."""
+    flat, dim = times.reshape(-1), model.dim
+    stack = _WORK.take((dim, dim, flat.size), float)
+    hamiltonian_stack(model, schedule.detuning(flat), schedule.rabi(flat),
+                      out=stack.transpose(2, 0, 1))
+    return stack.reshape(dim, dim, *times.shape).transpose(2, 0, 1, 3)
 
 
 def _generator(model: LevelModel, schedule: PulseSchedule, times: np.ndarray,
@@ -770,12 +774,12 @@ def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
     empty field.  Rows are formatted a column at a time, in chunks of
     _CSV_ROWS rows.
     """
-    parts = [",".join(header)]
+    parts = [",".join(header) + "\n"]
     for start in range(0, len(columns[0]), _CSV_ROWS):
         chunks = [np.asarray(column[start:start + _CSV_ROWS], dtype=float)
                   for column in columns]
         text = zip(*(["" if math.isnan(v) else repr(v) for v in chunk.tolist()]
                      if np.isnan(chunk).any() else map(repr, chunk.tolist())
                      for chunk in chunks))
-        parts.append("\n".join(map(",".join, text)))
-    return "\n".join(parts) + "\n"
+        parts.append("\n".join(map(",".join, text)) + "\n")
+    return "".join(parts)

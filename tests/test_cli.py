@@ -10,6 +10,7 @@ import os
 import re
 import stat
 import time
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantum_tweezers import StepControl, get_preset, propagate, validity_check
+from quantum_tweezers import cli
 from quantum_tweezers.cli import COMMANDS, build_parser, main
 from quantum_tweezers.config import (
     _SYSTEM_KEYS,
@@ -743,6 +745,24 @@ def test_outputs_keep_the_umask_mode(tmp_path, umask, mode):
     finally:
         os.umask(old)
     assert stat.S_IMODE((tmp_path / "params.json").stat().st_mode) == mode
+
+
+# the whole text was encoded at once: a copy of up to three bytes per
+# character beside the text
+def test_atomic_write_encodes_a_slice_at_a_time(tmp_path):
+    chars = cli._WRITE_CHARS
+    # each multibyte character straddles a slice boundary's byte offset
+    text = ("x" * (chars - 1) + "\u03a9\u00e9\u20ac") * 8 + "\n"
+    path = tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        cli._atomic_write(str(path), text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == text.encode("utf-8")
+    assert peak < 6 * chars  # a slice, 2 bytes a character here, and its encoding
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 # a section without a type was taken for a schedule section: "protocol:

@@ -163,6 +163,40 @@ class TestScrapContour:
         assert serial.to_csv_text() == pooled.to_csv_text()
 
 
+class TestSweepThreads:
+    # 0 and -3 ran serially without a word, and 1.5 raised a TypeError from
+    # concurrent.futures
+    @pytest.mark.parametrize("threads", [0, -3, 1.5, True, "2", None])
+    def test_threads_must_be_a_positive_integer(self, fig3a, threads):
+        with pytest.raises(ConfigError, match="^threads must be an integer of at least 1, not "):
+            ramp_rate_sweep(fig3a, [1e6, 2e6], threads=threads)
+
+    # a pool forks all its workers at once: 8 for a 2-point sweep
+    def test_pool_has_at_most_one_worker_per_point(self, fig3a, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class Recorder:  # records the pool size and starts no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        serial = ramp_rate_sweep(fig3a, [1e6, 2e6])
+        pooled = ramp_rate_sweep(fig3a, [1e6, 2e6], threads=8)
+        assert sizes == [2]
+        assert pooled.to_csv_text() == serial.to_csv_text()
+
+
 class TestDelayScan:
     def test_plateau_and_secondary(self, fig3a):
         delays = np.linspace(-5e-3, 1e-3, 25)
@@ -776,6 +810,17 @@ class TestOptimizer:
         assert not calls
         result = optimize_pulse(lambda p: -p["x"], {"x": (0, 1)}, budget=np.int64(12))
         assert result.n_evaluations <= 12
+
+    # 1.5 and -1 raised numpy's TypeError and ValueError, and True ran as seed 1
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        calls = []
+        with pytest.raises(ConfigError, match="^seed must be a non-negative integer, not "):
+            optimize_pulse(lambda p: calls.append(p) or 0.0, {"x": (0, 1)}, budget=10,
+                           seed=seed)
+        assert not calls
+        result = optimize_pulse(lambda p: -p["x"], {"x": (0, 1)}, budget=10, seed=np.int64(3))
+        assert result.n_evaluations <= 10
 
     @pytest.mark.parametrize("value", [math.nan, -math.inf])
     def test_objective_without_a_number_raises(self, value):

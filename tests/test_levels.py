@@ -13,6 +13,7 @@ from quantum_tweezers import (
     rabi_coupling,
     resonance_detunings,
 )
+from quantum_tweezers.levels import hamiltonian_stack
 
 
 def _energy(model, n, detuning):
@@ -125,6 +126,18 @@ class TestHamiltonianMatrix:
             0.5 * HBAR * rabi_coupling(fig3a_model, 0, omega_l), rel=1e-12, abs=0)
         assert h[1, 2] == pytest.approx(
             0.5 * HBAR * rabi_coupling(fig3a_model, 1, omega_l), rel=1e-12, abs=0)
+
+
+    def test_stack_fills_a_strided_out_in_place(self, fig3a_model):
+        # the propagator fills its component-major (dim, dim, K) workspace
+        # through the transposed view; a stale value must not survive
+        rng = np.random.default_rng(5)
+        detunings, omegas = rng.uniform(-1e6, 1e6, 7), rng.uniform(0.0, 2e4, 7)
+        fresh = hamiltonian_stack(fig3a_model, detunings, omegas)
+        component_major = np.full((3, 3, 7), np.nan)
+        out = component_major.transpose(2, 0, 1)
+        assert hamiltonian_stack(fig3a_model, detunings, omegas, out=out) is out
+        assert out.tobytes() == fresh.tobytes()
 
 
 class TestTruncationExtrapolation:

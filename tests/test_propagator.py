@@ -561,6 +561,24 @@ class TestCsv:
                                 n_steps=rows - 1, step=1e-6)
         assert trajectory_to_csv(trajectory) == _csv_by_rows(trajectory)
 
+    def test_dense_ramp_csv_is_joined_once(self, fig3a, fig3a_model):
+        # the 2049-row trajectory of `qtweezers propagate` on the slowest
+        # ramp: the text and its rows at most, where the rows joined with
+        # "\n" and then a last "\n" held three copies at once
+        schedule = gated_ramp_schedule(fig3a_model, fig3a.omega_l, 3e5, target=1,
+                                       geometry=fig3a.ramp)
+        trajectory = propagate(fig3a_model, schedule,
+                               step_control=_PROPAGATE_STEP_CONTROL)
+        assert trajectory.times.size == 2049
+        tracemalloc.start()
+        try:
+            text = trajectory_to_csv(trajectory)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == _csv_by_rows(trajectory)
+        assert peak < 2.5 * len(text)
+
     def test_propagated_matches_row_by_row_repr(self, fig3a_model):
         schedule, control = _stepped(fig3a_model, 1001, 10_000)
         trajectory = propagate(fig3a_model, schedule, step_control=control)
@@ -698,6 +716,27 @@ class TestWorkspace:
         assert trajectory.n_steps == 8763
         assert peak < 2 * model.dim ** 2 * propagator._BLOCK * 16
 
+    def test_warm_generator6_fills_the_hamiltonians_in_place(self):
+        # H at a block's three Gauss-Legendre nodes is filled into one
+        # workspace array: a warm call traces no (3N, dim, dim) float stack
+        # (a fresh stack, then copied in, put the peak at 1.6 such arrays)
+        model, schedule = _fig4_chirp()
+        count = propagator._BLOCK
+        h = np.full(count, schedule.duration / 8763)
+        times = schedule.t_start + np.arange(count) * h
+
+        def warm_peak():
+            for _ in range(3):
+                propagator._WORK.give(propagator._generator6(model, schedule, times, h))
+            tracemalloc.start()
+            try:
+                propagator._WORK.give(propagator._generator6(model, schedule, times, h))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert _in_fresh_thread(warm_peak) < 3 * count * model.dim ** 2 * 8
+
     def test_run_longer_than_a_block_allocates_under_two_blocks(self, fig3a_model):
         # two samples inside 200,000 steps: a run of 100,000 steps is cut into
         # pieces of at most a block (it peaked at 23 MB when a block held it)
@@ -711,9 +750,14 @@ class TestWorkspace:
 class TestSixthOrder:
     def test_order_is_4_or_6(self):
         assert StepControl().order == 4
-        for order in (0, 2, 5, 8, 6.5, "6"):
-            with pytest.raises(ValueError):
+        assert StepControl(order=np.int64(6)).order == 6
+        for order in (0, 2, 5, 8, 6.5, "6", 6.0, np.float64(4)):
+            with pytest.raises(ValueError, match="order must be"):
                 StepControl(order=order)
+
+    def test_spectral_is_a_bool(self):
+        with pytest.raises(ValueError, match="spectral must be a bool"):
+            StepControl(order=6, spectral="yes")
 
     def test_generator_matches_the_commutator_formula(self):
         # Blanes, Casas, Oteo & Ros (2009): three Gauss-Legendre nodes, with
@@ -1118,8 +1162,9 @@ class TestSmoothScheduleProperties:
 
 
 class TestOneContract:
-    # an infinite step was taken, and propagated the whole window in one step
-    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
+    # an infinite step was taken, and propagated the whole window in one
+    # step; so was True, as a 1 s step
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf, True])
     def test_step_override_must_be_positive(self, h):
         with pytest.raises(ValueError, match="h_override must be positive"):
             StepControl(h_override=h)
