@@ -1,6 +1,7 @@
 """Exception hierarchy, and how the checks that raise them read a number
-(_float) and show a value (_shown).  The CLI exits 2 on a ConfigError or an
-InfeasibleScheduleError and 3 on an IntegrationError."""
+(_float) or an integer (_integer) and show a value (_shown).  The CLI exits
+2 on a ConfigError or an InfeasibleScheduleError and 3 on an
+IntegrationError."""
 
 import math
 from numbers import Real
@@ -31,6 +32,11 @@ def _float(raw) -> float:
         return float(raw) if isinstance(raw, Real) and not isinstance(raw, bool) else math.nan
     except OverflowError:
         return math.inf if raw > 0 else -math.inf
+
+
+def _integer(raw) -> bool:
+    """Whether raw is an integer as operator.index takes it, and not a bool."""
+    return hasattr(raw, "__index__") and not isinstance(raw, bool)
 
 
 def _shown(value) -> str:

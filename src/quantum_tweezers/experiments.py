@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 from operator import attrgetter
 
 import numpy as np
@@ -30,7 +29,8 @@ from .analytics import (
     validity_check,
 )
 from .constants import HBAR
-from .exceptions import ConfigError, InfeasibleScheduleError, TweezersError, _float, _shown
+from .exceptions import (ConfigError, InfeasibleScheduleError, TweezersError, _float,
+                         _integer, _shown)
 from .levels import LevelModel, build_level_model, rabi_coupling, resonance_detunings
 from .params import derive_all
 from .presets import Preset, RampGeometry
@@ -99,7 +99,7 @@ class AxisSpec:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise ConfigError(f"an axis name must be a string, not {self.name!r}")
-        if isinstance(self.points, bool) or not isinstance(self.points, Integral):
+        if not _integer(self.points):
             raise ConfigError(f"axis {self.name!r} needs an integer number of "
                               f"points, not {self.points!r}")
         if self.points < 2:
@@ -211,7 +211,7 @@ def gated_ramp_schedule(model: LevelModel, omega_l: float, rate: float,
     if rate == 0:
         raise InfeasibleScheduleError("ramp rate must be non-zero")
     rate = abs(rate)
-    if target not in (1, 2) or target > model.n_max:
+    if not _integer(target) or target not in (1, 2) or target > model.n_max:
         raise ValueError(f"unsupported ramp target {target}")
     res = resonance_detunings(model)
     q = (model.derived.e2 - 2.0 * model.derived.e1) / HBAR
@@ -469,8 +469,7 @@ def _level(protocol: str, target: int | None) -> int:
     entry = PROTOCOLS.get(protocol)
     if entry is None:
         raise ConfigError(f"unknown protocol {protocol!r}")
-    if target is not None and (isinstance(target, bool) or not isinstance(
-            target, Integral) or target not in (1, 2)):
+    if target is not None and (not _integer(target) or target not in (1, 2)):
         raise ConfigError(f"target must be 1 or 2, not {_shown(target)}")
     if target is not None and entry.target not in (None, target):
         raise ConfigError(f"protocol {protocol!r} reports level {entry.target}; "
@@ -625,7 +624,7 @@ def run_sweep(spec: SweepSpec, preset: Preset, threads: int = 1) -> SweepResult:
     processes, at most one per point, evaluate the points; a threads that
     is not an integer (a bool is not) or is under 1 raises ConfigError.
     """
-    if isinstance(threads, bool) or not hasattr(threads, "__index__") or threads < 1:
+    if not _integer(threads) or threads < 1:
         raise ConfigError(f"threads must be an integer of at least 1, not {_shown(threads)}")
     _check_first_point(spec.protocol, preset, spec.fixed,
                        {axis.name: axis.minimum for axis in spec.axes})
@@ -845,11 +844,11 @@ def optimize_pulse(protocol, bounds: dict[str, tuple[float, float]],
     every point raises ValueError.
     """
     target = target if callable(protocol) else _level(protocol, target)
-    if isinstance(budget, bool) or not hasattr(budget, "__index__"):
+    if not _integer(budget):
         raise ConfigError(f"optimization budget must be an integer, not {_shown(budget)}")
     if budget < 10:
         raise ConfigError("optimization budget must be at least 10 evaluations")
-    if isinstance(seed, bool) or not hasattr(seed, "__index__") or seed < 0:
+    if not _integer(seed) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, not {_shown(seed)}")
     names = sorted(bounds)
     if not names:

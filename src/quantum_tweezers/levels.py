@@ -1,4 +1,4 @@
-"""Truncated ladder of collective atom-number states and its Hamiltonian.
+"""The two- or three-level ladder of atom-number states and its Hamiltonian.
 
 State |n> has n atoms in the steep-trap ground state and N - n left in the
 reservoir.  With E(0) = 0 as the reference, the diagonal energies are
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR
+from .exceptions import _integer
 from .params import DerivedParams
 
 __all__ = [
@@ -32,7 +33,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LevelModel:
-    """Truncated (n_max + 1)-level system.
+    """The two-level (n_max = 1) or three-level (n_max = 2) ladder.
 
     bare_energies[n] is E(n) at zero detuning (J); rabi_units[n] is the
     dimensionless coupling factor kappa * sqrt(n+1) for the |n> <-> |n+1>
@@ -54,32 +55,24 @@ class LevelModel:
 
 
 def build_level_model(derived: DerivedParams, n_max: int = 2) -> LevelModel:
-    """Assemble the level ladder from derived parameters.
+    """The ladder up to |n_max>, n_max the integer 1 or 2 (a bool is not).
 
-    For n > 2 the energies extrapolate the pairwise-collision picture,
-    E_a(n) = n * (1/2) sum_j hbar nu_aj + C(n,2) * dE_coll, and couplings
-    follow the sqrt(n+1) law.
+    Its bare energies are 0, E1 and E2 as derive_all forms them, and its
+    couplings follow the sqrt(n+1) law.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    half_trap = 0.5 * HBAR * sum(derived.system.nu_a)
-    bare = []
-    for n in range(n_max + 1):
-        pairs = n * (n - 1) // 2
-        bare.append(n * half_trap + pairs * derived.delta_e_coll
-                    + derived.e_sc(n) - n * derived.mu)
-    units = [derived.kappa * math.sqrt(n + 1) for n in range(n_max)]
+    if not _integer(n_max) or n_max not in (1, 2):
+        raise ValueError(f"n_max must be the integer 1 or 2, not {n_max!r}")
     return LevelModel(
         n_max=n_max,
-        bare_energies=tuple(bare),
-        rabi_units=tuple(units),
+        bare_energies=(0.0, derived.e1, derived.e2)[:n_max + 1],
+        rabi_units=tuple(derived.kappa * math.sqrt(n + 1) for n in range(n_max)),
         derived=derived,
     )
 
 
 def rabi_coupling(model: LevelModel, n: int, omega_l: float) -> float:
     """Collective coupling between |n> and |n+1> (rad/s): Omega_L kappa sqrt(n+1)."""
-    if not 0 <= n < model.n_max:
+    if not _integer(n) or not 0 <= n < model.n_max:
         raise ValueError(f"coupling index {n} outside 0..{model.n_max - 1}")
     return omega_l * model.rabi_units[n]
 

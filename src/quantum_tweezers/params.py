@@ -193,12 +193,6 @@ class DerivedParams:
     e1: float  # one-atom resonance energy (J)
     e2: float  # two-atom resonance energy (J)
 
-    def e_sc(self, n: int) -> float:
-        """Reservoir-collision shift for n trapped atoms (J), linear in n."""
-        if n < 0:
-            raise ValueError("atom count n must be non-negative")
-        return n * self.e_sc1
-
     def as_dict(self) -> dict:
         """Flat dict of the physical fields (for reports and JSON export)."""
         return {

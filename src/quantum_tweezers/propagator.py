@@ -83,7 +83,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .exceptions import IntegrationError
+from .exceptions import IntegrationError, _integer
 from .levels import LevelModel, hamiltonian_stack
 from .pulses import PulseSchedule
 
@@ -98,7 +98,7 @@ __all__ = [
 NORM_TOLERANCE = 1e-9
 _GL2_NODES = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
 _GL3_NODES = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
-_BLOCK = 2048  # steps per vectorized block (bounds memory); a multiple of the group
+_BLOCK = 2048  # steps per vectorized block (bounds memory)
 _GROUP = 32  # steps per group of the sample scan, rounded down to whole strides
 _THETA = 0.25  # 1-norm below which the Taylor polynomial is used unscaled
 _CSV_ROWS = 256  # CSV rows formatted at a time
@@ -133,10 +133,10 @@ class StepControl:
     spectral: bool = False
 
     def __post_init__(self):
-        if not hasattr(self.order, "__index__") or self.order not in _GENERATORS:
+        if not _integer(self.order) or self.order not in _GENERATORS:
             raise ValueError(f"order must be the integer 4 or 6, not {self.order!r}")
-        cap = self.sample_cap  # an integer as operator.index takes it, not a bool
-        if isinstance(cap, bool) or not hasattr(cap, "__index__") or cap.__index__() < 2:
+        cap = self.sample_cap
+        if not _integer(cap) or cap.__index__() < 2:
             raise ValueError(f"sample_cap must be an integer of at least 2, not {cap!r}")
         step = self.h_override  # a number, not a bool
         if step is not None and (isinstance(step, bool) or not 0 < step < math.inf):
@@ -748,7 +748,7 @@ def propagate(model: LevelModel, schedule: PulseSchedule,
 
 def transfer_probability(trajectory: Trajectory, n: int) -> float:
     """Population of level |n> at the end of the window, in [0, 1]."""
-    if isinstance(n, bool) or not hasattr(n, "__index__") or not 0 <= n < trajectory.dim:
+    if not _integer(n) or not 0 <= n < trajectory.dim:
         raise ValueError(f"level index must be an integer in 0..{trajectory.dim - 1}, not {n!r}")
     return float(trajectory.populations[-1, n])
 

@@ -17,7 +17,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .constants import HBAR
-from .exceptions import ConfigError, InfeasibleScheduleError, _float, _shown
+from .exceptions import ConfigError, InfeasibleScheduleError, _float, _integer, _shown
 from .levels import LevelModel, resonance_detunings
 
 __all__ = [
@@ -238,21 +238,23 @@ def build_pi_pulse(model: LevelModel, transition: tuple[int, int] | str,
                    t_omega: float) -> PulseSchedule:
     """Resonant Gaussian pulse with effective area pi on one transition.
 
-    The transition is a (lower, upper) pair or its "0-1" / "1-2" spelling.
-    The drive peak is solved so that the collective coupling integrates to
-    pi: Omega_hat = sqrt(pi) / (kappa sqrt(n+1) T), with the detuning held
-    at the transition's resonance (d01 for 0->1, d12 for 1->2).  A width
-    whose product with the coupling underflows, so that the peak is not
-    finite, raises InfeasibleScheduleError.
+    The transition is a (lower, upper) pair of integers, or exactly "0-1"
+    or "1-2"; any other raises InfeasibleScheduleError.  The drive peak is
+    solved so that the collective coupling integrates to pi: Omega_hat =
+    sqrt(pi) / (kappa sqrt(n+1) T), with the detuning held at the
+    transition's resonance (d01 for 0->1, d12 for 1->2).  A width whose
+    product with the coupling underflows, so that the peak is not finite,
+    raises InfeasibleScheduleError.
     """
     if not t_omega > 0:
         raise InfeasibleScheduleError("t_omega must be strictly positive")
     if isinstance(transition, str):
-        parts = transition.split("-")
-        transition = (int(parts[0]), int(parts[1]))
-    lower, upper = transition
-    if upper != lower + 1 or not 0 <= lower < model.n_max:
+        transition = {"0-1": (0, 1), "1-2": (1, 2)}.get(transition, transition)
+    pair = list(transition) if isinstance(transition, (tuple, list)) else []
+    if not (len(pair) == 2 and all(map(_integer, pair)) and pair[1] == pair[0] + 1
+            and 0 <= pair[0] < model.n_max):
         raise InfeasibleScheduleError(f"unsupported transition {transition}")
+    lower = pair[0]
     res = resonance_detunings(model)
     detuning = res.d01 if lower == 0 else res.d12
     coupled_width = model.rabi_units[lower] * t_omega

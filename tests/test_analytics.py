@@ -8,6 +8,7 @@ import pytest
 
 from quantum_tweezers import (
     HBAR,
+    InfeasibleScheduleError,
     ScrapPulseParams,
     dressed,
     lz_probability,
@@ -94,6 +95,9 @@ class TestLzProbability:
         with pytest.warns(UserWarning, match="adiabatic limit"):
             assert lz_probability(1e-30, 0.0) == 1.0
 
+    def test_zero_rate_is_infinitely_adiabatic(self):
+        assert adiabaticity_parameter(HBAR * 1e4, 0.0) == math.inf
+
     def test_monotonic_in_splitting(self):
         # range chosen below the float saturation of 1 - exp(-alpha)
         rate = 1e7
@@ -173,6 +177,11 @@ class TestMinTransferTime:
         for de2 in (HBAR * 1e4, HBAR * TWO_PI * 2e3):
             assert min_transfer_time(-de2, 0.99) == min_transfer_time(de2, 0.99) > 0
 
+    def test_rejects_bad_threshold(self):
+        for p0 in (0.0, 1.0, -0.5, 2.0):
+            with pytest.raises(ValueError, match="threshold probability"):
+                min_transfer_time(HBAR * 1e4, p0)
+
     def test_identity_with_rate_bound(self):
         # tau_min * rate_max = dE2/hbar with the span normalization used here
         de2 = HBAR * TWO_PI * 2e3
@@ -191,6 +200,12 @@ class TestScrapAdiabaticCondition:
     def test_vanishing_pulse_limit(self):
         de2 = HBAR * TWO_PI * 2e3
         assert scrap_adiabatic_condition(0.0, 2e-3, 2e-3, de2) == math.inf
+
+    @pytest.mark.parametrize("t_delta, tau", [(0.0, 2e-3), (2e-3, -1e-3), (math.nan, 2e-3)])
+    def test_rejects_a_width_or_delay_that_is_not_positive(self, t_delta, tau):
+        with pytest.raises(InfeasibleScheduleError,
+                           match="^t_delta and tau must be strictly positive$"):
+            scrap_adiabatic_condition(2e4, t_delta, tau, HBAR * TWO_PI * 2e3)
 
     def test_preset_point_satisfied(self, fig3a_model, fig3a):
         cfg = fig3a.scrap
@@ -221,6 +236,13 @@ class TestScrapPumpWidthBound:
         de2 = fig3a_model.derived.e2 - 2 * fig3a_model.derived.e1
         assert t_min * de2 / HBAR > 1
         assert t_jump > 0
+
+    @pytest.mark.parametrize("delta_hat, t_delta, tau", [
+        (2e4, 0.0, 2e-3), (2e4, 2e-3, -1e-3), (0.0, 2e-3, 2e-3)])
+    def test_rejects_a_degenerate_detuning_pulse(self, delta_hat, t_delta, tau):
+        with pytest.raises(InfeasibleScheduleError,
+                           match="^t_delta and tau must be positive, delta_hat non-zero$"):
+            scrap_pump_width_bound(5e3, delta_hat, t_delta, tau)
 
     def test_jump_time_formula(self):
         omega_eff, delta_hat, t_delta, tau = 5e3, 2e4, 2e-3, 2e-3

@@ -1138,6 +1138,21 @@ def test_malformed_values_exit_2(tmp_path, capsys, command, config):
     assert [f.name for f in tmp_path.iterdir()] == ["config.json"]
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read config {path}: [Errno 2] No such file or directory: '{path}'"),
+    (b"qtweezers", "config {path} is not valid JSON: Expecting value: line 1 column 1 "
+                   "(char 0)"),
+    (b'["fig3a"]', "config root must be a JSON object"),
+], ids=["missing", "not_json", "array_root"])
+def test_a_config_that_is_not_a_json_object_exits_2(tmp_path, capsys, content, message):
+    path = tmp_path / "config.json"
+    if content is not None:
+        path.write_bytes(content)
+    assert main(["params", "--config", str(path), "--out", str(tmp_path)]) == 2
+    first_line = capsys.readouterr().err.splitlines()[0]
+    assert first_line == "config error: " + message.format(path=path)
+
+
 # a_aa_m = 1e-300 makes E2 - 2 E1 exactly 0: no crossing selects an atom number
 _NO_ANHARMONICITY = {"system": {"a_aa_m": 1e-300}}
 

@@ -11,7 +11,9 @@ import pytest
 
 from quantum_tweezers import (
     StepControl,
+    build_level_model,
     delay_scan,
+    derive_all,
     get_preset,
     optimize_pulse,
     pipulse_contour,
@@ -31,6 +33,7 @@ from quantum_tweezers.experiments import (
     _nelder_mead,
     evaluate_point,
     contiguous_intervals,
+    gated_ramp_schedule,
     preset_model,
     region_area_fraction,
     run_sweep,
@@ -414,6 +417,26 @@ class TestSpecValidation:
         assert _shown(-10 ** (digits - 1)) == f"a {digits}-digit integer"
         assert _shown(10 ** digits) == f"a {digits + 1}-digit integer"
 
+    def test_a_sweep_needs_an_axis(self):
+        with pytest.raises(ValueError, match="^a sweep needs at least one axis$"):
+            SweepSpec("ramp", ())
+
+    def test_an_axis_of_one_value_rejected(self, fig3a):
+        with pytest.raises(ValueError, match="^a sweep axis needs at least 2 points$"):
+            ramp_rate_sweep(fig3a, np.array([1e6]))
+
+    def test_a_named_protocol_needs_a_preset(self):
+        with pytest.raises(ValueError, match="^a preset is required for named protocols$"):
+            optimize_pulse("pi_pulse", {"t_omega_s": (1e-3, 2e-3)}, 10)
+
+    # True and 1.0 ran as target 1
+    @pytest.mark.parametrize("n_max, target", [(2, 0), (2, 3), (2, True), (2, 1.0), (1, 2)])
+    def test_ramp_target_outside_the_ladder_rejected(self, fig3a, n_max, target):
+        model = build_level_model(derive_all(fig3a.system), n_max=n_max)
+        with pytest.raises(ValueError, match=f"^unsupported ramp target {target}$"):
+            gated_ramp_schedule(model, fig3a.omega_l, 3e5, target=target,
+                                geometry=fig3a.ramp)
+
     def test_arbitrary_spacing_rejected(self, fig3a):
         with pytest.raises(ValueError, match="spaced"):
             ramp_rate_sweep(fig3a, np.array([1e6, 2e6, 7e6]))
@@ -439,6 +462,10 @@ class TestSpecValidation:
 
 
 class TestRegionExtraction:
+    def test_contours_need_a_2d_sweep(self, small_ramp_result):
+        with pytest.raises(ValueError, match="^contour extraction needs a 2-D sweep$"):
+            threshold_contours(small_ramp_result, 0.99)
+
     def test_contiguous_intervals(self):
         axis = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         p = np.array([0.1, 0.995, 0.999, 0.2, 0.995, 0.3])

@@ -7,8 +7,11 @@ import pytest
 
 from quantum_tweezers import (
     HBAR,
+    RB87_MASS,
+    PhysicalSystem,
     build_level_model,
     derive_all,
+    get_preset,
     hamiltonian_matrix,
     rabi_coupling,
     resonance_detunings,
@@ -58,6 +61,12 @@ class TestRabiCoupling:
     def test_out_of_range(self, fig3a_model):
         with pytest.raises(ValueError):
             rabi_coupling(fig3a_model, 2, 4e3)
+
+    # True gave the 0->1 coupling, and a float raised TypeError
+    @pytest.mark.parametrize("n", [True, 0.5, 1.0])
+    def test_index_that_is_not_an_integer(self, fig3a_model, n):
+        with pytest.raises(ValueError, match=f"^coupling index {n} outside 0..1$"):
+            rabi_coupling(fig3a_model, n, 4e3)
 
 
 class TestResonanceDetunings:
@@ -140,16 +149,50 @@ class TestHamiltonianMatrix:
         assert out.tobytes() == fresh.tobytes()
 
 
+class TestLadder:
+    @staticmethod
+    def _random_system(rng):
+        # signed scattering lengths, and every other system a signed mu_override
+        return PhysicalSystem(
+            atom_mass=RB87_MASS,
+            nu_a=tuple(rng.uniform(1e5, 1e7, size=3)),
+            nu_b=tuple(rng.uniform(1e1, 1e3, size=3)),
+            atom_number=int(rng.integers(1, 10_000)),
+            peak_density=rng.uniform(1e16, 1e21),
+            a_aa=rng.uniform(-6e-9, 6e-9),
+            a_bb=rng.uniform(-6e-9, 6e-9),
+            a_ab=rng.uniform(-6e-9, 6e-9),
+            mu_override=rng.uniform(-1e-29, 1e-29) if rng.random() < 0.5 else None,
+        )
+
+    def test_bare_energies_are_derive_alls(self):
+        # the propagated diagonal and every analytic bound read one E1 and E2;
+        # repr compares bit for bit and tells -0.0 from 0.0
+        rng = np.random.default_rng(40)
+        systems = [get_preset(name).system for name in ("fig3a", "fig3b")]
+        systems += [self._random_system(rng) for _ in range(1000)]
+        for system in systems:
+            derived = derive_all(system)
+            for n_max in (1, 2):
+                expected = (0.0, derived.e1, derived.e2)[:n_max + 1]
+                assert repr(build_level_model(derived, n_max).bare_energies) == repr(expected)
+
+    def test_takes_a_numpy_integer(self, fig3a_derived, fig3a_model):
+        model = build_level_model(fig3a_derived, n_max=np.int64(2))
+        assert model.bare_energies == fig3a_model.bare_energies
+        assert model.rabi_units == fig3a_model.rabi_units
+
+
 class TestTruncationExtrapolation:
-    def test_higher_levels(self, fig3a_derived):
-        model = build_level_model(fig3a_derived, n_max=4)
-        # couplings follow sqrt(n+1), energies the pairwise-collision count
-        assert model.rabi_units[3] / model.rabi_units[0] == pytest.approx(2.0, rel=1e-12)
-        half_trap = 0.5 * HBAR * sum(fig3a_derived.system.nu_a)
-        expected = (3 * half_trap + 3 * fig3a_derived.delta_e_coll
-                    + fig3a_derived.e_sc(3) - 3 * fig3a_derived.mu)
-        assert model.bare_energies[3] == pytest.approx(expected, rel=1e-12, abs=0)
+    """The ladder is truncated at |1> or |2>, and nowhere else."""
 
     def test_rejects_trivial_ladder(self, fig3a_derived):
         with pytest.raises(ValueError):
             build_level_model(fig3a_derived, n_max=0)
+
+    # 3 built a four-level model, True a two-level one, and a float raised
+    # TypeError
+    @pytest.mark.parametrize("n_max", [3, True, 1.5, 2.0])
+    def test_rejects_a_larger_or_non_integer_ladder(self, fig3a_derived, n_max):
+        with pytest.raises(ValueError, match=f"^n_max must be the integer 1 or 2, not {n_max}$"):
+            build_level_model(fig3a_derived, n_max=n_max)

@@ -24,6 +24,11 @@ from quantum_tweezers.constants import ATOMIC_MASS
 TWO_PI = 2.0 * math.pi
 
 
+def _e_sc(derived, n):
+    """The reservoir-collision shift of n trapped atoms (J)."""
+    return scattering_shift(derived.g_ab, n, derived.system.peak_density)
+
+
 class TestOscillatorLength:
     def test_fig_system_value(self):
         # sqrt(hbar / (M nu)) for Rb-87 at 2pi x 30 kHz
@@ -60,6 +65,11 @@ class TestCouplingConstant:
 
     def test_sign_follows_scattering_length(self):
         assert coupling_constant(RB87_MASS, -1e-9) < 0
+
+    @pytest.mark.parametrize("mass", [0.0, -RB87_MASS, math.nan])
+    def test_rejects_a_mass_that_is_not_positive(self, mass):
+        with pytest.raises(ValueError, match="^mass must be positive$"):
+            coupling_constant(mass, 5e-9)
 
 
 class TestChemicalPotential:
@@ -125,6 +135,12 @@ class TestOverlapFactor:
     def test_zero_density(self, fig3a_derived):
         assert overlap_factor(fig3a_derived.osc_lengths, 0.0) == 0.0
 
+    @pytest.mark.parametrize("lengths, density", [((0.0, 1e-7, 1e-7), 1e19),
+                                                  ((1e-7, 1e-7, 1e-7), -1e19)])
+    def test_domain_errors(self, lengths, density):
+        with pytest.raises(ValueError, match="^oscillator lengths must be positive"):
+            overlap_factor(lengths, density)
+
     def test_kappa_squared_linear_in_density(self, fig3a_derived):
         lengths = fig3a_derived.osc_lengths
         k1 = overlap_factor(lengths, 3e19)
@@ -148,9 +164,13 @@ class TestScatteringShift:
         assert scattering_shift(1e-51, 0, 3e19) == 0.0
 
     def test_linear_in_n(self, fig3a_derived):
-        e1 = fig3a_derived.e_sc(1)
-        e2 = fig3a_derived.e_sc(2)
+        e1 = fig3a_derived.e_sc1
+        e2 = _e_sc(fig3a_derived, 2)
         assert e2 == pytest.approx(2 * e1, rel=1e-12, abs=0)
+
+    def test_rejects_a_negative_atom_count(self):
+        with pytest.raises(ValueError, match="^atom count n must be non-negative$"):
+            scattering_shift(1e-51, -1, 3e19)
 
     def test_small_against_chemical_potential(self, fig3a_derived):
         # default inter-state scattering length keeps this shift far below mu
@@ -161,7 +181,7 @@ class TestDeriveAll:
     def test_resonance_energy_identity(self, fig3a_derived):
         d = fig3a_derived
         lhs = d.e2 - 2 * d.e1
-        rhs = d.delta_e_coll + d.e_sc(2) - 2 * d.e_sc(1)
+        rhs = d.delta_e_coll + _e_sc(d, 2) - 2 * d.e_sc1
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=0)
 
     def test_e1_dominated_by_trap_term(self, fig3a):
@@ -173,9 +193,17 @@ class TestDeriveAll:
         for value in fig3a_derived.as_dict().values():
             assert math.isfinite(value)
 
+    def test_rejects_a_derived_parameter_that_is_not_finite(self, fig3a):
+        # mu/hbar overflows, though mu itself is a finite float
+        import dataclasses
+        system = dataclasses.replace(fig3a.system, mu_override=1e300)
+        with pytest.raises(ValueError, match="^derived parameter mu_over_hbar_rad_s is "
+                                             "not finite: inf$"):
+            derive_all(system)
+
     def test_anharmonicity_positive(self, fig3a_derived):
         d = fig3a_derived
-        assert d.delta_e_coll + d.e_sc(2) - 2 * d.e_sc(1) > 0
+        assert d.delta_e_coll + _e_sc(d, 2) - 2 * d.e_sc1 > 0
         assert d.e2 > 2 * d.e1
 
     def test_anharmonicity_sign_over_random_systems(self):
@@ -193,7 +221,7 @@ class TestDeriveAll:
                 a_ab=rng.uniform(0.0, 6e-9),
             )
             d = derive_all(system)
-            budget = d.delta_e_coll + d.e_sc(2) - 2 * d.e_sc(1)
+            budget = d.delta_e_coll + _e_sc(d, 2) - 2 * d.e_sc1
             if budget > 0:
                 assert d.e2 > 2 * d.e1
             elif budget < 0:
@@ -247,6 +275,12 @@ class TestPhysicalSystem:
             PhysicalSystem(atom_mass=RB87_MASS, nu_a=1e3, nu_b=9e2,
                            atom_number=10, peak_density=1e19,
                            a_aa=5e-9, a_bb=5e-9, a_ab=5e-9)
+
+    @pytest.mark.parametrize("nu_a", [(1e5, 2e5), ((1e5,) * 3,) * 2])
+    def test_rejects_a_frequency_that_is_not_a_scalar_or_3_vector(self, nu_a):
+        with pytest.raises(ValueError, match="^expected a scalar or 3-vector, got shape"):
+            PhysicalSystem(atom_mass=RB87_MASS, nu_a=nu_a, nu_b=1e2, atom_number=10,
+                           peak_density=1e19, a_aa=5e-9, a_bb=5e-9, a_ab=5e-9)
 
     def test_scalar_becomes_isotropic(self):
         system = PhysicalSystem(atom_mass=RB87_MASS, nu_a=1e5, nu_b=1e2,

@@ -22,6 +22,7 @@ from quantum_tweezers import (
     StepControl,
     Trajectory,
     build_level_model,
+    build_pi_pulse,
     build_scrap_schedule,
     derive_all,
     get_preset,
@@ -925,6 +926,19 @@ class TestFinalStates:
         monkeypatch.setattr(propagator, "_MAX_STEPS", 256)
         with pytest.raises(IntegrationError, match="no grid of up to 256 steps spans"):
             propagate(model, schedule, step_control=StepControl(sample_cap=2, order=6))
+
+    def test_sample_step_limit_raises(self, monkeypatch, fig3a, fig3a_model):
+        # no sample estimate meets a negative target: the sample test doubles
+        # the accepted grid until the next would pass the step limit
+        schedule = build_pi_pulse(fig3a_model, (0, 1), fig3a.pi.t_omega)
+        monkeypatch.setattr(propagator, "_MAX_STEPS", 1024)
+        monkeypatch.setattr(propagator, "_SAMPLE_TOLERANCE", -1.0)
+        requests = _counted_grids(monkeypatch)
+        with pytest.raises(IntegrationError, match=r"^no sixth-order grid of up to 1024 steps "
+                           r"meets the -1e\+00 target inside the window: error estimate "
+                           r"\S+ at 1024 steps$"):
+            propagate(fig3a_model, schedule, step_control=StepControl(order=6))
+        assert max(steps for pairs in requests for steps, _ in pairs) == 1024
 
 
 def _counted_grids(monkeypatch):

@@ -1,6 +1,7 @@
 """Envelope primitives, schedule builders and serialization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from quantum_tweezers import (
     schedule_from_dict,
 )
 from quantum_tweezers.exceptions import ConfigError
+from quantum_tweezers.experiments import resonant_gaussian_schedule
 from quantum_tweezers.levels import resonance_detunings
 from quantum_tweezers.pulses import envelope_from_dict
 
@@ -206,6 +208,20 @@ class TestPiPulse:
     def test_rejects_bad_transition(self, fig3a_model):
         with pytest.raises(ValueError):
             build_pi_pulse(fig3a_model, (0, 2), 1e-3)
+
+    # "1" raised IndexError and a float pair TypeError; the other spellings
+    # ran as 0->1, and (True, 2) as 1->2
+    @pytest.mark.parametrize("transition", [
+        "1", "0-1-2", " 0-1", "00-01", (True, 2), (0.0, 1.0), (0, 1, 2), 1],
+        ids=["one_level", "three_levels", "leading_space", "zero_padded", "bool_lower",
+             "float_pair", "triple", "integer"])
+    def test_only_an_integer_pair_or_its_spelling_is_a_transition(self, fig3a_model,
+                                                                  transition):
+        message = f"^unsupported transition {re.escape(str(transition))}$"
+        with pytest.raises(InfeasibleScheduleError, match=message):
+            build_pi_pulse(fig3a_model, transition, 1e-3)
+        with pytest.raises(InfeasibleScheduleError, match=message):
+            resonant_gaussian_schedule(fig3a_model, 1e4, 1e-3, transition)
 
     @pytest.mark.parametrize("t_omega", [5e-324, 1e-310])
     def test_width_that_underflows_the_peak(self, fig3a_model, t_omega):
