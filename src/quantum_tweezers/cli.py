@@ -101,10 +101,6 @@ def _json_text(payload) -> str:
             return {k: clean(v) for k, v in obj.items()}
         if isinstance(obj, (list, tuple)):
             return [clean(v) for v in obj]
-        if isinstance(obj, np.floating):
-            return float(obj)
-        if isinstance(obj, np.integer):
-            return int(obj)
         return obj
 
     return json.dumps(clean(payload), indent=2, sort_keys=True) + "\n"

@@ -28,14 +28,14 @@ the start state.  The runs of any other grid are scanned in groups of a
 fixed length: each group is reduced to one matrix, which carries the state
 from group to group, and the samples inside all groups are then reached at
 once, so no Python loop runs once per step or once per stored sample.
-Every block-sized array of the kernel, H at the Gauss-Legendre nodes too
-(filled in place by hamiltonian_stack), is a view of a per-thread workspace
-(seven flat arrays, for three levels about 2.1 MB at the fourth order and
-1.1 MB at the sixth on the fig4 chirp, more where a scanned grid holds
-more than a block of samples), lent and given back stage by stage and kept
-between calls, so once it has settled, in a few calls, a propagation takes
+Every block-sized array of the kernel, H at each Gauss-Legendre node too
+(filled in place by hamiltonian_stack), is a view of a per-thread workspace,
+lent, given back at its last use and kept between calls.  For final states
+of up to _BLOCK^2 steps it holds at most seven arrays of at most one complex
+block each (dim^2 _BLOCK 16 bytes: 2.06 MB in all for three levels); a
+sampled grid may need larger ones.  Once it has settled, a propagation takes
 no new workspace memory.  The arithmetic is the same whichever memory holds
-it, so the results do not depend on the workspace or the block size.
+it, so no result depends on the workspace or _BLOCK.
 
 The fourth order takes its step from the spectral rule
 
@@ -359,14 +359,15 @@ def _scan(runs: np.ndarray, length: int, psi: np.ndarray) -> np.ndarray:
 
 
 def _hamiltonians(model: LevelModel, schedule: PulseSchedule,
-                  times: np.ndarray) -> np.ndarray:
-    """H at the (nodes, N) `times`, as the (nodes, dim, dim, N) node slices of one
-    component-major (dim, dim, nodes N) workspace array that it is filled into."""
+                  times: np.ndarray) -> list[np.ndarray]:
+    """H at the (nodes, N) `times`, one component-major (dim, dim, N) workspace
+    array per node, filled in place; the envelopes are evaluated once for all nodes."""
     flat, dim = times.reshape(-1), model.dim
-    stack = _WORK.take((dim, dim, flat.size), float)
-    hamiltonian_stack(model, schedule.detuning(flat), schedule.rabi(flat),
-                      out=stack.transpose(2, 0, 1))
-    return stack.reshape(dim, dim, *times.shape).transpose(2, 0, 1, 3)
+    stacks = [_WORK.take((dim, dim, times.shape[1]), float) for _ in times]
+    for stack, delta, rabi in zip(stacks, np.reshape(schedule.detuning(flat), times.shape),
+                                  np.reshape(schedule.rabi(flat), times.shape)):
+        hamiltonian_stack(model, delta, rabi, out=stack.transpose(2, 0, 1))
+    return stacks
 
 
 def _generator(model: LevelModel, schedule: PulseSchedule, times: np.ndarray,
@@ -379,15 +380,14 @@ def _generator(model: LevelModel, schedule: PulseSchedule, times: np.ndarray,
     h is one step for all, or one per step.
     """
     hbar = model.hbar
-    stack = _hamiltonians(model, schedule, _GL2_NODES[:, None] * h + times)
-    h1, h2 = stack
+    h1, h2 = _hamiltonians(model, schedule, _GL2_NODES[:, None] * h + times)
     product = _mul(h1, h2)
     generator = _WORK.take(h1.shape)
     np.multiply(-(h / (2.0 * hbar)), np.add(h1, h2, out=h1), out=generator.imag)
     np.multiply(math.sqrt(3.0) * h * h / (12.0 * hbar * hbar),
                 np.subtract(product, product.transpose(1, 0, 2), out=h2),
                 out=generator.real)
-    _WORK.give(stack, product)
+    _WORK.give(h1, h2, product)
     return generator
 
 
@@ -410,8 +410,7 @@ def _generator6(model: LevelModel, schedule: PulseSchedule, times: np.ndarray,
     h is one step for all, or one per step.
     """
     scale = h / model.hbar
-    stack = _hamiltonians(model, schedule, _GL3_NODES[:, None] * h + times)
-    h1, h2, h3 = stack
+    h1, h2, h3 = _hamiltonians(model, schedule, _GL3_NODES[:, None] * h + times)
     a3 = np.add(h1, h3, out=_WORK.take(h1.shape, float))
     a3 -= h2
     a3 -= h2
@@ -422,8 +421,7 @@ def _generator6(model: LevelModel, schedule: PulseSchedule, times: np.ndarray,
     product = _mul(a1, a2)
     c1 = np.subtract(product.transpose(1, 0, 2), product, out=h1)
     _WORK.give(product)
-    e = _WORK.take(h1.shape)
-    f = _WORK.take(h1.shape)
+    f = _WORK.take(a3.shape)
     product = _mul(a1, a3)
     np.subtract(product, product.transpose(1, 0, 2), out=f.real)
     f.real /= 30.0
@@ -432,13 +430,15 @@ def _generator6(model: LevelModel, schedule: PulseSchedule, times: np.ndarray,
     np.add(product, product.transpose(1, 0, 2), out=f.imag)
     f.imag /= 60.0
     f.imag -= a2
-    _WORK.give(product)
+    _WORK.give(product, a2)  # at its last read, so at most seven arrays are out at once
+    e = _WORK.take(a3.shape)
     e.real = c1
+    _WORK.give(c1)
     np.multiply(a1, 20.0, out=e.imag)
     e.imag += a3
     product = _mul(e, f)
     _WORK.give(e, f)
-    generator = _WORK.take(h1.shape)
+    generator = _WORK.take(a3.shape)
     np.subtract(product.real, product.real.transpose(1, 0, 2), out=generator.real)
     generator.real /= 240.0
     np.add(product.imag, product.imag.transpose(1, 0, 2), out=generator.imag)
@@ -446,7 +446,7 @@ def _generator6(model: LevelModel, schedule: PulseSchedule, times: np.ndarray,
     generator.imag -= a1
     a3 /= 12.0
     generator.imag -= a3
-    _WORK.give(stack, a3, product)
+    _WORK.give(a1, a3, product)
     return generator
 
 

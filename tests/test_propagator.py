@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from quantum_tweezers import (
     Constant,
@@ -718,9 +719,10 @@ class TestWorkspace:
         assert peak < 2 * model.dim ** 2 * propagator._BLOCK * 16
 
     def test_warm_generator6_fills_the_hamiltonians_in_place(self):
-        # H at a block's three Gauss-Legendre nodes is filled into one
-        # workspace array: a warm call traces no (3N, dim, dim) float stack
-        # (a fresh stack, then copied in, put the peak at 1.6 such arrays)
+        # H at each of a block's three Gauss-Legendre nodes is filled in place
+        # into a workspace array of its own: a warm call traces no (3N, dim,
+        # dim) float stack (a fresh stack, then copied in, put the peak at 1.6
+        # such stacks)
         model, schedule = _fig4_chirp()
         count = propagator._BLOCK
         h = np.full(count, schedule.duration / 8763)
@@ -737,6 +739,25 @@ class TestWorkspace:
                 tracemalloc.stop()
 
         assert _in_fresh_thread(warm_peak) < 3 * count * model.dim ** 2 * 8
+
+    def test_warm_final_states_hold_seven_arrays_of_at_most_a_block(self):
+        # no kernel request is larger than one complex block, and at most the
+        # exponential's seven arrays are out at once, so warm final-state
+        # calls leave at most seven arrays in the workspace, none larger
+        model, schedule = _fig4_chirp()
+        controls = [StepControl(sample_cap=2), StepControl(order=6, sample_cap=2),
+                    StepControl(order=6, spectral=True, sample_cap=2)]
+
+        def warm_sizes():
+            for _ in range(3):
+                steps = [propagate(model, schedule, step_control=control).n_steps
+                         for control in controls]
+            return steps, [flat.nbytes for flat in propagator._WORK.free]
+
+        steps, sizes = _in_fresh_thread(warm_sizes)
+        assert steps[2] > propagator._BLOCK  # the spectral run spans more than one block
+        assert len(sizes) <= 7
+        assert max(sizes) <= model.dim ** 2 * propagator._BLOCK * 16
 
     def test_run_longer_than_a_block_allocates_under_two_blocks(self, fig3a_model):
         # two samples inside 200,000 steps: a run of 100,000 steps is cut into
@@ -1120,6 +1141,33 @@ class TestClosedForms:
         p = self._p(area, offset)
         expected = [(1 - p) ** 2, 2 * p * (1 - p), p ** 2]
         assert np.max(np.abs(traj.populations[-1] - expected)) < 1e-11
+
+    @pytest.mark.parametrize("control", _SIXTH_ORDER, ids=["sampled", "final"])
+    @pytest.mark.parametrize("width, area, offset", _ROSEN_ZENER)
+    def test_two_photon_resonance(self, control, width, area, offset):
+        # the model's own couplings u0, u1 = sqrt 2 u0 at the two-photon
+        # resonance Delta = E2 / 2 hbar, with E1 set so that H11 = hbar delta
+        # and H00 = H22 = 0: the bright state (u0 |0> + u1 |2>) / n meets |1>
+        # at Rabi frequency n Omega_L and the dark state does not move
+        # (Morris & Shore, Phys. Rev. A 27, 906 (1983)).  With c the bright
+        # state's Rosen-Zener survival amplitude, Gamma(z)^2 / Gamma(z + a)
+        # Gamma(z - a), z = 1/2 + i delta T / 2 and a = n g0 T / 2, the run from
+        # |0> ends in psi0 = (u0^2 c + u1^2) / n^2 and psi2 = u0 u1 (c - 1) / n^2,
+        # so the amplitudes read the phase of c and its sign
+        model, _ = _fig4_chirp()
+        e2, (u0, u1) = model.bare_energies[2], model.rabi_units
+        n2 = u0 ** 2 + u1 ** 2
+        model = replace(model, bare_energies=(0.0, e2 / 2 + model.hbar * offset / width, e2))
+        schedule = PulseSchedule(Constant(e2 / (2 * model.hbar)),
+                                 Sech(area / width / math.sqrt(n2), width),
+                                 -40 * width, 40 * width)
+        traj = propagate(model, schedule, step_control=control)
+        z = 0.5 + 0.5j * offset
+        c = special.gamma(z) ** 2 * special.rgamma(z + area / 2) * special.rgamma(z - area / 2)
+        psi0, psi2 = (u0 ** 2 * c + u1 ** 2) / n2, u0 * u1 * (c - 1) / n2
+        expected = [abs(psi0) ** 2, u0 ** 2 / n2 * (1 - abs(c) ** 2), abs(psi2) ** 2]
+        assert np.max(np.abs(traj.populations[-1] - expected)) < 1e-11
+        assert np.max(np.abs(traj.states[-1, [0, 2]] - [psi0, psi2])) < 1e-10
 
 
 def _mirrored(envelope, end):
